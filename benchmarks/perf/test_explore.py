@@ -1,4 +1,4 @@
-"""Design-space explorer: throughput, QoR floor, cross-mode identity.
+"""Design-space explorer: throughput, QoR floor, cross-backend identity.
 
 Acceptance (ISSUE 10):
 
@@ -9,8 +9,7 @@ Acceptance (ISSUE 10):
 * ``explore_sizing`` ends no worse than the greedy ``size_gates``
   reference — lexicographic (timing violation, area) — on every
   OpenCores design at the default budget;
-* chains are bit-identical across ``REPRO_EXPLORE`` scoring modes and
-  across the thread and process backends.
+* chains are bit-identical across the thread and process backends.
 
 ``REPRO_BENCH_EXPLORE_BUDGET`` shrinks the per-chain trial budget for
 CI smoke runs (default 240 = the explorer's own default).
@@ -18,7 +17,6 @@ CI smoke runs (default 240 = the explorer's own default).
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 
@@ -26,7 +24,7 @@ from repro.designs.opencores import benchmark_names, get_benchmark
 from repro.hdl import elaborate
 from repro.rand import rng as seeded_rng
 from repro.synth import Constraints, PassContext, TimingEngine, get_wireload, nangate45
-from repro.synth.explore import ExploreConfig, anneal_chain, explore_sizing, run_chains
+from repro.synth.explore import ExploreConfig, explore_sizing, run_chains
 from repro.synth.optimizer import size_gates
 from repro.synth.passes import sizing_neighbors
 from repro.synth.techmap import map_to_library
@@ -168,21 +166,10 @@ def test_explore_qor_no_worse_than_greedy(bench_results):
     }
 
 
-def test_explore_bit_identical_across_modes(bench_results):
-    """Scoring mode and pool backend never change the walk."""
+def test_explore_bit_identical_across_backends(bench_results):
+    """The pool backend never changes the walk."""
     netlist, constraints = _mapped("aes", scale=0.9)
-    config = ExploreConfig(
-        budget=min(BUDGET, 60), chains=2, seed=13, grouped=True
-    )
-
-    grouped = anneal_chain(
-        netlist.clone(), LIBRARY, WIRELOAD, constraints, config
-    )
-    fallback = anneal_chain(
-        netlist.clone(), LIBRARY, WIRELOAD, constraints,
-        dataclasses.replace(config, grouped=False),
-    )
-    assert dataclasses.replace(grouped, grouped=False) == fallback
+    config = ExploreConfig(budget=min(BUDGET, 60), chains=2, seed=13)
 
     backends = {}
     for backend in ("thread", "process"):
@@ -199,7 +186,6 @@ def test_explore_bit_identical_across_modes(bench_results):
         "design": "aes",
         "budget": config.budget,
         "chains": config.chains,
-        "grouped_equals_fallback": True,
         "thread_equals_process": True,
-        "accepted": grouped.accepted,
+        "accepted": [result.accepted for result in backends["thread"]],
     }

@@ -342,7 +342,7 @@ class ExploreQoRResult:
 
 
 def _explore_qor_design(
-    task: tuple[str, tuple[int, ...], int, int | None],
+    task: tuple[str, tuple[int, ...], int, int],
 ) -> tuple[str, QoRSnapshot, dict[int, QoRSnapshot]]:
     """One design's QoR-vs-budget curve (module-level, process-safe).
 
@@ -382,7 +382,7 @@ def run_explore_qor(
     designs: list[str] | None = None,
     budgets: tuple[int, ...] = (30, 120, 240),
     seed: int = 0,
-    chains: int | None = None,
+    chains: int = 2,
     jobs: int | None = None,
 ) -> ExploreQoRResult:
     """QoR-vs-trial-budget curves for the statistical explorer.

@@ -9,7 +9,6 @@ learning (paper §IV-A) can train end to end without autograd.
 from .batch import (
     GraphBatch,
     accumulation_order,
-    batch_gnn_enabled,
     embed_graph_groups,
     embedding_cache,
     pack_graphs,
@@ -31,7 +30,6 @@ __all__ = [
     "embed_graph_groups",
     "pack_graphs",
     "release_state",
-    "batch_gnn_enabled",
     "embedding_cache",
     "SGD",
     "Adam",

@@ -1,10 +1,12 @@
 """Batched GNN execution engine.
 
-The scalar :class:`~repro.gnn.model.GraphSAGE` path embeds one graph at a
-time: every ``embed_graph`` call rebuilds the mean adjacency with a Python
-edge loop and issues a handful of small matmuls, and metric-learning
-epochs re-run forwards just to repopulate layer caches before backward.
-This module packs a list of :class:`~repro.gnn.graph.GraphData` into one
+The single-graph :class:`~repro.gnn.model.GraphSAGE` path
+(``embed_graph``/``backward_graph``, kept as the parity reference) embeds
+one graph at a time: every call rebuilds the mean adjacency with a Python
+edge loop and issues a handful of small matmuls, and a per-graph training
+loop re-runs forwards just to repopulate layer caches before backward.
+All multi-graph embedding and metric-learning training go through this
+module instead: it packs a list of :class:`~repro.gnn.graph.GraphData` into one
 disjoint-union batch and runs forward *and* the hand-derived backward over
 the whole batch:
 
@@ -61,9 +63,6 @@ Batched results are *bit-exact* against the scalar path, by construction:
 ``tests/gnn/test_batch_parity.py`` enforces the contract with hypothesis
 over random graphs and over the seven OpenCores designs.
 
-Set ``REPRO_BATCH_GNN=0`` to fall back to the scalar per-graph path
-everywhere (the batched engine is the default).
-
 On top of the engine sits a **model-version-keyed embedding cache**:
 ``GraphSAGE.embed_graphs`` memoizes pooled graph embeddings keyed by
 ``(model, model.version, graph)``.  ``load_state_dict`` and optimizer
@@ -74,7 +73,6 @@ provider (they show up in the obs run report's ``caches`` section).
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import weakref
@@ -88,8 +86,6 @@ from .graph import GraphData
 from .layers import LayerCache
 
 __all__ = [
-    "batch_gnn_enabled",
-    "embed_cache_enabled",
     "accumulation_order",
     "GraphBatch",
     "pack_graphs",
@@ -102,18 +98,7 @@ __all__ = [
     "embed_graphs_cached",
 ]
 
-_FALSY = ("0", "false", "no", "off")
 _clock = time.perf_counter
-
-
-def batch_gnn_enabled() -> bool:
-    """Whether the batched engine is active (``REPRO_BATCH_GNN``, default on)."""
-    return os.environ.get("REPRO_BATCH_GNN", "1").lower() not in _FALSY
-
-
-def embed_cache_enabled() -> bool:
-    """Whether the versioned embedding cache is active (``REPRO_GNN_EMBED_CACHE``)."""
-    return os.environ.get("REPRO_GNN_EMBED_CACHE", "1").lower() not in _FALSY
 
 
 # -- adjacency blocks ---------------------------------------------------------
@@ -818,7 +803,6 @@ class EmbeddingCache:
         with self._lock:
             lookups = self.hits + self.misses
             return {
-                "enabled": embed_cache_enabled(),
                 "entries": len(self._entries),
                 "capacity": self.capacity,
                 "hits": self.hits,
@@ -835,24 +819,15 @@ perf.register_stats_provider("gnn_embed", embedding_cache.stats)
 
 
 def embed_graphs_cached(model, graphs: list[GraphData]) -> np.ndarray:
-    """Embed ``graphs`` through the cache and the active engine.
+    """Embed ``graphs`` through the cache, batching every miss.
 
-    Both engine modes produce bit-identical embeddings (the parity
-    contract above), so cached entries are valid across mode switches.
+    Misses (one slot per distinct graph object) run as one batched
+    forward, bit-identical to per-graph ``embed_graph`` calls by the
+    parity contract above.  Callers that need cold embeddings call
+    ``embedding_cache.clear()`` first.
     """
     if not graphs:
         return np.empty((0, model.embedding_dim))
-    use_cache = embed_cache_enabled()
-    if not use_cache:
-        # No cache to consult or fill: embed the list directly.  Duplicate
-        # objects just occupy two batch slots and come out bit-identical
-        # (each graph's slice is computed independently), exactly as the
-        # scalar loop would embed them twice.
-        if batch_gnn_enabled():
-            fresh, _ = batched_forward(model, pack_graphs(graphs), keep_state=False)
-            return fresh
-        perf.incr("gnn.scalar_graphs", len(graphs))
-        return np.vstack([model.embed_graph(g) for g in graphs])
     out = np.empty((len(graphs), model.embedding_dim))
     missing: list[int] = []
     duplicates: list[tuple[int, int]] = []
@@ -868,11 +843,7 @@ def embed_graphs_cached(model, graphs: list[GraphData]) -> np.ndarray:
             missing.append(pos)
     if missing:
         todo = [graphs[pos] for pos in missing]
-        if batch_gnn_enabled():
-            fresh, _ = batched_forward(model, pack_graphs(todo), keep_state=False)
-        else:
-            perf.incr("gnn.scalar_graphs", len(todo))
-            fresh = np.vstack([model.embed_graph(g) for g in todo])
+        fresh, _ = batched_forward(model, pack_graphs(todo), keep_state=False)
         out[missing] = fresh
         for row, pos in enumerate(missing):
             embedding_cache.put(model, graphs[pos], fresh[row])

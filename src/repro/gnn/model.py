@@ -6,11 +6,11 @@ the design-level embedding is the mean of its module embeddings
 (z_global = 1/N * sum h_i), which also covers the flattened/single-module
 degenerate case.
 
-Multi-graph embedding goes through the batched engine
-(:mod:`repro.gnn.batch`) by default — one disjoint-union forward instead
-of a Python loop — with a per-graph, model-version-keyed embedding cache
-in front.  ``REPRO_BATCH_GNN=0`` restores the per-graph fallback; both
-paths are bit-exact.
+Multi-graph embedding and training go through the batched engine
+(:mod:`repro.gnn.batch`) — one disjoint-union forward instead of a
+Python loop — with a per-graph, model-version-keyed embedding cache in
+front.  The single-graph ``embed_graph``/``backward_graph`` pair stays as
+the reference the batched engine is bit-exact against.
 """
 
 from __future__ import annotations
@@ -141,9 +141,8 @@ class GraphSAGE:
     def embed_graphs(self, graphs: list[GraphData]) -> np.ndarray:
         """Stack graph embeddings, shape (len(graphs), embedding_dim).
 
-        Runs the batched engine (unless ``REPRO_BATCH_GNN=0``) behind the
-        versioned embedding cache; results are bit-exact with a loop of
-        :meth:`embed_graph` calls either way.
+        Runs the batched engine behind the versioned embedding cache;
+        results are bit-exact with a loop of :meth:`embed_graph` calls.
         """
         if type(graphs) is not list:
             graphs = list(graphs)

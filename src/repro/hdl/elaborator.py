@@ -831,7 +831,10 @@ class Elaborator:
         out: dict[str, list[str]],
         scope: _Scope,
     ) -> None:
-        for name in set(then_env) | set(else_env):
+        # Merge in first-write order, not set order: every mux allocates
+        # fresh net names, so a hash-seeded order would make the netlist
+        # differ between processes.
+        for name in dict.fromkeys([*then_env, *else_env]):
             # A branch that did not write keeps the signal's prior value.
             t = then_env.get(name) or self._signal_bits(scope, name)
             e = else_env.get(name) or self._signal_bits(scope, name)
@@ -851,7 +854,7 @@ class Elaborator:
         out: dict[str, list[list[str]]],
         scope: _Scope,
     ) -> None:
-        for name in set(then_arrays) | set(else_arrays):
+        for name in dict.fromkeys([*then_arrays, *else_arrays]):
             t = then_arrays.get(name) or self._array_words(scope, name)
             e = else_arrays.get(name) or self._array_words(scope, name)
             merged = []

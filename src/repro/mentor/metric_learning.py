@@ -10,9 +10,9 @@ The batch losses and :func:`clustering_quality` are full-matrix numpy —
 one pairwise-similarity matmul plus masked reductions, no inner Python
 loops.  :class:`MetricTrainer` epochs run through the batched GNN engine
 (one disjoint-union forward/backward per step instead of per-graph
-re-forwards) when ``REPRO_BATCH_GNN`` is on; the scalar per-graph path is
-retained and produces bit-identical training trajectories (see
-``tests/mentor/test_metric_learning.py``).
+re-forwards); ``tests/mentor/test_metric_learning.py`` checks the loss
+trajectory and final weights bit-for-bit against a per-graph
+``embed_graph``/``backward_graph`` training loop.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import numpy as np
 from ..gnn import (
     Adam,
     GraphData,
-    accumulation_order,
-    batch_gnn_enabled,
     pack_graphs,
     release_state,
 )
@@ -196,12 +194,10 @@ def _normalization_grad(
 class MetricTrainer:
     """Trains a :class:`CircuitEncoder` with metric-learning losses.
 
-    Epochs run through the batched GNN engine by default (one
-    disjoint-union forward + backward per optimizer step); with
-    ``REPRO_BATCH_GNN=0`` the original per-graph loop runs instead.  Both
-    modes consume the RNG identically and accumulate gradients in the
-    same graph order, so training is deterministic across modes: same
-    seed, same graphs → bit-identical losses and final weights.
+    Epochs run through the batched GNN engine (one disjoint-union
+    forward + backward per optimizer step).  Gradients accumulate in a
+    fixed graph order, so training is deterministic: same seed, same
+    graphs → bit-identical losses and final weights.
     """
 
     def __init__(
@@ -245,88 +241,55 @@ class MetricTrainer:
 
     def _contrastive_epoch(self, graphs, labels, num_pairs) -> float:
         model = self.encoder.model
-        batched = batch_gnn_enabled()
         total = 0.0
         for _ in range(num_pairs):
             i, j = self._sample_pair(labels)
             same = labels[i] == labels[j]
             model.zero_grad()
-            if batched:
-                # One two-graph forward; the retained state makes the
-                # backward free of re-forwards.
-                embeddings, state = model.forward_batch(
-                    pack_graphs([graphs[i], graphs[j]])
-                )
-                emb_i, emb_j = embeddings[0], embeddings[1]
-            else:
-                emb_i = model.embed_graph(graphs[i])
-                # Backprop for i must happen before the caches are overwritten
-                # by j's forward pass, so compute j's embedding first w/o grad,
-                # then redo i/j forward-backward separately.
-                emb_j = model.embed_graph(graphs[j])
-            loss, grad_i, grad_j = contrastive_loss(emb_i, emb_j, same, self.margin)
+            # One two-graph forward; the retained state makes the
+            # backward free of re-forwards.
+            embeddings, state = model.forward_batch(
+                pack_graphs([graphs[i], graphs[j]])
+            )
+            loss, grad_i, grad_j = contrastive_loss(
+                embeddings[0], embeddings[1], same, self.margin
+            )
             if loss > 0:
-                if batched:
-                    model.backward_batch(state, np.vstack([grad_i, grad_j]))
-                else:
-                    model.embed_graph(graphs[i])
-                    model.backward_graph(grad_i)
-                    model.embed_graph(graphs[j])
-                    model.backward_graph(grad_j)
+                model.backward_batch(state, np.vstack([grad_i, grad_j]))
                 self.optimizer.step()
-            elif batched:
+            else:
                 release_state(state)  # zero loss: no backward will consume it
             total += loss
         return total / num_pairs
 
     def _ms_epoch(self, graphs, labels, batch_size) -> float:
         model = self.encoder.model
-        batched = batch_gnn_enabled()
         idx = self.rng.choice(len(graphs), size=min(batch_size, len(graphs)), replace=False)
-        state = None
         full = len(idx) == len(graphs)
-        # Caller list the engine packs — and whose internal slot order the
-        # scalar fallback mirrors below.
+        # When the minibatch covers the whole corpus (it is just a
+        # shuffle), reuse the *canonical* memoized batch — re-packing a
+        # fresh permuted batch every epoch would defeat both the batch
+        # memo and the workspace pool.  Per-graph embeddings are
+        # batch-composition-independent (bit-exact parity), so selecting
+        # rows by ``idx`` equals forwarding the permuted batch directly.
         base = graphs if full else [graphs[i] for i in idx]
-        if batched:
-            # When the minibatch covers the whole corpus (it is just a
-            # shuffle), reuse the *canonical* memoized batch — re-packing
-            # a fresh permuted batch every epoch would defeat both the
-            # batch memo and the workspace pool.  Per-graph embeddings
-            # are batch-composition-independent (bit-exact parity), so
-            # selecting rows by ``idx`` equals forwarding the permuted
-            # batch directly.
-            all_emb, state = model.forward_batch(pack_graphs(base))
-            embeddings = all_emb[idx] if full else all_emb
-        else:
-            embeddings = np.vstack([model.embed_graph(graphs[i]) for i in idx])
+        all_emb, state = model.forward_batch(pack_graphs(base))
+        embeddings = all_emb[idx] if full else all_emb
         norms = np.linalg.norm(embeddings, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         normalized = embeddings / norms
         loss, grad_norm = multi_similarity_loss(normalized, labels[idx])
         grad_emb = _normalization_grad(grad_norm, normalized, norms)
         model.zero_grad()
-        # Both modes accumulate per-graph parameter gradients in the
-        # batch's internal slot order (stable size sort of ``base``): the
-        # engine reduces its gradient stacks in place with no gather, and
-        # the scalar loop iterates graphs in the identical order, keeping
-        # the two trajectories bit-exact.
-        if batched:
-            if full:
-                grad_all = np.empty_like(grad_emb)
-                grad_all[idx] = grad_emb
-                model.backward_batch(state, grad_all, order="slots")
-            else:
-                model.backward_batch(state, grad_emb, order="slots")
+        # Per-graph parameter gradients accumulate in the batch's internal
+        # slot order (stable size sort of ``base``): the engine reduces its
+        # gradient stacks in place with no gather.
+        if full:
+            grad_all = np.empty_like(grad_emb)
+            grad_all[idx] = grad_emb
+            model.backward_batch(state, grad_all, order="slots")
         else:
-            if full:
-                rows = np.empty(len(idx), dtype=np.intp)
-                rows[idx] = np.arange(len(idx))
-            else:
-                rows = np.arange(len(idx))
-            for c in accumulation_order([g.num_nodes for g in base]):
-                model.embed_graph(base[c])
-                model.backward_graph(grad_emb[rows[c]])
+            model.backward_batch(state, grad_emb, order="slots")
         self.optimizer.step()
         return loss
 

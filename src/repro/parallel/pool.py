@@ -149,14 +149,13 @@ class ProcessPool:
 
     def _prepare_payloads(self, work: list) -> tuple[list, list[shm.ShmHandle]]:
         """Serialize every item once; big ones go to shared memory."""
-        threshold = shm.shm_min_bytes()
         payloads: list[tuple] = []
         handles: list[shm.ShmHandle] = []
         try:
             for item in work:
                 data, raws = shm._serialize(item)
                 total = len(data) + sum(raw.nbytes for raw in raws)
-                if total >= threshold:
+                if total >= shm.DEFAULT_SHM_MIN_BYTES:
                     handle = shm._dump_parts(data, raws)
                     handles.append(handle)
                     payloads.append(("shm", handle))

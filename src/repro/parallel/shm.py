@@ -56,7 +56,6 @@ __all__ = [
     "resolve_shared",
     "release_shared",
     "release_all_shared",
-    "shm_min_bytes",
 ]
 
 #: Task payloads below this pickled size go inline over the pipe; at or
@@ -67,17 +66,6 @@ DEFAULT_SHM_MIN_BYTES = 64 * 1024
 RESOLVED_MEMO_CAP = 16
 
 _U64 = struct.Struct("<Q")
-
-
-def shm_min_bytes() -> int:
-    """Inline/shared-memory threshold (``REPRO_SHM_MIN_BYTES`` override)."""
-    raw = os.environ.get("REPRO_SHM_MIN_BYTES", "").strip()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            raise ValueError(f"REPRO_SHM_MIN_BYTES must be an integer, got {raw!r}")
-    return DEFAULT_SHM_MIN_BYTES
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from .explore import (
     ChainResult,
     ExploreConfig,
     anneal_chain,
-    explore_enabled,
     explore_sizing,
 )
 from .liberty import LibertyError, parse_liberty, write_liberty
@@ -35,11 +34,10 @@ from .optimizer import (
     retime,
     size_gates,
 )
-from .passes import PassContext, fast_opt_enabled, sizing_neighbors
+from .passes import PassContext, sizing_neighbors
 from .power import PowerAnalyzer, PowerReport
 from .reports import QoRSnapshot, render_qor_report, render_timing_report
 from .sdc import Constraints
-from .soa import vector_sta_enabled
 from .tcl import TclError, TclInterpreter
 from .techmap import cleanup, map_to_library
 from .timing import TimingEngine, TimingPath, TimingReport
@@ -56,7 +54,6 @@ __all__ = [
     "frontend_cache",
     "frontend_cache_mode",
     "synthesize_cached",
-    "vector_sta_enabled",
     "DCShell",
     "DCShellError",
     "ScriptResult",
@@ -67,12 +64,10 @@ __all__ = [
     "TechLibrary",
     "nangate45",
     "PassContext",
-    "fast_opt_enabled",
     "sizing_neighbors",
     "ChainResult",
     "ExploreConfig",
     "anneal_chain",
-    "explore_enabled",
     "explore_sizing",
     "PassResult",
     "balance_chains",

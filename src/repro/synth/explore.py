@@ -14,12 +14,10 @@ best-of.
 
 Scoring rides the batched trial kernels: each proposal batch is one
 side-effect-free :meth:`TimingEngine.trial_metrics_batch` sweep — a
-grouped 2-D cone-restricted kernel evaluating every move set at once.
-``REPRO_EXPLORE=0`` switches to the scalar lane fallback (each move set
-committed on the netlist's scratch journal, measured, reverted), which
-is bit-exact with the grouped path by the kernel's parity contract: the
-same RNG draws meet the same verdicts, so the accepted-move sequence,
-the final netlist and the QoR are identical in both modes.
+grouped 2-D cone-restricted kernel evaluating every move set at once,
+each lane bit-identical to committing that move set and re-analyzing
+(``tests/synth/test_explore.py`` replays whole chains on scalar
+commit-measure-revert verdicts and checks the walks are identical).
 
 Determinism: every random draw comes from a :func:`repro.rand.rng`
 stream keyed by ``(seed, "explore", chain_index)``; chains never touch
@@ -31,20 +29,14 @@ best *visited* state under the lexicographic ``(timing violation,
 area)`` key — the initial state is in the visited set, so the pass
 never worsens QoR.
 
-Environment:
-
-* ``REPRO_EXPLORE`` — grouped-kernel scoring (default on; ``0`` = the
-  scalar scratch-journal lane fallback).
-* ``REPRO_EXPLORE_CHAINS`` — default multi-start width (default 2).
-* ``REPRO_EXPLORE_BUDGET`` — default move-set trials per chain
-  (default 240).
+Defaults are fixed (``budget=240`` trials per chain, ``chains=2``) and
+nothing is read from the environment, so a script's ``explore_sizing``
+line alone determines the run — the synthesis cache key covers it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import os
 from dataclasses import dataclass
 
 from .. import obs, perf
@@ -66,29 +58,9 @@ from .wireload import WireLoadModel
 __all__ = [
     "ExploreConfig",
     "ChainResult",
-    "explore_enabled",
-    "default_chains",
-    "default_budget",
     "anneal_chain",
     "explore_sizing",
 ]
-
-
-def explore_enabled() -> bool:
-    """Whether grouped-kernel trial scoring is active (``REPRO_EXPLORE``)."""
-    return os.environ.get("REPRO_EXPLORE", "1").lower() not in (
-        "0", "false", "no", "off",
-    )
-
-
-def default_chains() -> int:
-    """Multi-start width when unspecified (``REPRO_EXPLORE_CHAINS``)."""
-    return max(1, int(os.environ.get("REPRO_EXPLORE_CHAINS", "2")))
-
-
-def default_budget() -> int:
-    """Move-set trials per chain when unspecified (``REPRO_EXPLORE_BUDGET``)."""
-    return max(1, int(os.environ.get("REPRO_EXPLORE_BUDGET", "240")))
 
 
 @dataclass(frozen=True)
@@ -105,13 +77,11 @@ class ExploreConfig:
     move slot targets the current critical path while timing is
     violated; ``dir_bias`` is the probability the drive choice follows
     the helpful direction (stronger on the critical path, weaker for
-    area recovery once timing is met).  ``None`` for ``budget`` /
-    ``chains`` / ``grouped`` defers to the environment at
-    :meth:`resolved` time.
+    area recovery once timing is met).
     """
 
-    budget: int | None = None
-    chains: int | None = None
+    budget: int = 240
+    chains: int = 2
     seed: int = 0
     max_gates: int = 4
     batch: int = 16
@@ -122,16 +92,6 @@ class ExploreConfig:
     timing_weight: float = 1000.0
     crit_bias: float = 0.75
     dir_bias: float = 0.75
-    grouped: bool | None = None
-
-    def resolved(self) -> "ExploreConfig":
-        """Env defaults latched into concrete values (parent-side)."""
-        return dataclasses.replace(
-            self,
-            budget=self.budget if self.budget is not None else default_budget(),
-            chains=self.chains if self.chains is not None else default_chains(),
-            grouped=self.grouped if self.grouped is not None else explore_enabled(),
-        )
 
 
 @dataclass(frozen=True)
@@ -154,7 +114,6 @@ class ChainResult:
     accepted: int
     committed_gates: int
     batch_sizes: tuple[int, ...]
-    grouped: bool
 
 
 def _qor_key(cps: float, area: float, config: ExploreConfig) -> tuple[float, float]:
@@ -199,7 +158,7 @@ def _propose(rng, cells, sizable, pool, pool_set, neighbors, directional,
     (``dir_bias``): stronger variants for critical cells under
     violation, weaker variants anywhere once timing is met.  Every draw
     comes from the chain's private stream, so the proposal sequence is
-    deterministic per seed in both scoring modes.
+    deterministic per seed.
     """
     width = min(len(sizable), 1 + rng.randrange(max(1, config.max_gates)))
     chosen: dict[str, str] = {}
@@ -224,29 +183,6 @@ def _propose(rng, cells, sizable, pool, pool_set, neighbors, directional,
     return sorted(chosen.items())
 
 
-def _score_batch(engine, lanes, grouped):
-    """``(cps, area)`` per lane — grouped kernel sweep or scalar fallback.
-
-    The fallback commits each move set on the netlist's change journal,
-    measures, and reverts (the reverts fold into the next evaluation);
-    entry ``i`` is bit-identical to the grouped path by the kernel's
-    parity contract.
-    """
-    if grouped:
-        return engine.trial_metrics_batch(lanes)
-    cells = engine.netlist.cells
-    out = []
-    for lane in lanes:
-        perf.incr("sta.trial")
-        previous = [(cells[name], cells[name].lib_cell) for name, _ in lane]
-        for name, lib_name in lane:
-            cells[name].lib_cell = lib_name
-        out.append((engine.trial_cps(), engine.total_area()))
-        for cell, prev in previous:
-            cell.lib_cell = prev
-    return out
-
-
 def anneal_chain(
     netlist: Netlist,
     library: TechLibrary,
@@ -267,10 +203,8 @@ def anneal_chain(
     best visited state under ``(violation, area)`` — which includes the
     start state, so a chain never reports a regression.
     """
-    config = config.resolved()
     ctx = _context(context, netlist, library, wireload, constraints)
     engine = ctx.engine
-    grouped = bool(config.grouped)
     neighbors = sizing_neighbors(library)
     cells = netlist.cells
     sizable = [
@@ -287,7 +221,7 @@ def anneal_chain(
         return ChainResult(
             chain=chain_index, cost=best_key, cps=cur_cps, area=cur_area,
             bindings={}, trials=0, accepted=0, committed_gates=0,
-            batch_sizes=(), grouped=grouped,
+            batch_sizes=(),
         )
 
     rng = _stream_rng(config.seed, "explore", chain_index)
@@ -312,7 +246,7 @@ def anneal_chain(
             ]
         batch_sizes.append(width)
         with perf.timer("explore.score"):
-            verdicts = _score_batch(engine, moves, grouped)
+            verdicts = engine.trial_metrics_batch(moves)
         previous_trials = trials
         trials += width
         perf.incr("explore.moves", width)
@@ -377,7 +311,6 @@ def anneal_chain(
         accepted=accepted,
         committed_gates=committed,
         batch_sizes=tuple(batch_sizes),
-        grouped=grouped,
     )
 
 
@@ -407,7 +340,6 @@ def run_chains(
     each chain clones the netlist so the input is never mutated.
     Results come back in chain order — bit-identical across backends.
     """
-    config = config.resolved()
     backend = effective_backend(jobs=jobs, items=config.chains)
     ref = shared((netlist, library, wireload, constraints), backend=backend)
     tasks = [(ref, config, index) for index in range(config.chains)]
@@ -462,9 +394,9 @@ def explore_sizing(
     library: TechLibrary,
     wireload: WireLoadModel,
     constraints: Constraints,
-    budget: int | None = None,
+    budget: int = 240,
     seed: int = 0,
-    chains: int | None = None,
+    chains: int = 2,
     max_gates: int = 4,
     batch: int = 16,
     t0: float = 2.0,
@@ -492,7 +424,6 @@ def explore_sizing(
             batch=batch, t0=t0, cooling=cooling, restarts=restarts,
             derate=derate,
         )
-    config = config.resolved()
     ctx = _context(context, netlist, library, wireload, constraints)
     engine = ctx.engine
     report = engine.analyze(with_paths=False)
@@ -500,7 +431,7 @@ def explore_sizing(
     area_before = engine.total_area()
     with obs.span(
         "explore.run",
-        chains=config.chains, budget=config.budget, grouped=config.grouped,
+        chains=config.chains, budget=config.budget,
     ):
         results = run_chains(
             netlist, library, wireload, constraints, config, jobs=jobs

@@ -15,11 +15,12 @@ All passes mutate the netlist in place and report what they changed.
 The timing-driven passes accept an optional :class:`~repro.synth.passes.
 PassContext` so a compile flow shares one incremental
 :class:`~repro.synth.timing.TimingEngine` across every pass (``DCShell``
-always provides one; direct callers get a fresh private context).  With
-``REPRO_FAST_OPT`` on (the default) the candidate loops run vectorized —
-batched side-effect-free trial evaluation over the SoA arrays — with a
-bit-exact contract against the retained scalar loops: identical accepted
-changes, identical final netlist, identical QoR.
+always provides one; direct callers get a fresh private context).  The
+candidate loops score trials in batched, side-effect-free kernel sweeps
+over the SoA arrays; every verdict is bit-identical to committing the
+candidate and re-analyzing, so the accepted changes are those of a
+per-trial ``analyze()`` loop (``tests/synth/test_opt_parity.py`` replays
+the passes on scalar reference verdicts).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ __all__ = [
     "resynthesize_adders",
 ]
 
-# Trial lanes per batched kernel sweep in the fast sizing loop: large
+# Trial lanes per batched kernel sweep in the sizing loop: large
 # enough to amortize the per-level numpy overhead over many candidates on
 # reject-heavy rounds, small enough that an early acceptance wastes little.
 _TRIAL_BATCH = 16
@@ -123,10 +124,9 @@ def size_gates(
     trying up to ``scan`` candidates per round.  Stops when timing is met,
     no upgrades remain, or a round fails to improve the worst slack.
 
-    Fast mode scores the round's candidates through
-    :meth:`TimingEngine.trial_cps_batch` — chunks of hypothetical rebinds
-    evaluated in one kernel sweep, no netlist mutation for rejects — and
-    accepts the first improving candidate, exactly like the scalar loop.
+    Candidates are scored through :meth:`TimingEngine.trial_cps_batch` —
+    chunks of hypothetical rebinds evaluated in one kernel sweep, no
+    netlist mutation for rejects — and the first improving one is kept.
     """
     ctx = _context(context, netlist, library, wireload, constraints)
     engine = ctx.engine
@@ -144,71 +144,49 @@ def size_gates(
         # upsize that actually improves the worst slack (upsizing raises
         # input capacitance, so not every candidate is a win).
         improved_report = None
-        if ctx.fast:
-            candidates = _upsize_candidates(netlist, upgrade, points[:scan])
-            start = 0
-            # Probe the strongest candidates with committed trials first:
-            # accept-heavy rounds (the common case while slack is still
-            # improving) take one for an incremental fold apiece instead
-            # of a batch sweep.  The verdict is the same bit-exact cps the
-            # batch would return.  The first round skips the probes — on
-            # reject-heavy scans (timing already plateaued) they are pure
-            # overhead, while every later round follows an accept.
-            probe = _PROBE_DEPTH if changes else 0
-            for cell, lib_name in candidates[:probe]:
-                previous = cell.lib_cell
+        candidates = _upsize_candidates(netlist, upgrade, points[:scan])
+        start = 0
+        # Probe the strongest candidates with committed trials first:
+        # accept-heavy rounds (the common case while slack is still
+        # improving) take one for an incremental fold apiece instead
+        # of a batch sweep.  The verdict is the same bit-exact cps the
+        # batch would return.  The first round skips the probes — on
+        # reject-heavy scans (timing already plateaued) they are pure
+        # overhead, while every later round follows an accept.
+        probe = _PROBE_DEPTH if changes else 0
+        for cell, lib_name in candidates[:probe]:
+            previous = cell.lib_cell
+            cell.lib_cell = lib_name
+            perf.incr("opt.trials")
+            if engine.trial_cps() > report.cps + 1e-12:
+                improved_report = engine.analyze()
+                changes += 1
+                break
+            cell.lib_cell = previous
+            start += 1
+        # Batch sizes ramp 4 -> 8 -> 16: rounds that accept near the
+        # front (common while slack is still improving) pay a small
+        # sweep, while reject-heavy scans amortize into full batches.
+        width = 4
+        while improved_report is None and start < len(candidates):
+            batch = candidates[start : start + width]
+            verdicts = engine.trial_cps_batch(
+                [(cell.name, lib_name) for cell, lib_name in batch]
+            )
+            perf.incr("opt.trials", len(batch))
+            accepted = None
+            for (cell, lib_name), cps in zip(batch, verdicts):
+                if cps > report.cps + 1e-12:
+                    accepted = (cell, lib_name)
+                    break
+            if accepted is not None:
+                cell, lib_name = accepted
                 cell.lib_cell = lib_name
-                perf.incr("opt.trials")
-                if engine.trial_cps() > report.cps + 1e-12:
-                    improved_report = engine.analyze()
-                    changes += 1
-                    break
-                cell.lib_cell = previous
-                start += 1
-            # Batch sizes ramp 4 -> 8 -> 16: rounds that accept near the
-            # front (common while slack is still improving) pay a small
-            # sweep, while reject-heavy scans amortize into full batches.
-            width = 4
-            while improved_report is None and start < len(candidates):
-                batch = candidates[start : start + width]
-                verdicts = engine.trial_cps_batch(
-                    [(cell.name, lib_name) for cell, lib_name in batch]
-                )
-                perf.incr("opt.trials", len(batch))
-                accepted = None
-                for (cell, lib_name), cps in zip(batch, verdicts):
-                    if cps > report.cps + 1e-12:
-                        accepted = (cell, lib_name)
-                        break
-                if accepted is not None:
-                    cell, lib_name = accepted
-                    cell.lib_cell = lib_name
-                    improved_report = engine.analyze()
-                    changes += 1
-                    break
-                start += width
-                width = min(width * 2, _TRIAL_BATCH)
-        else:
-            for point in points[:scan]:
-                cell = netlist.cells.get(point.cell)
-                if cell is None or cell.lib_cell is None:
-                    continue
-                bigger = upgrade[cell.lib_cell]
-                if bigger is None:
-                    continue
-                previous = cell.lib_cell
-                cell.lib_cell = bigger.name
-                # Trials only need the slack verdict; trace the critical
-                # path (needed to pick next round's candidates) only on
-                # acceptance, where the second analyze() is served from
-                # the cached state.
-                perf.incr("opt.trials")
-                trial = engine.analyze(with_paths=False)
-                if trial.cps > report.cps + 1e-12:
-                    improved_report = engine.analyze()
-                    changes += 1
-                    break
-                cell.lib_cell = previous
+                improved_report = engine.analyze()
+                changes += 1
+                break
+            start += width
+            width = min(width * 2, _TRIAL_BATCH)
         if improved_report is None:
             break
         report = improved_report
@@ -238,9 +216,8 @@ def recover_area(
 
     Processes cells one at a time and reverts any downsize that creates a
     violation, so the pass is timing-safe.  Candidates come from the
-    per-library downgrade table (one sweep over the cells); fast mode
-    replaces the per-chunk report build with the ``trial_cps`` array
-    reduction — the accept/revert decisions are bit-identical.
+    per-library downgrade table (one sweep over the cells); each chunk
+    is judged by the ``trial_cps`` array reduction, with no report build.
     """
     ctx = _context(context, netlist, library, wireload, constraints)
     engine = ctx.engine
@@ -261,15 +238,13 @@ def recover_area(
             candidates.append((cell, cell.lib_cell, weaker_cell))
     # Batched downsizing keeps this O(n) timing runs instead of O(n^2):
     # apply a chunk, verify, and roll the chunk back if slack dips.
-    fast = ctx.fast
     chunk = max(1, len(candidates) // 20)
     for start in range(0, len(candidates), chunk):
         batch = candidates[start : start + chunk]
         for cell, _, weaker_cell in batch:
             cell.lib_cell = weaker_cell.name
         perf.incr("opt.trials")
-        cps = engine.trial_cps() if fast else engine.analyze(with_paths=False).cps
-        if cps < slack_margin:
+        if engine.trial_cps() < slack_margin:
             for cell, current_name, _ in batch:
                 cell.lib_cell = current_name
         else:
@@ -333,9 +308,9 @@ def buffer_high_fanout(
     """Split nets whose fanout exceeds ``max_fanout`` with buffer trees.
 
     Sinks are grouped under new BUF cells (strongest drive variant),
-    recursively, so no net drives more than ``max_fanout`` pins.  Fast
-    mode seeds the worklist from one fanout scan instead of visiting
-    every net; see :func:`_overloaded_nets` for the parity argument.
+    recursively, so no net drives more than ``max_fanout`` pins.  The
+    worklist is seeded from one fanout scan instead of visiting every
+    net; see :func:`_overloaded_nets` for why that is exact.
     """
     limit = max_fanout or constraints.max_fanout or 16
     ctx = _context(context, netlist, library, wireload, constraints)
@@ -344,10 +319,7 @@ def buffer_high_fanout(
     area_before = engine.total_area()
     buf_cell = library.variants("BUF")[-1]
     changes = 0
-    if ctx.fast:
-        worklist = _overloaded_nets(netlist, limit)
-    else:
-        worklist = list(netlist.nets)
+    worklist = _overloaded_nets(netlist, limit)
     while worklist:
         net_name = worklist.pop()
         net = netlist.nets.get(net_name)

@@ -1,11 +1,11 @@
 """Structure-of-arrays compute kernels for the synthesis backend.
 
-The scalar :class:`~repro.synth.timing.TimingEngine` walks dicts of
-objects — one Python iteration per cell pin.  That is the dominant cost
-of every *first* compile of a design (the incremental path in PR 1 only
-accelerates the gate-sizing hot loop).  This module lowers the timing
-graph once into levelized numpy arrays and runs the hot analyses as
-per-level vectorized kernels:
+A dict-of-objects timing walk costs one Python iteration per cell pin;
+that would dominate every compile of a design.  This module lowers the
+timing graph once into levelized numpy arrays and runs the hot analyses
+of :class:`~repro.synth.timing.TimingEngine` and
+:class:`~repro.synth.power.PowerAnalyzer` as per-level vectorized
+kernels:
 
 * **Lowering** (:class:`SoAStructure`) — cells and nets are assigned
   dense indices; net loads become a ``bincount`` over (net, sink-pin)
@@ -28,24 +28,20 @@ Parity contract
 ---------------
 
 Every kernel evaluates *the same arithmetic expressions on the same
-operands in the same accumulation order* as the scalar engine: net pin
-caps accumulate in the scalar's ``net.sinks`` iteration order (bincount
+operands in the same accumulation order* as a plain per-cell scalar
+walk: net pin caps accumulate in ``net.sinks`` iteration order (bincount
 adds sequentially in pair order), delays are ``base + res * load /
 1000.0`` elementwise, and max-reduction is exact regardless of order.
-Vectorized WNS/CPS/TNS, endpoint slacks and switching activities are
-therefore bit-identical to :meth:`TimingEngine.full_analyze` and the
-scalar :class:`~repro.synth.power.PowerAnalyzer`; only whole-design
-power *sums* may differ at float rounding level (numpy pairwise
-summation), which vanishes under the reports' 3-decimal rounding.
-Property tests in ``tests/synth/test_soa_parity.py`` enforce this in
-both modes.
-
-Set ``REPRO_VECTOR_STA=0`` to fall back to the scalar engine everywhere.
+WNS/CPS/TNS, endpoint slacks and switching activities are therefore
+bit-identical to the scalar reference kept as the test oracle
+(``tests/synth/scalar_reference.py``); only whole-design power *sums*
+may differ at float rounding level (numpy pairwise summation), which
+vanishes under the reports' 3-decimal rounding.  Property tests in
+``tests/synth/test_soa_parity.py`` enforce this.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 
@@ -54,7 +50,6 @@ import numpy as np
 from .. import perf
 
 __all__ = [
-    "vector_sta_enabled",
     "SoAStructure",
     "SoAKernel",
     "get_structure",
@@ -65,13 +60,6 @@ __all__ = [
 ]
 
 _CONSTS = ("CONST0", "CONST1")
-
-
-def vector_sta_enabled() -> bool:
-    """Whether the vectorized kernels are active (``REPRO_VECTOR_STA``)."""
-    return os.environ.get("REPRO_VECTOR_STA", "1").lower() not in (
-        "0", "false", "no", "off",
-    )
 
 
 class _Level:
@@ -119,8 +107,8 @@ class SoAStructure:
         net_index = self.net_index
         cell_index = self.cell_index
 
-        # -- per-net electricals: (net, sink) pin pairs in the exact order the
-        # scalar load loop visits them, so bincount accumulates identically.
+        # -- per-net electricals: (net, sink) pin pairs in ``net.sinks``
+        # order, so bincount accumulates like a per-net scalar load loop.
         pair_net: list[int] = []
         pair_cell: list[int] = []
         pair_pins: list[float] = []
@@ -237,7 +225,7 @@ class SoAStructure:
             for b in buckets
         ]
 
-        # -- launch / endpoint orderings (match scalar dict construction) -----
+        # -- launch / endpoint orderings (netlist port and cell order) ------
         self.pi_nets = np.asarray(
             [net_index[n] for n in netlist.primary_inputs], dtype=np.intp
         )
@@ -882,10 +870,10 @@ class SoAKernel:
     def committed_area(self) -> float:
         """Total cell area under the committed bindings.
 
-        Bit-identical to the scalar engine's Python fold over netlist
-        order: ``cumsum`` is a strict left-to-right float64 accumulation,
-        cells appear in insertion order, and const rows carry area 0.0
-        (adding exact ``+0.0`` terms where the scalar fold skips).
+        Bit-identical to a Python ``sum`` over the non-constant cells in
+        netlist order: ``cumsum`` is a strict left-to-right float64
+        accumulation, cells appear in insertion order, and const rows
+        carry area 0.0 (adding exact ``+0.0`` terms where the sum skips).
         """
         areas = self.params[:, _AREA][self.cell_row]
         if not areas.size:
@@ -893,11 +881,11 @@ class SoAKernel:
         return float(np.cumsum(areas)[-1])
 
     def endpoint_arrays(self):
-        """Endpoint slacks/required in scalar construction order.
+        """Endpoint slacks/required, primary outputs then registers.
 
         Returns ``(po_names, po_required, po_slack, reg_names,
         reg_required, reg_slack)``; register endpoints follow the cells
-        dict order exactly like the scalar pass.
+        dict order.
         """
         s = self.s
         period = self.constraints.effective_period
@@ -919,7 +907,7 @@ class SoAKernel:
 
 
 def _group_prob(kind: str, p):
-    """Vectorized :func:`repro.synth.power._prob_out` (same expressions)."""
+    """P(out=1) per gate group given input 1-probabilities (per-pin arrays)."""
     if kind == "BUF":
         return p[0]
     if kind == "NOT":
@@ -946,7 +934,7 @@ def _group_prob(kind: str, p):
 
 
 def _group_sens(kind: str, p):
-    """Vectorized :func:`repro.synth.power._sensitivities`."""
+    """Boolean-difference sensitivities: P(an input toggle reaches the output)."""
     if kind in ("BUF", "NOT"):
         return [np.ones_like(p[0])]
     if kind in ("AND2", "NAND2"):
@@ -975,10 +963,11 @@ def vector_power(
 ):
     """Activity propagation + power integration over SoA arrays.
 
-    Mirrors the scalar :class:`~repro.synth.power.PowerAnalyzer` pass
-    structure exactly — including the sequential (Gauss-Seidel, cells
-    dict order) register sweep and the convergence early-exit — so
-    switching activities are bit-identical to the scalar pass.
+    Two register/comb sweeps: the register sweep stays sequential
+    (Gauss-Seidel, cells dict order — later registers see earlier
+    updates) and the second comb sweep is skipped when the second
+    register sweep changes nothing, so switching activities are
+    bit-identical to the per-cell scalar sweep.
 
     Returns ``(dynamic, internal, leakage, clock_tree, activities)``
     with unrounded sums and the net-activity dict.

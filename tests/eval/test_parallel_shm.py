@@ -16,7 +16,6 @@ from repro.parallel.shm import (
     release_shared,
     resolve_shared,
     shared,
-    shm_min_bytes,
     unlink_handle,
 )
 
@@ -138,15 +137,16 @@ class TestSharedRefs:
 
 
 class TestThreshold:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM_MIN_BYTES", raising=False)
-        assert shm_min_bytes() == shm.DEFAULT_SHM_MIN_BYTES
+    def test_default(self):
+        """The pool ships payloads under 64 KiB inline, larger ones via shm."""
+        from repro.parallel.pool import ProcessPool
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "128")
-        assert shm_min_bytes() == 128
-
-    def test_env_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "big")
-        with pytest.raises(ValueError):
-            shm_min_bytes()
+        assert shm.DEFAULT_SHM_MIN_BYTES == 64 * 1024
+        pool = object.__new__(ProcessPool)  # payload routing needs no workers
+        big = np.zeros(shm.DEFAULT_SHM_MIN_BYTES // 8 + 1)
+        payloads, handles = pool._prepare_payloads([np.zeros(8), big])
+        try:
+            assert [kind for kind, _ in payloads] == ["inline", "shm"]
+        finally:
+            for handle in handles:
+                unlink_handle(handle)

@@ -1,8 +1,9 @@
-"""Cross-mode parity suite for the batched GNN engine.
+"""Parity suite for the batched GNN engine.
 
 The contract (see ``repro.gnn.batch``): batched forward embeddings and
 hand-derived backward parameter gradients are *bit-exact* against the
-scalar per-graph path — hypothesis-generated random graphs (including
+per-graph ``embed_graph``/``backward_graph`` reference — hypothesis-
+generated random graphs (including
 one-node graphs, which exercise the single-row BLAS fixup), plus the
 seven OpenCores designs' module dataflow graphs.
 """
@@ -12,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import perf
 from repro.gnn import GraphBatch, GraphData, GraphSAGE, mean_adjacency
 from repro.gnn.batch import (
     _dense_mean_block,
     batched_backward,
     batched_forward,
     embed_graphs_cached,
+    embedding_cache,
 )
 
 FEAT_DIM = 6
@@ -249,22 +252,24 @@ class TestBackwardParity:
 
 
 class TestModeRouting:
-    def test_embed_graphs_parity_across_modes(self, monkeypatch):
+    def test_embed_graphs_parity_across_modes(self):
+        """``embed_graphs`` (cached, batched) == the per-graph loop, cold
+        and warm."""
         graphs = random_graphs(13, 5)
         model = GraphSAGE(in_dim=FEAT_DIM, hidden_dims=(7, 4), seed=6)
-        monkeypatch.setenv("REPRO_GNN_EMBED_CACHE", "0")
-        monkeypatch.setenv("REPRO_BATCH_GNN", "1")
-        batched = model.embed_graphs(graphs)
-        monkeypatch.setenv("REPRO_BATCH_GNN", "0")
-        scalar = model.embed_graphs(graphs)
-        np.testing.assert_array_equal(batched, scalar)
-        np.testing.assert_array_equal(scalar, scalar_embed(model, graphs))
+        embedding_cache.clear()
+        cold = model.embed_graphs(graphs)
+        warm = model.embed_graphs(graphs)
+        np.testing.assert_array_equal(cold, scalar_embed(model, graphs))
+        np.testing.assert_array_equal(warm, cold)
 
-    def test_duplicate_graph_objects_share_one_forward(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GNN_EMBED_CACHE", "0")
+    def test_duplicate_graph_objects_share_one_forward(self):
         (graph,) = random_graphs(17, 1)
         model = GraphSAGE(in_dim=FEAT_DIM, hidden_dims=(4,), seed=0)
+        embedding_cache.clear()
+        perf.reset()
         out = embed_graphs_cached(model, [graph, graph, graph])
+        assert perf.counter("gnn.batch_graphs") == 1
         np.testing.assert_array_equal(out[0], out[1])
         np.testing.assert_array_equal(out[0], out[2])
         np.testing.assert_array_equal(out[0], model.embed_graph(graph))

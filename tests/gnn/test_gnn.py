@@ -293,10 +293,9 @@ class TestEmbeddingCache:
     def fresh_model(self, seed=0):
         return GraphSAGE(in_dim=3, hidden_dims=(5, 4), seed=seed)
 
-    def test_repeat_embed_hits_cache(self, monkeypatch):
+    def test_repeat_embed_hits_cache(self):
         from repro.gnn.batch import embedding_cache
 
-        monkeypatch.setenv("REPRO_GNN_EMBED_CACHE", "1")
         model = self.fresh_model()
         graphs = [chain_graph(seed=s) for s in range(3)]
         first = model.embed_graphs(graphs)
@@ -305,10 +304,9 @@ class TestEmbeddingCache:
         assert embedding_cache.hits == hits_before + len(graphs)
         np.testing.assert_array_equal(first, second)
 
-    def test_load_state_dict_invalidates(self, monkeypatch):
+    def test_load_state_dict_invalidates(self):
         from repro.gnn.batch import embedding_cache
 
-        monkeypatch.setenv("REPRO_GNN_EMBED_CACHE", "1")
         model = self.fresh_model()
         graphs = [chain_graph(seed=9)]
         model.embed_graphs(graphs)
@@ -319,8 +317,7 @@ class TestEmbeddingCache:
         model.embed_graphs(graphs)
         assert embedding_cache.hits == hits_before  # stale key: miss, not hit
 
-    def test_optimizer_step_invalidates(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GNN_EMBED_CACHE", "1")
+    def test_optimizer_step_invalidates(self):
         model = self.fresh_model(seed=4)
         opt = Adam(model.parameters, model.gradients, on_step=model.bump_version)
         graph = chain_graph(seed=4)
@@ -333,28 +330,14 @@ class TestEmbeddingCache:
         assert not np.array_equal(before, after)
         np.testing.assert_array_equal(after, model.embed_graph(graph))
 
-    def test_cache_disabled_by_env(self, monkeypatch):
-        from repro.gnn.batch import embedding_cache
-
-        monkeypatch.setenv("REPRO_GNN_EMBED_CACHE", "0")
-        model = self.fresh_model(seed=5)
-        graphs = [chain_graph(seed=5)]
-        hits_before = embedding_cache.hits
-        entries_before = len(embedding_cache)
-        model.embed_graphs(graphs)
-        model.embed_graphs(graphs)
-        assert embedding_cache.hits == hits_before
-        assert len(embedding_cache) == entries_before
-
     def test_stats_provider_registered(self):
         from repro import perf
 
         snapshot = perf.registry.snapshot()
         stats = snapshot["caches"]["gnn_embed"]
-        assert set(stats) >= {"enabled", "entries", "hits", "misses", "evictions"}
+        assert set(stats) >= {"entries", "hits", "misses", "evictions"}
 
-    def test_cached_rows_are_copies(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GNN_EMBED_CACHE", "1")
+    def test_cached_rows_are_copies(self):
         model = self.fresh_model(seed=6)
         graph = chain_graph(seed=6)
         first = model.embed_graphs([graph])

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gnn import GraphData
+from repro.gnn import GraphData, accumulation_order
 from repro.mentor import CircuitEncoder
 from repro.mentor.metric_learning import (
     MetricTrainer,
+    _normalization_grad,
     clustering_quality,
     contrastive_loss,
     multi_similarity_loss,
@@ -212,30 +213,101 @@ class TestVectorizedLossOracle:
             assert got["inter_mean"] == pytest.approx(np.mean(inter), rel=1e-12)
 
 
-class TestCrossModeDeterminism:
-    """Satellite: same seed + graphs -> identical training in both engine
-    modes (REPRO_BATCH_GNN=1 batched vs =0 scalar)."""
+class PerGraphTrainer(MetricTrainer):
+    """The trainer's epochs as a per-graph ``embed_graph``/``backward_graph``
+    loop: same RNG draws, same gradient accumulation order, no batching."""
 
-    def _train(self, monkeypatch, mode, loss, seed=3):
-        monkeypatch.setenv("REPRO_BATCH_GNN", mode)
-        monkeypatch.setenv("REPRO_GNN_EMBED_CACHE", "0")
-        graphs, labels = TestTrainer().make_dataset(seed=seed)
+    def _contrastive_epoch(self, graphs, labels, num_pairs) -> float:
+        model = self.encoder.model
+        total = 0.0
+        for _ in range(num_pairs):
+            i, j = self._sample_pair(labels)
+            model.zero_grad()
+            emb_i = model.embed_graph(graphs[i])
+            emb_j = model.embed_graph(graphs[j])
+            loss, grad_i, grad_j = contrastive_loss(
+                emb_i, emb_j, labels[i] == labels[j], self.margin
+            )
+            if loss > 0:
+                # Layer caches hold the last forward: re-forward each graph
+                # right before its backward.
+                model.embed_graph(graphs[i])
+                model.backward_graph(grad_i)
+                model.embed_graph(graphs[j])
+                model.backward_graph(grad_j)
+                self.optimizer.step()
+            total += loss
+        return total / num_pairs
+
+    def _ms_epoch(self, graphs, labels, batch_size) -> float:
+        model = self.encoder.model
+        idx = self.rng.choice(len(graphs), size=min(batch_size, len(graphs)), replace=False)
+        embeddings = np.vstack([model.embed_graph(graphs[i]) for i in idx])
+        norms = np.linalg.norm(embeddings, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        normalized = embeddings / norms
+        loss, grad_norm = multi_similarity_loss(normalized, labels[idx])
+        grad_emb = _normalization_grad(grad_norm, normalized, norms)
+        model.zero_grad()
+        # The batched trainer packs the whole corpus when the minibatch
+        # covers it, else the minibatch, and accumulates in that batch's
+        # stable size-sorted slot order.
+        if len(idx) == len(graphs):
+            base, rows = list(range(len(graphs))), np.argsort(idx)
+        else:
+            base, rows = list(idx), np.arange(len(idx))
+        for c in accumulation_order([graphs[base[k]].num_nodes for k in range(len(base))]):
+            model.embed_graph(graphs[base[c]])
+            model.backward_graph(grad_emb[rows[c]])
+        self.optimizer.step()
+        return loss
+
+
+def _mixed_size_dataset(seed=0):
+    """Two families of 2-6 node graphs, so slot order differs from input order."""
+    from repro.mentor.features import FEATURE_DIM
+
+    rng = np.random.default_rng(seed)
+    graphs, labels = [], []
+    for label in (0, 1):
+        for _ in range(5):
+            n = int(rng.integers(2, 7))
+            feats = rng.normal(size=(n, FEATURE_DIM))
+            feats[:, 7 if label == 0 else 10] += 2.0
+            edges = [(k, k + 1) for k in range(n - 1)]
+            graphs.append(GraphData(features=feats, edges=edges))
+            labels.append(label)
+    return graphs, labels
+
+
+class TestCrossModeDeterminism:
+    """Batched training == the per-graph loop: same seed and graphs give
+    bit-identical losses, embeddings and weights."""
+
+    def _train(self, trainer_cls, loss, dataset, pairs=32, seed=3):
+        graphs, labels = dataset
         encoder = CircuitEncoder(embedding_dim=8, seed=seed)
-        stats = MetricTrainer(encoder, loss=loss, seed=seed).train(
-            graphs, labels, epochs=4
+        stats = trainer_cls(encoder, loss=loss, seed=seed).train(
+            graphs, labels, epochs=4, pairs_per_epoch=pairs
         )
         final = np.vstack([encoder.model.embed_graph(g) for g in graphs])
-        return stats, final
+        return stats, final, encoder.model.state_dict()
 
     @pytest.mark.parametrize("loss", ["contrastive", "multi_similarity"])
-    def test_identical_stats_and_embeddings(self, monkeypatch, loss):
-        stats_b, emb_b = self._train(monkeypatch, "1", loss)
-        stats_s, emb_s = self._train(monkeypatch, "0", loss)
-        assert stats_b.losses == stats_s.losses
-        np.testing.assert_array_equal(emb_b, emb_s)
+    def test_identical_stats_and_embeddings(self, loss):
+        datasets = [TestTrainer().make_dataset(seed=3), _mixed_size_dataset(seed=3)]
+        for dataset in datasets:
+            for pairs in (32, 5):  # the MS minibatch covers the corpus, or not
+                stats_b, emb_b, weights_b = self._train(MetricTrainer, loss, dataset, pairs)
+                stats_s, emb_s, weights_s = self._train(PerGraphTrainer, loss, dataset, pairs)
+                assert stats_b.losses == stats_s.losses
+                np.testing.assert_array_equal(emb_b, emb_s)
+                for got, want in zip(weights_b, weights_s):
+                    np.testing.assert_array_equal(got, want)
 
-    def test_repeat_run_is_deterministic(self, monkeypatch):
-        stats1, emb1 = self._train(monkeypatch, "1", "multi_similarity", seed=7)
-        stats2, emb2 = self._train(monkeypatch, "1", "multi_similarity", seed=7)
+    def test_repeat_run_is_deterministic(self):
+        dataset = TestTrainer().make_dataset(seed=7)
+        stats1, emb1, _ = self._train(MetricTrainer, "multi_similarity", dataset, seed=7)
+        stats2, emb2, _ = self._train(MetricTrainer, "multi_similarity", dataset, seed=7)
         assert stats1.losses == stats2.losses
         np.testing.assert_array_equal(emb1, emb2)

@@ -4,21 +4,25 @@ The explorer (``repro.synth.explore``) promises:
 
 * ``TimingEngine.trial_metrics_batch`` returns ``(cps, area)`` per
   move-set lane bit-identical to committing that move set and
-  measuring, in both the vector and the scalar engine mode;
+  measuring, with the incremental engine and with the scalar reference
+  STA (:mod:`tests.synth.scalar_reference`);
 * ``anneal_chain`` walks the same accepted-move sequence whether it
-  scores through the grouped kernel (``REPRO_EXPLORE=1``) or the
-  scalar scratch-journal fallback — same final bindings, same QoR;
+  scores through the grouped kernel or through commit-measure-revert
+  lanes on the scalar reference — same final bindings, same QoR;
 * the multi-start reduction is bit-identical across the thread and
   process backends and independent of completion order;
 * ``explore_sizing`` never worsens the lexicographic
-  ``(timing violation, area)`` QoR of its input.
+  ``(timing violation, area)`` QoR of its input;
+* a bare ``explore_sizing`` (no ``-budget``/``-chains``) runs fixed
+  defaults, so the script text ``synthesis_key`` hashes determines it.
 
-These tests pit the modes against each other on hypothesis-generated
-netlists and on the full OpenCores corpus.
+These tests run on hypothesis-generated netlists and on the full
+OpenCores corpus.
 """
 
 import dataclasses
 import functools
+import inspect
 
 import pytest
 from hypothesis import given, settings
@@ -32,23 +36,23 @@ from repro.synth import (
     Constraints,
     DCShell,
     PassContext,
+    SynthesisCache,
     explore_sizing,
     get_wireload,
     nangate45,
     sizing_neighbors,
+    synthesize_cached,
 )
+from repro.synth import explore as explore_module
 from repro.synth.explore import (
     ExploreConfig,
-    _score_batch,
     anneal_chain,
-    default_budget,
-    default_chains,
-    explore_enabled,
     reduce_chains,
     run_chains,
 )
 from repro.synth.techmap import map_to_library
 
+from .scalar_reference import ReferenceEngine
 from .test_soa_parity import _engine, random_mapped_netlist
 
 LIBRARY = nangate45()
@@ -107,38 +111,43 @@ class TestTrialMetricsBatch:
     @settings(max_examples=20, deadline=None)
     @given(random_mapped_netlist(), st.integers(0, 2**32 - 1))
     def test_matches_committed_state(self, case, seed):
-        """Grouped lanes == commit-measure-revert, vector and scalar."""
+        """Grouped lanes == commit-measure-revert, incremental and scalar."""
         netlist, constraints = case
         lanes = _random_lanes(netlist, seeded_rng(seed, "lanes"))
         if not lanes:
             return
-        for vector in (True, False):
-            engine = _engine(netlist, constraints, vector)
-            engine.analyze(with_paths=False)
-            got = engine.trial_metrics_batch(lanes)
-            expected = _committed_reference(engine, lanes)
-            assert got == expected, ("vector" if vector else "scalar")
+        engine = _engine(netlist, constraints)
+        engine.analyze(with_paths=False)
+        got = engine.trial_metrics_batch(lanes)
+        assert got == _committed_reference(engine, lanes)
+        reference = ReferenceEngine(netlist, LIBRARY, WIRELOAD, constraints)
+        assert got == reference.trial_metrics_batch(lanes)
 
     @pytest.mark.parametrize("design", benchmark_names())
     def test_opencores_grouped_matches_fallback(self, design):
-        """REPRO_EXPLORE=1 vs =0 scoring: bit-exact CP/area on the full
-        corpus for randomized multi-gate move sets."""
+        """Grouped kernel vs commit-measure-revert scoring: bit-exact
+        CP/area on the full corpus for randomized multi-gate move sets."""
         netlist, period = _mapped_benchmark(design)
         netlist = netlist.clone()
         constraints = Constraints(clock_period=period * 0.95)
-        engine = _engine(netlist, constraints, True)
+        engine = _engine(netlist, constraints)
         engine.analyze(with_paths=False)
         lanes = _random_lanes(netlist, seeded_rng(0, "corpus", design))
-        grouped = _score_batch(engine, lanes, grouped=True)
-        fallback = _score_batch(engine, lanes, grouped=False)
-        assert grouped == fallback
+        grouped = engine.trial_metrics_batch(lanes)
+        assert grouped == _committed_reference(engine, lanes)
 
 
-def _chain_outcome(netlist, constraints, config, seed):
+def _chain_outcome(netlist, constraints, config, seed, reference=False):
     local = netlist.clone()
+    context = None
+    if reference:
+        context = PassContext(
+            local, LIBRARY, WIRELOAD, constraints,
+            engine=ReferenceEngine(local, LIBRARY, WIRELOAD, constraints),
+        )
     result = anneal_chain(
         local, LIBRARY, WIRELOAD, constraints,
-        dataclasses.replace(config, seed=seed),
+        dataclasses.replace(config, seed=seed), context=context,
     )
     return result, {
         name: cell.lib_cell for name, cell in local.cells.items()
@@ -149,18 +158,15 @@ class TestAnnealChain:
     @settings(max_examples=10, deadline=None)
     @given(random_mapped_netlist(), st.integers(0, 2**16 - 1))
     def test_grouped_and_fallback_chains_identical(self, case, seed):
-        """Same seed, both scoring modes: same walk, same final netlist."""
+        """Same seed, grouped kernel vs scalar commit-measure-revert
+        scoring: same walk, same final netlist."""
         netlist, constraints = case
-        base = ExploreConfig(budget=16, chains=1, batch=4, max_gates=2)
-        grouped, bound_g = _chain_outcome(
-            netlist, constraints,
-            dataclasses.replace(base, grouped=True), seed,
-        )
+        config = ExploreConfig(budget=16, chains=1, batch=4, max_gates=2)
+        grouped, bound_g = _chain_outcome(netlist, constraints, config, seed)
         fallback, bound_f = _chain_outcome(
-            netlist, constraints,
-            dataclasses.replace(base, grouped=False), seed,
+            netlist, constraints, config, seed, reference=True
         )
-        assert dataclasses.replace(grouped, grouped=False) == fallback
+        assert grouped == fallback
         assert bound_g == bound_f
 
     def test_chain_never_worsens_start_state(self):
@@ -168,7 +174,7 @@ class TestAnnealChain:
         netlist = netlist.clone()
         constraints = Constraints(clock_period=period * 0.6)
         config = ExploreConfig(budget=24, chains=1)
-        engine = _engine(netlist, constraints, True)
+        engine = _engine(netlist, constraints)
         start_cps = engine.trial_cps()
         start_area = engine.total_area()
         result = anneal_chain(netlist, LIBRARY, WIRELOAD, constraints, config)
@@ -206,30 +212,46 @@ class TestMultiStart:
             assert reduce_chains(shuffled) == winner
 
 
-class TestGating:
-    def test_explore_enabled_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXPLORE", raising=False)
-        assert explore_enabled()  # default on
-        for off in ("0", "false", "no", "off"):
-            monkeypatch.setenv("REPRO_EXPLORE", off)
-            assert not explore_enabled()
-        monkeypatch.setenv("REPRO_EXPLORE", "1")
-        assert explore_enabled()
+class TestFixedDefaults:
+    """A bare ``explore_sizing`` must be a pure function of the script
+    text, which is all ``synthesis_key`` hashes besides the design."""
 
-    def test_env_defaults_latched_by_resolved(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXPLORE", "0")
-        monkeypatch.setenv("REPRO_EXPLORE_CHAINS", "5")
-        monkeypatch.setenv("REPRO_EXPLORE_BUDGET", "77")
-        config = ExploreConfig().resolved()
-        assert (config.grouped, config.chains, config.budget) == (False, 5, 77)
-        explicit = ExploreConfig(budget=9, chains=1, grouped=True).resolved()
-        assert (explicit.grouped, explicit.chains, explicit.budget) == (True, 1, 9)
+    def test_defaults_are_fixed(self):
+        config = ExploreConfig()
+        assert (config.budget, config.chains) == (240, 2)
+        params = inspect.signature(explore_sizing).parameters
+        assert (params["budget"].default, params["chains"].default) == (240, 2)
+        # Nothing can move them at run time: the explorer reads no
+        # environment, so no setting escapes the cache key.
+        assert "os.environ" not in inspect.getsource(explore_module)
 
-    def test_default_helpers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXPLORE_CHAINS", raising=False)
-        monkeypatch.delenv("REPRO_EXPLORE_BUDGET", raising=False)
-        assert default_chains() == 2
-        assert default_budget() == 240
+    def test_bare_explore_cache_hit_matches_fresh_run(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SYNTH_CACHE", raising=False)
+        bench = get_benchmark("riscv32i")
+
+        def synthesize(explore_command, cache):
+            script = "\n".join(
+                [
+                    "read_verilog riscv32i",
+                    f"create_clock -period {bench.clock_period * 0.6}",
+                    "compile",
+                    explore_command,
+                    "report_qor",
+                ]
+            )
+            return synthesize_cached(
+                None, bench.name, bench.verilog, script, top=bench.top, cache=cache
+            )
+
+        cache = SynthesisCache()
+        synthesize("explore_sizing", cache)
+        cached = synthesize("explore_sizing", cache)
+        assert cache.stats()["hits"] == 1
+        fresh = synthesize("explore_sizing", SynthesisCache())
+        assert cached.qor == fresh.qor
+        assert cached.transcript == fresh.transcript
+        explicit = synthesize("explore_sizing -budget 240 -chains 2", SynthesisCache())
+        assert explicit.qor == fresh.qor
 
 
 class TestExploreSizingPass:

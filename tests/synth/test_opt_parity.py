@@ -1,47 +1,53 @@
-"""Cross-mode parity: batched pass engine == scalar per-trial fallback.
+"""Parity: batched pass engine == the same passes on scalar verdicts.
 
-ISSUE 5 promises that ``REPRO_FAST_OPT`` never changes results — only
-how candidate trials are evaluated.  Fast mode scores upsizing and
-recovery candidates through ``TimingEngine.trial_cps_batch`` (grouped
-kernel sweeps against the committed SoA arrays); scalar mode applies
-each candidate and reads a full incremental ``analyze``.  Both must
-produce the identical accepted-change sequence, the identical final
-netlist (fingerprint), and identical QoR, on random netlists and on
-real OpenCores compile flows, in both STA engine modes.
-
-Mode forcing mirrors ``test_soa_parity``: ``_use_vector`` is set on the
-engine directly and ``PassContext(fast=...)`` pins the pass loops, so
-all four combinations run in one process regardless of the environment.
+The optimization passes score candidates through
+``TimingEngine.trial_cps_batch`` (grouped kernel sweeps against the
+committed SoA arrays) and ``trial_cps`` folds.  Replaying a pass flow on
+:class:`~tests.synth.scalar_reference.ReferenceEngine` — where every
+verdict is a from-scratch scalar STA and every trial commits, measures
+and reverts — must produce the identical accepted-change sequence, the
+identical final netlist (fingerprint) and identical QoR.  The full
+``compile_ultra`` flow on the seven OpenCores designs is pinned to the
+fingerprints and QoR recorded in ``compile_ultra_golden.json`` (the
+output the batched and the retired scalar pass loops agreed on).
 """
+
+import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import perf
-from repro.designs import get_benchmark
+from repro.designs import benchmark_names, get_benchmark
 from repro.synth import Constraints, get_wireload, nangate45
-from repro.synth.cache import synthesis_key
 from repro.synth.dcshell import DCShell
 from repro.synth.optimizer import recover_area, size_gates
-from repro.synth.passes import PassContext, fast_opt_enabled
+from repro.synth.passes import PassContext
 from repro.synth.techmap import propagate_constants
 
+from .scalar_reference import ReferenceEngine
 from .test_soa_parity import random_mapped_netlist
 
 LIBRARY = nangate45()
 WIRELOAD = get_wireload("5K_heavy_1k")
+GOLDEN = json.loads(
+    (Path(__file__).with_name("compile_ultra_golden.json")).read_text()
+)
 
 
-def _context(netlist, constraints, fast, vector):
-    ctx = PassContext(netlist, LIBRARY, WIRELOAD, constraints, fast=fast)
-    ctx.engine._use_vector = vector
-    return ctx
+def _context(netlist, constraints, reference=False):
+    engine = None
+    if reference:
+        engine = ReferenceEngine(netlist, LIBRARY, WIRELOAD, constraints)
+    return PassContext(netlist, LIBRARY, WIRELOAD, constraints, engine=engine)
 
 
-def _sizing_flow(netlist, constraints, fast, vector):
+def _sizing_flow(netlist, constraints, reference):
     """The pass sequence under test; returns (results, bindings, fingerprint)."""
-    ctx = _context(netlist, constraints, fast, vector)
+    ctx = _context(netlist, constraints, reference)
     results = [
         size_gates(
             netlist, LIBRARY, WIRELOAD, constraints,
@@ -61,15 +67,9 @@ class TestRandomNetlistParity:
     @given(random_mapped_netlist())
     def test_fast_matches_scalar_pass_loops(self, case):
         netlist, constraints = case
-        runs = [
-            _sizing_flow(netlist.clone(), constraints, fast, vector)
-            for fast, vector in (
-                (True, True), (False, True), (True, False), (False, False),
-            )
-        ]
-        reference = runs[0]
-        for other in runs[1:]:
-            assert other == reference
+        fast = _sizing_flow(netlist.clone(), constraints, reference=False)
+        scalar = _sizing_flow(netlist.clone(), constraints, reference=True)
+        assert fast == scalar
 
     @settings(max_examples=20, deadline=None)
     @given(random_mapped_netlist(), st.integers(0, 2**32 - 1))
@@ -78,7 +78,7 @@ class TestRandomNetlistParity:
         from repro.rand import rng as seeded_rng
 
         netlist, constraints = case
-        ctx = _context(netlist, constraints, True, True)
+        ctx = _context(netlist, constraints)
         engine = ctx.engine
         engine.analyze()
         upgrade = ctx.upgrade_table()
@@ -112,81 +112,55 @@ class TestRandomNetlistParity:
                 cell.lib_cell = prev
             engine.analyze(with_paths=False)  # fold the revert
             assert got == expected, lane
+        reference = ReferenceEngine(netlist, LIBRARY, WIRELOAD, constraints)
+        assert batch == reference.trial_cps_batch(lanes)
 
 
 class TestOpenCoresParity:
-    @pytest.mark.parametrize("design", ["dynamic_node", "riscv32i"])
-    def test_dcshell_compile_modes_identical(self, design, monkeypatch):
+    @pytest.mark.parametrize("design", benchmark_names())
+    def test_compile_ultra_matches_golden(self, design):
         bench = get_benchmark(design)
-        outcomes = {}
-        for mode in ("1", "0"):
-            monkeypatch.setenv("REPRO_FAST_OPT", mode)
-            shell = DCShell()
-            shell.add_design(design, bench.verilog, bench.top)
-            result = shell.run_script(
-                "\n".join(
-                    [
-                        f"read_verilog {design}",
-                        f"create_clock -period {bench.clock_period * 0.9}",
-                        "set_max_fanout 24",
-                        "set_max_area 0",
-                        "compile_ultra",
-                    ]
-                )
+        shell = DCShell()
+        shell.add_design(design, bench.verilog, bench.top)
+        result = shell.run_script(
+            "\n".join(
+                [
+                    f"read_verilog {design}",
+                    f"create_clock -period {bench.clock_period * 0.9}",
+                    "set_max_fanout 24",
+                    "set_max_area 0",
+                    "compile_ultra",
+                ]
             )
-            assert result.success, result.error
-            outcomes[mode] = (shell.netlist.fingerprint(), shell.qor())
-        assert outcomes["1"] == outcomes["0"]
+        )
+        assert result.success, result.error
+        golden = GOLDEN[design]
+        assert dataclasses.asdict(shell.qor()) == golden["qor"]
+        assert shell.netlist.fingerprint() == golden["fingerprint"]
 
     def test_fast_mode_drops_analyze_calls(self):
+        """Trials never build a timing report: only the start state and
+        each accepted state do."""
         bench = get_benchmark("riscv32i")
-        from repro.hdl import elaborate
-        from repro.synth.techmap import map_to_library
-
-        reports = {}
-        batches = {}
-        for fast in (True, False):
-            netlist = elaborate(bench.verilog, bench.top)
-            map_to_library(netlist, LIBRARY)
-            constraints = Constraints(clock_period=bench.clock_period * 0.8)
-            ctx = _context(netlist, constraints, fast, True)
-            ctx.engine.analyze()
-            perf.reset()
-            size_gates(
-                netlist, LIBRARY, WIRELOAD, constraints,
-                max_rounds=6, scan=16, context=ctx,
-            )
-            reports[fast] = perf.counter("sta.report")
-            batches[fast] = perf.counter("sta.trial_batch")
-        assert batches[True] > 0
-        assert batches[False] == 0
-        assert reports[True] < reports[False]
-
-
-class TestModeGating:
-    def test_fast_opt_enabled_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAST_OPT", raising=False)
-        assert fast_opt_enabled()  # default on
-        for off in ("0", "false", "no", "off", "NO", "False"):
-            monkeypatch.setenv("REPRO_FAST_OPT", off)
-            assert not fast_opt_enabled()
-        monkeypatch.setenv("REPRO_FAST_OPT", "1")
-        assert fast_opt_enabled()
-
-    def test_context_fast_override_beats_env(self, monkeypatch):
-        bench = get_benchmark("dynamic_node")
         from repro.hdl import elaborate
         from repro.synth.techmap import map_to_library
 
         netlist = elaborate(bench.verilog, bench.top)
         map_to_library(netlist, LIBRARY)
-        constraints = Constraints(clock_period=bench.clock_period)
-        monkeypatch.setenv("REPRO_FAST_OPT", "0")
-        assert PassContext(
-            netlist, LIBRARY, WIRELOAD, constraints, fast=True
-        ).fast
-        assert not PassContext(netlist, LIBRARY, WIRELOAD, constraints).fast
+        constraints = Constraints(clock_period=bench.clock_period * 0.8)
+        ctx = _context(netlist, constraints)
+        ctx.engine.analyze()
+        perf.reset()
+        result = size_gates(
+            netlist, LIBRARY, WIRELOAD, constraints,
+            max_rounds=6, scan=16, context=ctx,
+        )
+        assert perf.counter("sta.trial_batch") > 0
+        assert perf.counter("opt.trials") > result.changes
+        assert perf.counter("sta.report") == 1 + result.changes
 
+
+class TestPassContext:
     def test_upgrade_table_shared_per_library(self):
         bench = get_benchmark("dynamic_node")
         from repro.hdl import elaborate
@@ -199,13 +173,6 @@ class TestModeGating:
         b = PassContext(netlist.clone(), LIBRARY, WIRELOAD, constraints)
         assert a.upgrade_table() is b.upgrade_table()
         assert a.downgrade_table() is b.downgrade_table()
-
-    def test_synthesis_cache_key_ignores_mode(self, monkeypatch):
-        args = ("nangate45", "aes", "fingerprint", "aes", "compile_ultra")
-        monkeypatch.setenv("REPRO_FAST_OPT", "1")
-        fast_key = synthesis_key(*args)
-        monkeypatch.setenv("REPRO_FAST_OPT", "0")
-        assert synthesis_key(*args) == fast_key
 
 
 class TestConstWorklist:

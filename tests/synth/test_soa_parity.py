@@ -1,17 +1,14 @@
-"""Cross-mode parity: vectorized SoA STA/power == scalar engines.
+"""Parity: SoA STA/power engines == the scalar reference oracle.
 
-The SoA kernels (``repro.synth.soa``) promise *exact* agreement with the
-scalar :class:`TimingEngine` / :class:`PowerAnalyzer` sweeps — identical
-WNS/CPS/TNS, bit-for-bit identical endpoint-slack dictionaries and net
-activities — on any mapped netlist, including after journal-driven gate
-resizes served through the incremental vector path.  These tests pit the
-two modes against each other on hypothesis-generated random netlists
+The SoA kernels (``repro.synth.soa``) behind :class:`TimingEngine` and
+:class:`PowerAnalyzer` promise *exact* agreement with the plain per-cell
+walk in :mod:`tests.synth.scalar_reference` — identical WNS/CPS/TNS,
+bit-for-bit identical endpoint-slack dictionaries, critical paths and
+net activities — on any mapped netlist, including after journal-driven
+gate resizes served through the incremental path.  These tests pit the
+engines against the oracle on hypothesis-generated random netlists
 (combinational DAGs plus register feedback loops) and on real OpenCores
 benchmarks.
-
-Mode selection is normally latched from ``REPRO_VECTOR_STA`` at engine
-construction; the tests force ``_use_vector`` directly so both modes run
-in one process regardless of the environment.
 """
 
 import functools
@@ -32,6 +29,8 @@ from repro.synth import (
     nangate45,
 )
 from repro.synth.techmap import map_to_library
+
+from .scalar_reference import reference_power, reference_sta
 
 LIBRARY = nangate45()
 WIRELOAD = get_wireload("5K_heavy_1k")
@@ -80,16 +79,20 @@ def random_mapped_netlist(draw, max_gates=30, num_inputs=5, max_regs=4):
     return netlist, Constraints(clock_period=period)
 
 
-def _engine(netlist, constraints, vector):
-    engine = TimingEngine(netlist, LIBRARY, WIRELOAD, constraints)
-    engine._use_vector = vector
-    return engine
+def _engine(netlist, constraints):
+    return TimingEngine(netlist, LIBRARY, WIRELOAD, constraints)
 
 
-def _power(netlist, constraints, vector):
-    analyzer = PowerAnalyzer(netlist, LIBRARY, WIRELOAD, constraints)
-    analyzer._use_vector = vector
-    return analyzer
+def _reference(netlist, constraints):
+    return reference_sta(netlist, LIBRARY, WIRELOAD, constraints)
+
+
+def _power(netlist, constraints, *args):
+    return PowerAnalyzer(netlist, LIBRARY, WIRELOAD, constraints).analyze(*args)
+
+
+def _reference_power(netlist, constraints, *args):
+    return reference_power(netlist, LIBRARY, WIRELOAD, constraints, *args)
 
 
 def _assert_reports_match(vec, ref):
@@ -127,9 +130,8 @@ class TestRandomNetlistParity:
     @given(random_mapped_netlist())
     def test_full_sta_matches_scalar(self, case):
         netlist, constraints = case
-        vec = _engine(netlist, constraints, True).full_analyze()
-        ref = _engine(netlist, constraints, False).full_analyze()
-        _assert_reports_match(vec, ref)
+        vec = _engine(netlist, constraints).full_analyze()
+        _assert_reports_match(vec, _reference(netlist, constraints))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -144,16 +146,14 @@ class TestRandomNetlistParity:
         ),
     )
     def test_journal_resizes_match_scalar(self, case, resizes):
-        """Resizes flow through the incremental vector path; parity must
-        hold against a from-scratch scalar engine after every batch."""
+        """Resizes flow through the incremental path; parity must hold
+        against the from-scratch scalar reference after every batch."""
         netlist, constraints = case
-        engine = _engine(netlist, constraints, True)
+        engine = _engine(netlist, constraints)
         engine.analyze(with_paths=False)
         for cell_seed, variant_seed in resizes:
             _resize(netlist, cell_seed, variant_seed)
-            vec = engine.analyze()
-            ref = _engine(netlist, constraints, False).full_analyze()
-            _assert_reports_match(vec, ref)
+            _assert_reports_match(engine.analyze(), _reference(netlist, constraints))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -163,8 +163,8 @@ class TestRandomNetlistParity:
     )
     def test_power_matches_scalar(self, case, p_in, a_in):
         netlist, constraints = case
-        vec = _power(netlist, constraints, True).analyze(p_in, a_in)
-        ref = _power(netlist, constraints, False).analyze(p_in, a_in)
+        vec = _power(netlist, constraints, p_in, a_in)
+        ref = _reference_power(netlist, constraints, p_in, a_in)
         assert vec.net_activities == ref.net_activities
         # Whole-design sums differ only by numpy pairwise- vs sequential-
         # summation ulps, but the report rounds to 3 decimals, so a sum
@@ -181,29 +181,26 @@ class TestBenchmarkParity:
         netlist, period = _mapped_benchmark(design)
         netlist = netlist.clone()
         constraints = Constraints(clock_period=period)
-        vec = _engine(netlist, constraints, True).analyze()
-        ref = _engine(netlist, constraints, False).analyze()
-        _assert_reports_match(vec, ref)
+        vec = _engine(netlist, constraints).analyze()
+        _assert_reports_match(vec, _reference(netlist, constraints))
 
     @pytest.mark.parametrize("design", ["dynamic_node", "riscv32i"])
     def test_incremental_resizes_match_scalar(self, design):
         netlist, period = _mapped_benchmark(design)
         netlist = netlist.clone()
         constraints = Constraints(clock_period=period)
-        engine = _engine(netlist, constraints, True)
+        engine = _engine(netlist, constraints)
         engine.analyze(with_paths=False)
         for seed in range(12):
             _resize(netlist, seed * 131, seed)
-            vec = engine.analyze()
-            ref = _engine(netlist, constraints, False).full_analyze()
-            _assert_reports_match(vec, ref)
+            _assert_reports_match(engine.analyze(), _reference(netlist, constraints))
 
     @pytest.mark.parametrize("design", ["dynamic_node", "riscv32i"])
     def test_power_matches_scalar(self, design):
         netlist, period = _mapped_benchmark(design)
         constraints = Constraints(clock_period=period)
-        vec = _power(netlist, constraints, True).analyze()
-        ref = _power(netlist, constraints, False).analyze()
+        vec = _power(netlist, constraints)
+        ref = _reference_power(netlist, constraints)
         assert vec.net_activities == ref.net_activities
         assert (vec.dynamic_uw, vec.internal_uw, vec.leakage_uw, vec.clock_tree_uw) == (
             ref.dynamic_uw,
@@ -218,7 +215,7 @@ class TestVectorMechanics:
         netlist, period = _mapped_benchmark("dynamic_node")
         netlist = netlist.clone()
         constraints = Constraints(clock_period=period)
-        engine = _engine(netlist, constraints, True)
+        engine = _engine(netlist, constraints)
         engine.analyze(with_paths=False)
         assert _resize(netlist, 7, 1)
         perf.reset()
@@ -234,8 +231,8 @@ class TestVectorMechanics:
         netlist = netlist.clone()
         constraints = Constraints(clock_period=period)
         perf.reset()
-        _engine(netlist, constraints, True).analyze(with_paths=False)
-        _engine(netlist, constraints, True).analyze(with_paths=False)
+        _engine(netlist, constraints).analyze(with_paths=False)
+        _engine(netlist, constraints).analyze(with_paths=False)
         assert perf.counter("soa.structure_miss") == 1
         assert perf.counter("soa.structure_hit") >= 1
         stats = soa.structure_cache_stats()
@@ -243,8 +240,8 @@ class TestVectorMechanics:
 
     def test_power_fixpoint_early_exit_fires(self):
         """A feed-forward pipeline stabilises after one register sweep; the
-        second comb sweep is skipped and the counter records it, in both
-        scalar and vector mode, without changing the result."""
+        second comb sweep is skipped and the counter records it, without
+        changing the result."""
         netlist = Netlist("pipe")
         netlist.add_net("clk", is_input=True, is_clock=True)
         netlist.add_net("in0", is_input=True)
@@ -255,11 +252,9 @@ class TestVectorMechanics:
         map_to_library(netlist, LIBRARY)
         constraints = Constraints(clock_period=1.0)
         perf.reset()
-        scalar = _power(netlist, constraints, False).analyze()
+        report = _power(netlist, constraints)
         assert perf.counter("power.fixpoint_early_exit") == 1
-        vector = _power(netlist, constraints, True).analyze()
-        assert perf.counter("power.fixpoint_early_exit") == 2
-        assert scalar.net_activities == vector.net_activities
+        assert report.net_activities == _reference_power(netlist, constraints).net_activities
 
     def test_power_feedback_loop_runs_both_iterations(self):
         """reg -> AND -> reg feedback shifts P(q) from 0.5 to 0.25 on the
@@ -274,8 +269,6 @@ class TestVectorMechanics:
         map_to_library(netlist, LIBRARY)
         constraints = Constraints(clock_period=1.0)
         perf.reset()
-        scalar = _power(netlist, constraints, False).analyze()
+        report = _power(netlist, constraints)
         assert perf.counter("power.fixpoint_early_exit") == 0
-        vector = _power(netlist, constraints, True).analyze()
-        assert perf.counter("power.fixpoint_early_exit") == 0
-        assert scalar.net_activities == vector.net_activities
+        assert report.net_activities == _reference_power(netlist, constraints).net_activities
