@@ -19,8 +19,17 @@ incremental timing engine in :mod:`repro.synth.timing`) can find out what
 changed since they last looked instead of re-deriving the world:
 
 * structural edits (``add_net``/``add_cell``/``remove_cell``/
-  ``rewire_input``/``rewire_clock``/``replace_with``) log a ``structure``
-  event and invalidate the cached topological order;
+  ``rewire_input``/``rewire_clock``) log ``("structure", cell, *nets)``
+  naming the cell and the nets whose connectivity or flags the edit
+  changed, and invalidate the cached topological order.  ``add_net``
+  logs ``("structure", None, net)``; ``add_cell``/``remove_cell`` name
+  the cell, then its output, input and clock nets;
+  ``rewire_input``/``rewire_clock`` name the cell, then the old and the
+  new net.  Any net or cell not named keeps its fields *and* its
+  ``sinks`` iteration order, which is what lets the SoA lowering
+  (:mod:`repro.synth.soa`) patch itself from these events;
+* :meth:`Netlist.touch` logs ``("structure", None)``, naming nothing:
+  something changed that the journal cannot name;
 * rebinding a cell's library cell (``cell.lib_cell = ...``) logs a
   ``resize`` event naming the cell — the hot path of gate sizing.
 
@@ -29,6 +38,10 @@ Observers call :meth:`Netlist.journal_since` with their last-seen
 past their cursor and they must rebuild from scratch.  Code that mutates
 nets or cells directly (bypassing the methods here) must call
 :meth:`Netlist.touch` afterwards so observers invalidate.
+
+:class:`EditUndo` restores a netlist after an edit made of cell removals
+and appended cells and nets (a retiming move) to exactly its prior
+state, from a record of only the cells and nets the edit touched.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 
-__all__ = ["GENERIC_GATES", "Net", "Cell", "Netlist", "NetlistError"]
+__all__ = ["GENERIC_GATES", "Net", "Cell", "Netlist", "NetlistError", "EditUndo"]
 
 
 #: Generic gate types produced by elaboration.  ``inputs`` is the pin count.
@@ -152,7 +165,7 @@ class Netlist:
         self.primary_inputs: list[str] = []
         self.primary_outputs: list[str] = []
         self._uid = itertools.count()
-        self._journal: list[tuple[str, str | None]] = []
+        self._journal: list[tuple] = []
         self._journal_base = 0
         self._topo_cache: list[Cell] | None = None
         self._max_uid_memo: int | None = None
@@ -164,31 +177,32 @@ class Netlist:
         """Monotonic mutation counter; equal versions mean nothing changed."""
         return self._journal_base + len(self._journal)
 
-    def journal_since(self, cursor: int) -> list[tuple[str, str | None]] | None:
+    def journal_since(self, cursor: int) -> list[tuple] | None:
         """Events recorded since ``cursor``; None when trimmed past it."""
         if cursor < self._journal_base:
             return None
         return self._journal[cursor - self._journal_base :]
 
-    def _append_event(self, kind: str, name: str | None) -> None:
+    def _append_event(self, event: tuple) -> None:
         journal = self._journal
-        journal.append((kind, name))
+        journal.append(event)
         if len(journal) > _JOURNAL_LIMIT:
             drop = len(journal) // 2
             self._journal_base += drop
             del journal[:drop]
 
-    def _note_structure(self) -> None:
+    def _note_structure(self, event: tuple) -> None:
+        """Journal ``("structure", cell, *nets)`` for a structural edit."""
         self._topo_cache = None
         self._max_uid_memo = None
-        self._append_event("structure", None)
+        self._append_event(event)
 
     def _note_resize(self, cell_name: str) -> None:
-        self._append_event("resize", cell_name)
+        self._append_event(("resize", cell_name))
 
     def touch(self) -> None:
         """Record an out-of-band mutation (direct net/cell attribute edits)."""
-        self._note_structure()
+        self._note_structure(("structure", None))
 
     # -- construction --------------------------------------------------------
 
@@ -208,7 +222,7 @@ class Netlist:
             self.primary_inputs.append(name)
         if net.is_output:
             self.primary_outputs.append(name)
-        self._note_structure()
+        self._note_structure(("structure", None, name))
         return net
 
     def get_or_add_net(self, name: str) -> Net:
@@ -248,22 +262,29 @@ class Netlist:
         out_net.driver = name
         for net_name in inputs:
             self.get_or_add_net(net_name).sinks.add(name)
+        event = ("structure", name, output, *inputs)
         if "clock" in attrs:
             clk = self.get_or_add_net(attrs["clock"])
             clk.is_clock = True
             clk.sinks.add(name)
+            event += (attrs["clock"],)
         self.cells[name] = cell
-        self._note_structure()
+        self._note_structure(event)
         return cell
 
     def remove_cell(self, name: str) -> None:
         cell = self.cells.pop(name)
         out = self.nets[cell.output]
         out.driver = None
-        for net_name in set(cell.inputs) | ({cell.attrs["clock"]} if "clock" in cell.attrs else set()):
+        for net_name in cell.inputs:
             self.nets[net_name].sinks.discard(name)
+        event = ("structure", name, cell.output, *cell.inputs)
+        if "clock" in cell.attrs:
+            clock = cell.attrs["clock"]
+            self.nets[clock].sinks.discard(name)
+            event += (clock,)
         cell._owner = None
-        self._note_structure()
+        self._note_structure(event)
 
     def rewire_input(self, cell_name: str, old_net: str, new_net: str) -> None:
         """Replace every occurrence of ``old_net`` in a cell's input list."""
@@ -274,7 +295,7 @@ class Netlist:
         if old_net not in cell.inputs and cell.attrs.get("clock") != old_net:
             self.nets[old_net].sinks.discard(cell_name)
         self.get_or_add_net(new_net).sinks.add(cell_name)
-        self._note_structure()
+        self._note_structure(("structure", cell_name, old_net, new_net))
 
     def rewire_clock(self, cell_name: str, new_clock: str) -> None:
         """Point a sequential cell's clock pin at a different net."""
@@ -286,7 +307,7 @@ class Netlist:
         if old_clock not in cell.inputs:
             self.nets[old_clock].sinks.discard(cell_name)
         self.get_or_add_net(new_clock).sinks.add(cell_name)
-        self._note_structure()
+        self._note_structure(("structure", cell_name, old_clock, new_clock))
 
     # -- queries --------------------------------------------------------------
 
@@ -452,18 +473,6 @@ class Netlist:
         self.__dict__.update(state)
         self._uid = itertools.count(self._max_uid() + 1)
 
-    def replace_with(self, other: "Netlist") -> None:
-        """Adopt ``other``'s contents in place (used to roll back passes)."""
-        self.name = other.name
-        self.nets = other.nets
-        self.cells = other.cells
-        self.primary_inputs = other.primary_inputs
-        self.primary_outputs = other.primary_outputs
-        self._uid = other._uid
-        for cell in self.cells.values():
-            cell._owner = self
-        self._note_structure()
-
     def clone(self) -> "Netlist":
         """Deep-copy the netlist (cells, nets, port lists).
 
@@ -500,3 +509,71 @@ class Netlist:
         other._max_uid_memo = max_uid
         other._uid = itertools.count(max_uid + 1)
         return other
+
+
+class EditUndo:
+    """Exact undo record for an edit that removes cells and appends others.
+
+    Remove cells through :meth:`remove_cell` (it saves each cell and the
+    nets it touches before the netlist changes) and add cells and nets
+    through the netlist as usual; new cells may only connect to new nets
+    or to nets of removed cells.  :meth:`rollback` then restores exactly
+    the state that adopting a :meth:`Netlist.clone` taken at construction
+    would: the same ``cells``/``nets`` dict order, the same ``sinks``
+    iteration order on every net (each a fresh copy, as a clone's is) and
+    the same next autogenerated uid.  Recording costs O(touched cells and
+    nets); only the rare rollback walks the whole netlist.
+
+    ``positions`` maps every current cell name to its position in
+    ``netlist.cells`` (for example a current lowering's ``cell_index``);
+    without it the order is captured up front.
+    """
+
+    def __init__(self, netlist: Netlist, positions: dict[str, int] | None = None) -> None:
+        self.netlist = netlist
+        self._num_cells = len(netlist.cells)
+        self._num_nets = len(netlist.nets)
+        if positions is None:
+            positions = dict(zip(netlist.cells, itertools.count()))
+        self._positions = positions
+        self._removed: list[tuple[int, Cell]] = []
+        self._nets: dict[str, tuple[str | None, set[str], bool]] = {}
+
+    def remove_cell(self, name: str) -> None:
+        """Save ``name`` and the nets it touches, then remove it."""
+        nets = self.netlist.nets
+        cell = self.netlist.cells[name]
+        touched = [cell.output, *cell.inputs]
+        if "clock" in cell.attrs:
+            touched.append(cell.attrs["clock"])
+        for net_name in touched:
+            if net_name not in self._nets:
+                net = nets[net_name]
+                self._nets[net_name] = (net.driver, set(net.sinks), net.is_clock)
+        self._removed.append((self._positions[name], cell))
+        self.netlist.remove_cell(name)
+
+    def rollback(self) -> None:
+        """Restore the netlist to its state when the record was created."""
+        netlist = self.netlist
+        cells, nets = netlist.cells, netlist.nets
+        # Added cells and nets were appended, so they sit at the dict ends.
+        added_cells = len(cells) - self._num_cells + len(self._removed)
+        for name in list(itertools.islice(reversed(cells), added_cells)):
+            cells.pop(name)._owner = None
+        for name in list(itertools.islice(reversed(nets), len(nets) - self._num_nets)):
+            del nets[name]
+        for name, net in nets.items():
+            saved = self._nets.get(name)
+            if saved is None:
+                net.sinks = set(net.sinks)
+            else:
+                net.driver, net.sinks, net.is_clock = saved
+        order = list(cells.items())
+        for position, cell in sorted(self._removed, key=lambda item: item[0]):
+            order.insert(position, (cell.name, cell))
+            cell._owner = netlist
+        cells.clear()
+        cells.update(order)
+        netlist.touch()
+        netlist._uid = itertools.count(netlist._max_uid() + 1)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import perf
-from ..hdl.netlist import Netlist
+from ..hdl.netlist import EditUndo, Netlist
 from . import soa
 from .library import TechLibrary
 from .passes import PassContext
@@ -377,12 +377,12 @@ def buffer_high_fanout(
 # -- retiming ------------------------------------------------------------------------
 
 
-def _retime_backward(netlist: Netlist, dff_name: str) -> bool:
+def _retime_backward(netlist: Netlist, dff_name: str, undo: EditUndo) -> bool:
     """Move one register backward across its driving gate.
 
     Legal when the gate's output feeds only this register; every gate
     input gets its own register, preserving path latencies (Leiserson &
-    Saxe backward move).
+    Saxe backward move).  Cells are removed through ``undo``.
     """
     dff = netlist.cells.get(dff_name)
     if dff is None or not dff.is_sequential:
@@ -396,8 +396,8 @@ def _retime_backward(netlist: Netlist, dff_name: str) -> bool:
     clock = dff.attrs.get("clock")
     q_net = dff.output
     gate_kind, gate_inputs, gate_lib = gate.gate, list(gate.inputs), gate.lib_cell
-    netlist.remove_cell(dff_name)
-    netlist.remove_cell(gate.name)
+    undo.remove_cell(dff_name)
+    undo.remove_cell(gate.name)
     registered: dict[str, str] = {}
     for net_in in gate_inputs:
         if net_in not in registered:
@@ -412,18 +412,20 @@ def _retime_backward(netlist: Netlist, dff_name: str) -> bool:
     return True
 
 
-def _retime_forward(netlist: Netlist, gate_name: str) -> bool:
+def _retime_forward(netlist: Netlist, gate_name: str, undo: EditUndo) -> bool:
     """Move registers forward across ``gate_name``.
 
     Legal when every gate input is the output of a register that feeds
-    only this gate; the input registers merge into one output register.
+    only this gate; the input registers merge into one output register,
+    which takes the library cell of the register on the first pin.
+    Cells are removed through ``undo``.
     """
     gate = netlist.cells.get(gate_name)
     if gate is None or gate.is_sequential or gate.gate in ("CONST0", "CONST1"):
         return False
     sources: list[tuple[str, str]] = []  # (dff name, its D net)
     clock = None
-    for net_in in set(gate.inputs):
+    for net_in in dict.fromkeys(gate.inputs):
         dff = netlist.driver_cell(net_in)
         if dff is None or not dff.is_sequential:
             return False
@@ -442,9 +444,9 @@ def _retime_forward(netlist: Netlist, gate_name: str) -> bool:
     replacement = {
         netlist.cells[dff_name].output: d_net for dff_name, d_net in sources
     }
-    netlist.remove_cell(gate_name)
+    undo.remove_cell(gate_name)
     for dff_name, _ in sources:
-        netlist.remove_cell(dff_name)
+        undo.remove_cell(dff_name)
     mid = netlist.add_net()
     new_gate = netlist.add_cell(
         gate_kind, [replacement[n] for n in gate_inputs], mid.name
@@ -469,9 +471,11 @@ def retime(
     Repeatedly analyzes timing; if the critical endpoint is a register,
     tries a backward move there; if the critical path launches from a
     register, tries a forward move through the first gate.  A move is kept
-    only when the worst slack does not degrade.  Retiming edits are
-    structural, so the shared context engine rebuilds per kept move; the
-    win from the context is pass-to-pass engine reuse, not a fast loop.
+    only when the worst slack does not degrade; a degrading move is undone
+    from an :class:`~repro.hdl.netlist.EditUndo` record of the cells and
+    nets it touched (``retime.rollback`` counts them).  A move journals
+    only what it touched, so the next analysis patches the cached SoA
+    lowering instead of re-lowering the netlist.
     """
     ctx = _context(context, netlist, library, wireload, constraints)
     engine = ctx.engine
@@ -486,16 +490,21 @@ def retime(
         endpoint = report.critical_path.endpoint
         if endpoint in stuck_endpoints:
             break
-        snapshot = netlist.clone()
+        # analyze() just lowered the netlist: its cell index gives the
+        # dict positions the undo record needs, without a scan.
+        structure = soa.peek_structure(netlist)
+        undo = EditUndo(
+            netlist, structure.cell_index if structure is not None else None
+        )
         moved = False
         if endpoint.startswith("reg:"):
-            moved = _retime_backward(netlist, endpoint[4:])
+            moved = _retime_backward(netlist, endpoint[4:], undo)
         if not moved:
             # Try a forward move through the first combinational gate on
             # the path (its inputs may all be registered).
             for point in report.critical_path.points:
                 if point.cell in netlist.cells and not netlist.cells[point.cell].is_sequential:
-                    moved = _retime_forward(netlist, point.cell)
+                    moved = _retime_forward(netlist, point.cell, undo)
                     if moved:
                         break
         if not moved:
@@ -503,7 +512,8 @@ def retime(
             continue
         new_report = engine.analyze(with_paths=False)
         if new_report.cps < report.cps - 1e-9:
-            netlist.replace_with(snapshot)  # degraded: roll back
+            undo.rollback()  # degraded: restore the pre-move netlist
+            perf.incr("retime.rollback")
             stuck_endpoints.add(endpoint)
             continue
         if new_report.cps - report.cps < 1e-9:

@@ -13,7 +13,9 @@ kernels:
   cell's inputs come from strictly lower levels.  The structure depends
   only on netlist *topology*: it is cached per netlist and revalidated
   against the change journal, so resize-only edit streams (the sizing
-  loop) and fresh engines over an unchanged netlist reuse it.
+  loop) and fresh engines over an unchanged netlist reuse it, and
+  structural events patch it from the cells and nets they name
+  (:meth:`SoAStructure.patched`) instead of lowering the netlist again.
 * **Binding** (:class:`SoAKernel`) — per-cell library parameters
   (input cap, drive resistance, intrinsic delay / clk-to-q, setup,
   leakage, drive index) live in a row matrix indexed by a per-cell row
@@ -42,12 +44,14 @@ vanishes under the reports' 3-decimal rounding.  Property tests in
 
 from __future__ import annotations
 
+import itertools
 import threading
 import weakref
 
 import numpy as np
 
 from .. import perf
+from ..hdl.netlist import GENERIC_GATES, NetlistError
 
 __all__ = [
     "SoAStructure",
@@ -61,6 +65,22 @@ __all__ = [
 
 _CONSTS = ("CONST0", "CONST1")
 
+#: Generic gate kinds; ``SoAStructure.cell_kind`` holds indices into this.
+_KINDS = tuple(GENERIC_GATES)
+_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+_DFF, _CONST0, _CONST1 = (_KIND_CODE[kind] for kind in ("DFF", *_CONSTS))
+
+_NET_FLAGS = ("net_is_output", "net_is_clock", "net_is_input", "net_has_driver")
+
+
+def _segments(ptr: np.ndarray, rows) -> np.ndarray:
+    """Flat positions of CSR rows ``rows`` (in that order) under ``ptr``."""
+    rows = np.asarray(rows, dtype=np.intp)
+    starts = ptr[rows]
+    counts = ptr[rows + 1] - starts
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
+
 
 class _Level:
     """One propagation level: cells whose inputs are all resolved."""
@@ -68,7 +88,7 @@ class _Level:
     __slots__ = ("cells", "out", "in_ptr", "in_net")
 
     def __init__(self, cells, out, in_ptr, in_net) -> None:
-        self.cells = cells  # cell indices at this level
+        self.cells = cells  # cell indices at this level, ascending
         self.out = out  # their output net indices
         self.in_ptr = in_ptr  # CSR starts into in_net (len = cells + 1)
         self.in_net = in_net  # flat input net indices (cell.inputs order)
@@ -79,6 +99,15 @@ class SoAStructure:
 
     Valid until the next *structural* journal event; resizes never
     invalidate it (pin counts, fanouts and levels are binding-free).
+
+    The lowering has two halves.  The *rows* are read from the netlist:
+    per cell its gate kind, output net, clock net and input nets (a CSR,
+    ``cell_in_ptr``/``cell_in_net``), per net its flags and its sinks in
+    ``net.sinks`` order.  Everything else — each (net, sink) pair's pin
+    count, fanouts, register/constant tables, levels and the per-level
+    CSR — is derived from the rows in numpy.  A full lowering reads
+    every row; :meth:`patched` reads only the rows a journal names and
+    carries the rest over, so both produce identical arrays.
     """
 
     __slots__ = (
@@ -86,7 +115,8 @@ class SoAStructure:
         "num_nets", "num_cells",
         "pair_net", "pair_cell", "pair_pins", "pair_ptr", "fanout", "ext_cap",
         "net_is_output", "net_is_clock", "net_is_input", "net_has_driver",
-        "cell_out", "cell_gate", "cell_is_seq", "cell_is_const", "cell_level",
+        "cell_out", "cell_kind", "cell_clock", "cell_in_ptr", "cell_in_net",
+        "cell_is_seq", "cell_is_const", "cell_level",
         "levels",
         "pi_nets", "pi_is_clock",
         "seq_cells", "seq_out", "seq_d", "seq_names",
@@ -96,147 +126,310 @@ class SoAStructure:
     )
 
     def __init__(self, netlist) -> None:
-        nets = netlist.nets
-        cells = netlist.cells
-        self.net_names = list(nets)
-        self.net_index = {name: i for i, name in enumerate(self.net_names)}
-        self.cell_names = list(cells)
-        self.cell_index = {name: i for i, name in enumerate(self.cell_names)}
+        self.net_names = list(netlist.nets)
         self.num_nets = len(self.net_names)
+        self.net_index = dict(zip(self.net_names, range(self.num_nets)))
+        self.cell_names = list(netlist.cells)
         self.num_cells = len(self.cell_names)
-        net_index = self.net_index
-        cell_index = self.cell_index
-
-        # -- per-net electricals: (net, sink) pin pairs in ``net.sinks``
-        # order, so bincount accumulates like a per-net scalar load loop.
-        pair_net: list[int] = []
-        pair_cell: list[int] = []
-        pair_pins: list[float] = []
-        fanout = np.zeros(self.num_nets, dtype=np.int64)
-        net_is_output = np.zeros(self.num_nets, dtype=bool)
-        net_is_clock = np.zeros(self.num_nets, dtype=bool)
-        net_is_input = np.zeros(self.num_nets, dtype=bool)
-        net_has_driver = np.zeros(self.num_nets, dtype=bool)
-        for ni, (name, net) in enumerate(nets.items()):
-            net_is_output[ni] = net.is_output
-            net_is_clock[ni] = net.is_clock
-            net_is_input[ni] = net.is_input
-            net_has_driver[ni] = net.driver is not None
-            pins_total = 0
-            for sink_name in net.sinks:
-                sink = cells[sink_name]
-                pins = sink.inputs.count(name)
-                if sink.attrs.get("clock") == name:
-                    pins += 1
-                if pins:
-                    pair_net.append(ni)
-                    pair_cell.append(cell_index[sink_name])
-                    pair_pins.append(float(pins))
-                pins_total += pins
-            if net.is_output:
-                pins_total += 1
-            fanout[ni] = pins_total
-        self.pair_net = np.asarray(pair_net, dtype=np.intp)
-        self.pair_cell = np.asarray(pair_cell, dtype=np.intp)
-        self.pair_pins = np.asarray(pair_pins, dtype=np.float64)
-        # CSR over the (sorted-by-net) pair arrays: pairs of net ``ni`` live
-        # in ``pair_ptr[ni]:pair_ptr[ni + 1]`` — the per-net segment view the
-        # batched trial evaluator uses to re-accumulate single net loads.
-        self.pair_ptr = np.searchsorted(
-            self.pair_net, np.arange(self.num_nets + 1)
+        self.cell_index = dict(zip(self.cell_names, range(self.num_cells)))
+        kinds, outs, clocks, counts, inputs = self._cell_rows(
+            netlist, self.cell_names
         )
-        self.fanout = fanout
-        self.ext_cap = np.where(net_is_output, 2.0, 0.0)
-        self.net_is_output = net_is_output
-        self.net_is_clock = net_is_clock
-        self.net_is_input = net_is_input
-        self.net_has_driver = net_has_driver
-
-        # -- per-cell skeleton -------------------------------------------------
-        cell_out = np.zeros(self.num_cells, dtype=np.intp)
-        cell_is_seq = np.zeros(self.num_cells, dtype=bool)
-        cell_is_const = np.zeros(self.num_cells, dtype=bool)
-        self.cell_gate = []
-        seq_cells: list[int] = []
-        seq_out: list[int] = []
-        seq_d: list[int] = []
-        seq_names: list[str] = []
-        const_out: list[int] = []
-        const0_out: list[int] = []
-        const1_out: list[int] = []
-        for ci, (name, cell) in enumerate(cells.items()):
-            cell_out[ci] = net_index[cell.output]
-            self.cell_gate.append(cell.gate)
-            if cell.is_sequential:
-                cell_is_seq[ci] = True
-                seq_cells.append(ci)
-                seq_out.append(net_index[cell.output])
-                seq_d.append(net_index[cell.inputs[0]])
-                seq_names.append(name)
-            elif cell.gate in _CONSTS:
-                cell_is_const[ci] = True
-                const_out.append(net_index[cell.output])
-                if cell.gate == "CONST0":
-                    const0_out.append(net_index[cell.output])
-                else:
-                    const1_out.append(net_index[cell.output])
-        self.cell_out = cell_out
-        self.cell_is_seq = cell_is_seq
-        self.cell_is_const = cell_is_const
-        self.seq_cells = np.asarray(seq_cells, dtype=np.intp)
-        self.seq_out = np.asarray(seq_out, dtype=np.intp)
-        self.seq_d = np.asarray(seq_d, dtype=np.intp)
-        self.seq_names = seq_names
-        self.const_out = np.asarray(const_out, dtype=np.intp)
-        self.const0_out = np.asarray(const0_out, dtype=np.intp)
-        self.const1_out = np.asarray(const1_out, dtype=np.intp)
-
-        # -- levelization: level(cell) = max level of its input nets; a net
-        # driven by a comb cell carries that cell's level + 1, sources carry 0.
-        net_level = np.zeros(self.num_nets, dtype=np.int64)
-        cell_level = np.full(self.num_cells, -1, dtype=np.int64)
-        buckets: list[dict] = []  # per level: {"cells": [], "out": [], "in": [], "ptr": []}
-        for cell in netlist.topological_cells():
-            if cell.gate in _CONSTS:
-                continue
-            ci = cell_index[cell.name]
-            lvl = 0
-            in_ids = [net_index[n] for n in cell.inputs]
-            for ni in in_ids:
-                if net_level[ni] > lvl:
-                    lvl = net_level[ni]
-            cell_level[ci] = lvl
-            net_level[cell_out[ci]] = lvl + 1
-            while len(buckets) <= lvl:
-                buckets.append({"cells": [], "out": [], "in": [], "ptr": [0]})
-            bucket = buckets[lvl]
-            bucket["cells"].append(ci)
-            bucket["out"].append(cell_out[ci])
-            bucket["in"].extend(in_ids)
-            bucket["ptr"].append(len(bucket["in"]))
-        self.cell_level = cell_level
-        self.levels = [
-            _Level(
-                np.asarray(b["cells"], dtype=np.intp),
-                np.asarray(b["out"], dtype=np.intp),
-                np.asarray(b["ptr"], dtype=np.intp),
-                np.asarray(b["in"], dtype=np.intp),
-            )
-            for b in buckets
-        ]
-
-        # -- launch / endpoint orderings (netlist port and cell order) ------
+        self.cell_kind, self.cell_out, self.cell_clock = kinds, outs, clocks
+        self.cell_in_ptr = np.zeros(self.num_cells + 1, dtype=np.intp)
+        np.cumsum(counts, out=self.cell_in_ptr[1:])
+        self.cell_in_net = inputs
+        flags, pairs = self._net_rows(
+            netlist, np.arange(self.num_nets), self.net_names
+        )
+        (self.net_is_output, self.net_is_clock, self.net_is_input,
+         self.net_has_driver) = flags
+        self.pair_net, self.pair_cell, self.pair_pins = pairs
         self.pi_nets = np.asarray(
-            [net_index[n] for n in netlist.primary_inputs], dtype=np.intp
-        )
-        self.pi_is_clock = np.asarray(
-            [nets[n].is_clock for n in netlist.primary_inputs], dtype=bool
+            [self.net_index[n] for n in netlist.primary_inputs], dtype=np.intp
         )
         self.po_names = list(netlist.primary_outputs)
         self.po_nets = np.asarray(
-            [net_index[n] for n in self.po_names], dtype=np.intp
+            [self.net_index[n] for n in self.po_names], dtype=np.intp
         )
+        self._derive()
+
+    # -- rows read from the netlist ---------------------------------------------
+
+    def _cell_rows(self, netlist, names):
+        """Kind, output net, clock net (-1: none), pin count, inputs of ``names``."""
+        objs = list(map(netlist.cells.__getitem__, names))
+        index = self.net_index.__getitem__
+        k = len(objs)
+        kinds = np.fromiter(
+            map(_KIND_CODE.__getitem__, [c.gate for c in objs]), np.int8, k
+        )
+        outs = np.fromiter(map(index, [c.output for c in objs]), np.intp, k)
+        clocks = np.fromiter(
+            (-1 if name is None else index(name)
+             for name in [c.attrs.get("clock") for c in objs]),
+            np.intp, k,
+        )
+        pin_lists = [c.inputs for c in objs]
+        counts = np.fromiter(map(len, pin_lists), np.intp, k)
+        flat = list(itertools.chain.from_iterable(pin_lists))
+        inputs = np.fromiter(map(index, flat), np.intp, len(flat))
+        return kinds, outs, clocks, counts, inputs
+
+    def _net_rows(self, netlist, rows, names):
+        """Flags and (net, sink-pin) pairs of nets ``rows`` (ascending).
+
+        Pairs follow ``net.sinks`` order, so bincount accumulates each
+        net's load like a per-net scalar loop.  A pair's pin count — the
+        times the sink reads the net, clock pin included — comes from the
+        cell rows, which must already be current; sinks that no longer
+        read the net get no pair.
+        """
+        objs = list(map(netlist.nets.__getitem__, names))
+        k = len(objs)
+        flags = tuple(
+            np.fromiter(values, bool, k) for values in (
+                [net.is_output for net in objs],
+                [net.is_clock for net in objs],
+                [net.is_input for net in objs],
+                [net.driver is not None for net in objs],
+            )
+        )
+        sink_sets = [net.sinks for net in objs]
+        sinks = list(itertools.chain.from_iterable(sink_sets))
+        pair_cell = np.fromiter(
+            map(self.cell_index.__getitem__, sinks), np.intp, len(sinks)
+        )
+        pair_net = np.repeat(
+            np.asarray(rows, dtype=np.intp),
+            np.fromiter(map(len, sink_sets), np.intp, k),
+        )
+        # (net, cell) pin keys of every data and clock pin on these nets.
+        m = self.num_cells
+        pin_net = np.concatenate([self.cell_in_net, self.cell_clock])
+        pin_cell = np.concatenate([
+            np.repeat(np.arange(m), np.diff(self.cell_in_ptr)), np.arange(m),
+        ])
+        wanted = np.zeros(self.num_nets, dtype=bool)
+        wanted[rows] = True
+        on_rows = pin_net >= 0
+        on_rows[on_rows] = wanted[pin_net[on_rows]]
+        keys, pins = np.unique(
+            pin_net[on_rows] * m + pin_cell[on_rows], return_counts=True
+        )
+        pair_key = pair_net * m + pair_cell
+        at = np.searchsorted(keys, pair_key)
+        read = at < len(keys)
+        read[read] = keys[at[read]] == pair_key[read]
+        return flags, (
+            pair_net[read], pair_cell[read], pins[at[read]].astype(np.float64)
+        )
+
+    # -- journal patch ------------------------------------------------------------
+
+    def patched(self, netlist, cells: set[str], nets: set[str]):
+        """The lowering of ``netlist`` after edits that touched ``cells``/``nets``.
+
+        ``cells`` and ``nets`` are the names journalled by the structural
+        events since this structure was lowered.  Untouched nets keep
+        their index, flags and pairs (``net.sinks`` of an untouched net
+        iterates as before); untouched cells keep their rows under a
+        remapped index (removals shift later cells down, additions
+        append).  Only touched rows are read from the netlist.  Returns
+        None when the netlist does not match what the journal implies,
+        so the caller lowers in full.
+        """
+        new = SoAStructure.__new__(SoAStructure)
+        # Nets are never removed: old indices hold, new nets append.
+        new.net_names = list(netlist.nets)
+        new.num_nets = n = len(new.net_names)
+        if n < self.num_nets:
+            return None
+        new.net_index = dict(self.net_index)
+        new.net_index.update(
+            zip(new.net_names[self.num_nets:], range(self.num_nets, n))
+        )
+        new.cell_names = list(netlist.cells)
+        new.num_cells = m = len(new.cell_names)
+        new.cell_index = dict(zip(new.cell_names, range(m)))
+        try:
+            net_rows = sorted(new.net_index[name] for name in nets)
+            touched_new = sorted(
+                new.cell_index[name] for name in cells if name in new.cell_index
+            )
+        except KeyError:
+            return None
+
+        # -- cells: untouched rows keep their relative order -----------------
+        keep_old = np.ones(self.num_cells, dtype=bool)
+        old_to_new = np.full(self.num_cells, -1, dtype=np.intp)
+        for name in cells:
+            ci = self.cell_index.get(name)
+            if ci is not None:
+                keep_old[ci] = False
+                old_to_new[ci] = new.cell_index.get(name, -1)
+        keep_new = np.ones(m, dtype=bool)
+        keep_new[touched_new] = False
+        survivors_old = np.flatnonzero(keep_old)
+        survivors_new = np.flatnonzero(keep_new)
+        if len(survivors_old) != len(survivors_new):
+            return None
+        old_to_new[survivors_old] = survivors_new
+        kinds, outs, clocks, counts, inputs = new._cell_rows(
+            netlist, [new.cell_names[ci] for ci in touched_new]
+        )
+        for field, touched in (
+            ("cell_kind", kinds), ("cell_out", outs), ("cell_clock", clocks)
+        ):
+            values = np.empty(m, dtype=touched.dtype)
+            values[survivors_new] = getattr(self, field)[survivors_old]
+            values[touched_new] = touched
+            setattr(new, field, values)
+        pin_counts = np.empty(m, dtype=np.intp)
+        pin_counts[survivors_new] = np.diff(self.cell_in_ptr)[survivors_old]
+        pin_counts[touched_new] = counts
+        new.cell_in_ptr = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(pin_counts, out=new.cell_in_ptr[1:])
+        new.cell_in_net = np.empty(int(new.cell_in_ptr[-1]), dtype=np.intp)
+        new.cell_in_net[_segments(new.cell_in_ptr, survivors_new)] = (
+            self.cell_in_net[_segments(self.cell_in_ptr, survivors_old)]
+        )
+        new.cell_in_net[_segments(new.cell_in_ptr, touched_new)] = inputs
+
+        # -- nets: touched rows re-read, the rest carried over ---------------
+        flags, (pair_net, pair_cell, pair_pins) = new._net_rows(
+            netlist, net_rows, [new.net_names[ni] for ni in net_rows]
+        )
+        grow = np.zeros(n - self.num_nets, dtype=bool)
+        for field, touched in zip(_NET_FLAGS, flags):
+            values = np.concatenate([getattr(self, field), grow])
+            values[net_rows] = touched
+            setattr(new, field, values)
+        touched_nets = np.zeros(n, dtype=bool)
+        touched_nets[net_rows] = True
+        if not touched_nets[self.num_nets:].all():
+            return None  # a new net the journal never named
+        keep = ~touched_nets[self.pair_net]
+        kept_cells = old_to_new[self.pair_cell[keep]]
+        if len(kept_cells) and kept_cells.min() < 0:
+            return None  # an untouched net still lists a removed cell
+        pair_net = np.concatenate([self.pair_net[keep], pair_net])
+        # Stable: untouched nets keep their pair order, touched nets'
+        # pairs (read in net order) slot in between them.
+        order = np.argsort(pair_net, kind="stable")
+        new.pair_net = pair_net[order]
+        new.pair_cell = np.concatenate([kept_cells, pair_cell])[order]
+        new.pair_pins = np.concatenate([self.pair_pins[keep], pair_pins])[order]
+
+        # -- ports only ever grow --------------------------------------------
+        pis, pos = netlist.primary_inputs, netlist.primary_outputs
+        new.pi_nets = np.concatenate([
+            self.pi_nets,
+            np.asarray(
+                [new.net_index[p] for p in pis[len(self.pi_nets):]], dtype=np.intp
+            ),
+        ])
+        new.po_names = (
+            self.po_names if len(pos) == len(self.po_names) else list(pos)
+        )
+        new.po_nets = np.concatenate([
+            self.po_nets,
+            np.asarray(
+                [new.net_index[p] for p in pos[len(self.po_nets):]], dtype=np.intp
+            ),
+        ])
+        new._derive()
+        return new
+
+    # -- derived arrays -------------------------------------------------------------
+
+    def _derive(self) -> None:
+        """Fanouts, endpoint/launch tables and levels, from the rows."""
+        self.pair_ptr = np.searchsorted(
+            self.pair_net, np.arange(self.num_nets + 1)
+        )
+        # CSR over the (sorted-by-net) pair arrays: pairs of net ``ni`` live
+        # in ``pair_ptr[ni]:pair_ptr[ni + 1]`` — the per-net segment view the
+        # batched trial evaluator uses to re-accumulate single net loads.
+        pins = np.bincount(
+            self.pair_net, weights=self.pair_pins, minlength=self.num_nets
+        )
+        self.fanout = pins.astype(np.int64) + self.net_is_output
+        self.ext_cap = np.where(self.net_is_output, 2.0, 0.0)
+        kind = self.cell_kind
+        self.cell_is_seq = kind == _DFF
+        is_const0, is_const1 = kind == _CONST0, kind == _CONST1
+        self.cell_is_const = is_const0 | is_const1
+        self.seq_cells = np.flatnonzero(self.cell_is_seq)
+        self.seq_out = self.cell_out[self.seq_cells]
+        self.seq_d = self.cell_in_net[self.cell_in_ptr[self.seq_cells]]
+        self.seq_names = list(
+            map(self.cell_names.__getitem__, self.seq_cells.tolist())
+        )
+        self.const_out = self.cell_out[self.cell_is_const]
+        self.const0_out = self.cell_out[is_const0]
+        self.const1_out = self.cell_out[is_const1]
+        self.pi_is_clock = self.net_is_clock[self.pi_nets]
+        self._levelize()
         self._power_schedule = None
+
+    def _levelize(self) -> None:
+        """Level every combinational cell; pack per-level input CSRs.
+
+        ``level(cell) = max(level(driver) + 1)`` over its combinational
+        drivers, 0 when every input is a PI, register or constant output —
+        level-synchronous Kahn over the pin arrays.  Cells within a level
+        are in cell-index order.
+
+        Raises:
+            NetlistError: if the combinational logic contains a cycle.
+        """
+        m = self.num_cells
+        comb = ~(self.cell_is_seq | self.cell_is_const)
+        counts = np.diff(self.cell_in_ptr)
+        pin_cell = np.repeat(np.arange(m), counts)
+        driver = np.full(self.num_nets, -1, dtype=np.intp)
+        driver[self.cell_out] = np.arange(m)
+        src = driver[self.cell_in_net]
+        dep = comb[pin_cell] & (src >= 0)
+        dep[dep] = comb[src[dep]]
+        src, dst = src[dep], pin_cell[dep]
+        waiting = np.bincount(dst, minlength=m)
+        order = np.argsort(src, kind="stable")
+        readers = dst[order]
+        reader_ptr = np.searchsorted(src[order], np.arange(m + 1))
+        level = np.full(m, -1, dtype=np.int64)
+        frontier = np.flatnonzero(comb & (waiting == 0))
+        depth = 0
+        placed = 0
+        while frontier.size:
+            level[frontier] = depth
+            placed += frontier.size
+            hits = np.bincount(
+                readers[_segments(reader_ptr, frontier)], minlength=m
+            )
+            waiting -= hits
+            frontier = np.flatnonzero((waiting == 0) & (hits > 0))
+            depth += 1
+        if placed != np.count_nonzero(comb):
+            raise NetlistError("combinational cycle detected")
+        self.cell_level = level
+        comb_cells = np.flatnonzero(comb)
+        by_level = comb_cells[np.argsort(level[comb_cells], kind="stable")]
+        bounds = np.searchsorted(level[by_level], np.arange(depth + 1))
+        pin_ptr = np.zeros(len(by_level) + 1, dtype=np.intp)
+        np.cumsum(counts[by_level], out=pin_ptr[1:])
+        in_net = self.cell_in_net[_segments(self.cell_in_ptr, by_level)]
+        out = self.cell_out[by_level]
+        self.levels = []
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            first = pin_ptr[lo]
+            self.levels.append(_Level(
+                by_level[lo:hi],
+                out[lo:hi],
+                pin_ptr[lo:hi + 1] - first,
+                in_net[first:pin_ptr[hi]],
+            ))
 
     # -- power schedule (lazy: pure-STA users never pay for it) ---------------
 
@@ -255,11 +448,9 @@ class SoAStructure:
         if len(self.const1_out):
             schedule.append(("CONST1", None, self.const1_out, None))
         for lvl in self.levels:
-            groups: dict[str, list[int]] = {}
-            for pos, ci in enumerate(lvl.cells):
-                groups.setdefault(self.cell_gate[ci], []).append(pos)
-            for kind, positions in groups.items():
-                pos_arr = np.asarray(positions, dtype=np.intp)
+            kinds = self.cell_kind[lvl.cells]
+            for code in np.unique(kinds).tolist():
+                pos_arr = np.flatnonzero(kinds == code)
                 cells_arr = lvl.cells[pos_arr]
                 out_arr = lvl.out[pos_arr]
                 starts = lvl.in_ptr[pos_arr]
@@ -267,7 +458,7 @@ class SoAStructure:
                 in_cols = np.stack(
                     [lvl.in_net[starts + pin] for pin in range(arity)]
                 ) if arity else np.zeros((0, len(pos_arr)), dtype=np.intp)
-                schedule.append((kind, cells_arr, out_arr, in_cols))
+                schedule.append((_KINDS[code], cells_arr, out_arr, in_cols))
         self._power_schedule = schedule
         return schedule
 
@@ -278,26 +469,61 @@ _STRUCT_LOCK = threading.Lock()
 _STRUCTURES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _STRUCT_HITS = 0
 _STRUCT_MISSES = 0
+_STRUCT_PATCHES = 0
+
+
+def _touched(events) -> tuple[set[str], set[str]] | None:
+    """Cells and nets the structural events name; None if one names nothing."""
+    cells: set[str] = set()
+    nets: set[str] = set()
+    for event in events:
+        if event[0] != "structure":
+            continue
+        if len(event) == 2:  # ("structure", None) from touch()
+            return None
+        if event[1] is not None:
+            cells.add(event[1])
+        nets.update(event[2:])
+    return cells, nets
 
 
 def get_structure(netlist) -> SoAStructure:
-    """The lowered structure for ``netlist``, reusing a journal-valid cache."""
-    global _STRUCT_HITS, _STRUCT_MISSES
+    """The lowered structure for ``netlist``, from the cache when possible.
+
+    Resize-only journal events reuse the cached lowering (a hit); named
+    structural events patch it (:meth:`SoAStructure.patched`); ``touch()``,
+    a trimmed journal, no cached entry, or a patch that finds the netlist
+    inconsistent with the journal lower in full (a miss).
+    """
+    global _STRUCT_HITS, _STRUCT_MISSES, _STRUCT_PATCHES
+    touched = None
     with _STRUCT_LOCK:
         entry = _STRUCTURES.get(netlist)
         if entry is not None:
             cursor, structure = entry
             events = netlist.journal_since(cursor)
-            if events is not None and all(kind == "resize" for kind, _ in events):
+            if events is not None:
+                touched = _touched(events)
+            if touched is not None and not touched[0] and not touched[1]:
                 _STRUCTURES[netlist] = (netlist.version, structure)
                 _STRUCT_HITS += 1
                 perf.incr("soa.structure_hit")
                 return structure
+    version = netlist.version
+    if touched is not None:
+        with perf.timer("sta.lower"):
+            patched = structure.patched(netlist, *touched)
+        if patched is not None:
+            with _STRUCT_LOCK:
+                _STRUCT_PATCHES += 1
+                _STRUCTURES[netlist] = (version, patched)
+            perf.incr("soa.structure_patch")
+            return patched
     with perf.timer("sta.lower"):
         structure = SoAStructure(netlist)
     with _STRUCT_LOCK:
         _STRUCT_MISSES += 1
-        _STRUCTURES[netlist] = (netlist.version, structure)
+        _STRUCTURES[netlist] = (version, structure)
     perf.incr("soa.structure_miss")
     return structure
 
@@ -305,10 +531,11 @@ def get_structure(netlist) -> SoAStructure:
 def peek_structure(netlist) -> SoAStructure | None:
     """The cached lowering for ``netlist`` if still journal-valid, else None.
 
-    Unlike :func:`get_structure` this never lowers: callers that merely
-    *benefit* from the arrays (e.g. the fanout scan in
-    ``buffer_high_fanout``) use it to avoid paying a full lowering for a
-    netlist that is about to be structurally edited anyway.
+    Unlike :func:`get_structure` this never lowers or patches: callers
+    that merely *benefit* from the arrays (the fanout scan in
+    ``buffer_high_fanout``, the cell positions of a retiming undo record)
+    use it to avoid paying for a lowering of a netlist that is about to
+    be structurally edited anyway.
     """
     with _STRUCT_LOCK:
         entry = _STRUCTURES.get(netlist)
@@ -316,7 +543,7 @@ def peek_structure(netlist) -> SoAStructure | None:
             return None
         cursor, structure = entry
         events = netlist.journal_since(cursor)
-        if events is not None and all(kind == "resize" for kind, _ in events):
+        if events is not None and all(event[0] == "resize" for event in events):
             return structure
     return None
 
@@ -324,11 +551,14 @@ def peek_structure(netlist) -> SoAStructure | None:
 def structure_cache_stats() -> dict:
     """Lowering/kernel activity, shaped for ``perf.snapshot()["caches"]``."""
     with _STRUCT_LOCK:
-        entries, hits, misses = len(_STRUCTURES), _STRUCT_HITS, _STRUCT_MISSES
+        entries, hits, misses, patches = (
+            len(_STRUCTURES), _STRUCT_HITS, _STRUCT_MISSES, _STRUCT_PATCHES
+        )
     return {
         "entries": entries,
         "hits": hits,
         "misses": misses,
+        "patches": patches,
         "lower_s": round(perf.elapsed("sta.lower"), 6),
         "kernel_s": round(perf.elapsed("sta.kernel"), 6),
         "levels_run": perf.counter("sta.vector_levels"),
@@ -338,11 +568,12 @@ def structure_cache_stats() -> dict:
 
 
 def clear_structure_cache() -> None:
-    global _STRUCT_HITS, _STRUCT_MISSES
+    global _STRUCT_HITS, _STRUCT_MISSES, _STRUCT_PATCHES
     with _STRUCT_LOCK:
         _STRUCTURES.clear()
         _STRUCT_HITS = 0
         _STRUCT_MISSES = 0
+        _STRUCT_PATCHES = 0
 
 
 perf.register_stats_provider("vector_sta", structure_cache_stats)
@@ -372,10 +603,14 @@ class SoAKernel:
         self._rows: list[tuple] = []
         self._row_of: dict = {}
         self._params: np.ndarray | None = None
-        self.cell_row = np.zeros(s.num_cells, dtype=np.intp)
-        cells = netlist.cells
-        for ci, name in enumerate(s.cell_names):
-            self.cell_row[ci] = self._resolve_row(cells[name])
+        bindings = [
+            (cell.gate, cell.lib_cell)
+            for cell in map(netlist.cells.__getitem__, s.cell_names)
+        ]
+        rows = {key: self._row_for_binding(*key) for key in dict.fromkeys(bindings)}
+        self.cell_row = np.fromiter(
+            map(rows.__getitem__, bindings), dtype=np.intp, count=len(bindings)
+        )
         # constraint vectors (constraints object frozen per kernel)
         launch = ~self._pi_clock_mask()
         self.pi_launch = s.pi_nets[launch]

@@ -24,7 +24,8 @@ subscribes to the netlist's change journal (:mod:`repro.hdl.netlist`):
 when the only changes since the last ``analyze()`` are cell *resizes*
 (``lib_cell`` rebinds — the gate-sizing hot loop), it rebinds those
 cells' library rows and re-runs only the dirtied levels; structural
-edits, constraint changes or a trimmed journal rebuild from scratch.
+edits, constraint changes or a trimmed journal rebuild the kernel from
+scratch (over a lowering that structural edits merely patch).
 The contract is exact parity: ``analyze()`` returns bit-for-bit the
 same WNS/CPS/TNS, endpoint slacks and critical path as
 :meth:`TimingEngine.full_analyze` and as the plain per-cell scalar walk
@@ -249,11 +250,11 @@ class TimingEngine:
             self._invalidate()
             return
         resized: list[str] = []
-        for kind, name in events:
-            if kind == "structure":
+        for event in events:
+            if event[0] == "structure":
                 self._invalidate()
                 return
-            resized.append(name)
+            resized.append(event[1])
         for name in resized:
             cell = self.netlist.cells.get(name)
             if cell is None:  # resize of a since-removed cell implies structure

@@ -31,7 +31,10 @@ class TestJournal:
         nl.add_net("extra")
         nl.rewire_input("g_buf", "q", "extra")
         events = nl.journal_since(cursor)
-        assert events == [("structure", None), ("structure", None)]
+        assert events == [
+            ("structure", None, "extra"),
+            ("structure", "g_buf", "q", "extra"),
+        ]
 
     def test_resize_event_via_lib_cell_setter(self):
         nl = small_netlist()
