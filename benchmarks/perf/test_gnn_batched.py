@@ -20,11 +20,8 @@ from repro.gnn import GraphBatch, GraphSAGE, embedding_cache, pack_graphs
 from repro.gnn.batch import batched_forward
 from repro.mentor.circuit_graph import build_circuit_graph
 from repro.mentor.embeddings import CircuitEncoder
-from repro.mentor.metric_learning import (
-    MetricTrainer,
-    _multi_similarity_loss_loop,
-    multi_similarity_loss,
-)
+from repro.mentor.metric_learning import MetricTrainer, multi_similarity_loss
+from tests.mentor.loss_reference import multi_similarity_loss_loop
 
 # Single-core CI runners are noisy; min-over-many-repeats is the only
 # stable statistic.  Embed calls are ~150us so they get a large budget.
@@ -147,7 +144,7 @@ def test_vectorized_ms_epoch_speedup(bench_results):
             norms = np.linalg.norm(embeddings, axis=1, keepdims=True)
             norms[norms == 0] = 1.0
             normalized = embeddings / norms
-            _loss, grad_norm = _multi_similarity_loss_loop(
+            _loss, grad_norm = multi_similarity_loss_loop(
                 normalized, labels_arr[idx]
             )
             model.zero_grad()
@@ -171,7 +168,7 @@ def test_vectorized_ms_epoch_speedup(bench_results):
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
     loss_labels = rng.integers(0, 7, size=64)
     vec_s, vec_out = _best(lambda: multi_similarity_loss(emb, loss_labels), 20)
-    loop_s, loop_out = _best(lambda: _multi_similarity_loss_loop(emb, loss_labels), 20)
+    loop_s, loop_out = _best(lambda: multi_similarity_loss_loop(emb, loss_labels), 20)
     np.testing.assert_allclose(vec_out[0], loop_out[0], rtol=1e-12)
 
     speedup = baseline_s / batched_s

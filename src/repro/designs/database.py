@@ -3,8 +3,10 @@
 Open-source designs are synthesized under several compile/optimization
 strategies; the scripts, QoR results and CircuitMentor embeddings are
 stored so SynthRAG can retrieve "designs like this one, and what worked
-for them".  The best-timing script per design is the *expert draft* the
-paper describes converting to Design Compiler format.
+for them".  Design and module embeddings live in exact
+:class:`~repro.vectorstore.FlatIndex` indexes.  The best-timing script
+per design is the *expert draft* the paper describes converting to
+Design Compiler format.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from ..mentor.circuit_graph import build_circuit_graph
 from ..mentor.embeddings import CircuitEncoder
 from ..synth.dcshell import DCShell
 from ..synth.reports import QoRSnapshot
-from ..vectorstore import make_index
+from ..vectorstore import FlatIndex
 from .chipyard import SoCDesign, generate_corpus
 
 __all__ = ["Strategy", "STRATEGIES", "DatabaseEntry", "ExpertDatabase", "build_default_database"]
@@ -150,10 +152,8 @@ class ExpertDatabase:
     def __init__(self, encoder: CircuitEncoder) -> None:
         self.encoder = encoder
         self.entries: dict[str, DatabaseEntry] = {}
-        # Index choice rides the REPRO_ANN gate: exact FlatIndex by
-        # default, HNSW + exact rerank for million-module corpora.
-        self.design_index = make_index(dim=encoder.embedding_dim, metric="cosine")
-        self.module_index = make_index(dim=encoder.embedding_dim, metric="cosine")
+        self.design_index = FlatIndex(encoder.embedding_dim, metric="cosine")
+        self.module_index = FlatIndex(encoder.embedding_dim, metric="cosine")
 
     def add_design(
         self,
@@ -215,21 +215,13 @@ class ExpertDatabase:
     def search_designs(self, query_embeddings: np.ndarray, k: int = 3) -> list[list]:
         """Design-index hits for one or many query embeddings.
 
-        More than one query in hand routes through the index's stacked
-        ``search_batch`` kernel (one distance computation for the whole
-        batch — exact under the default :class:`FlatIndex`, lockstep beam
-        under ``REPRO_ANN``); a single query keeps the scalar path.
+        Every query scores in one stacked ``search_batch`` distance
+        computation; a single embedding is a batch of one row.
         """
-        query_embeddings = np.atleast_2d(np.asarray(query_embeddings, dtype=np.float64))
-        if query_embeddings.shape[0] == 1:
-            return [self.design_index.search(query_embeddings[0], k=k)]
         return self.design_index.search_batch(query_embeddings, k=k)
 
     def search_modules(self, query_embeddings: np.ndarray, k: int = 3) -> list[list]:
         """Module-index twin of :meth:`search_designs`."""
-        query_embeddings = np.atleast_2d(np.asarray(query_embeddings, dtype=np.float64))
-        if query_embeddings.shape[0] == 1:
-            return [self.module_index.search(query_embeddings[0], k=k)]
         return self.module_index.search_batch(query_embeddings, k=k)
 
     def __len__(self) -> int:

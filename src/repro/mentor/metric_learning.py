@@ -91,41 +91,6 @@ def multi_similarity_loss(
     return loss, grad
 
 
-def _multi_similarity_loss_loop(
-    embeddings: np.ndarray,
-    labels: np.ndarray,
-    alpha: float = 2.0,
-    beta: float = 10.0,
-    base: float = 0.5,
-) -> tuple[float, np.ndarray]:
-    """Reference O(n^2)-Python implementation of the multi-similarity loss.
-
-    Kept for the vectorization benchmark and as an oracle in tests; not
-    used on any production path.
-    """
-    n = len(embeddings)
-    sims = embeddings @ embeddings.T
-    loss = 0.0
-    grad_sims = np.zeros_like(sims)
-    for i in range(n):
-        pos = [j for j in range(n) if j != i and labels[j] == labels[i]]
-        neg = [j for j in range(n) if labels[j] != labels[i]]
-        if pos:
-            exp_pos = np.array([np.exp(-alpha * (sims[i, j] - base)) for j in pos])
-            loss += np.log1p(exp_pos.sum()) / alpha
-            coeff = -exp_pos / (1.0 + exp_pos.sum())
-            for j, c in zip(pos, coeff):
-                grad_sims[i, j] += c
-        if neg:
-            exp_neg = np.array([np.exp(beta * (sims[i, j] - base)) for j in neg])
-            loss += np.log1p(exp_neg.sum()) / beta
-            coeff = exp_neg / (1.0 + exp_neg.sum())
-            for j, c in zip(neg, coeff):
-                grad_sims[i, j] += c
-    grad = (grad_sims + grad_sims.T) @ embeddings
-    return float(loss), grad
-
-
 def n_pair_loss(
     anchor: np.ndarray, positive: np.ndarray, negatives: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:

@@ -7,6 +7,9 @@ Graph embedding        join (kNN+rerank)  compile & optimization strategy
 Graph structure        direct (Cypher)    module code / gate cell info
 LLM (text) embedding   kNN + LLM rerank   command usage & requirements
 =====================  =================  ==============================
+
+Every kNN is an exact :class:`~repro.vectorstore.FlatIndex` search,
+and a single query is a batch of one row.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from ..graphdb import GraphStore, execute
 from ..llm.base import LLMClient
 from ..synth.library import TechLibrary
 from ..textembed import HashingEmbedder
-from ..vectorstore import SearchResult, make_index
+from ..vectorstore import FlatIndex, SearchResult
 from .manual import ManualEntry, manual_corpus
 from .rerank import LLMReranker, domain_rerank
 
@@ -276,9 +279,7 @@ class ManualRetriever:
         corpus_texts = [e.text for e in self.entries]
         self.embedder = embedder or HashingEmbedder(dim=256).fit_idf(corpus_texts)
         self.reranker = reranker
-        # REPRO_ANN=0 (default): exact FlatIndex, bit-identical retrieval;
-        # REPRO_ANN=1: HNSW shortlist + exact rerank for large manuals.
-        self.index = make_index(dim=self.embedder.dim, metric="cosine")
+        self.index = FlatIndex(self.embedder.dim, metric="cosine")
         for entry in self.entries:
             self.index.add(entry.command, self.embedder.embed(entry.text), payload=entry)
 
@@ -293,20 +294,15 @@ class ManualRetriever:
     ) -> list[list[ManualHit]]:
         """Batched :meth:`retrieve`: one stacked index search for all queries.
 
-        With more than one query in hand the embedding lookups run as a
-        single ``search_batch`` kernel call (exact FlatIndex or lockstep
-        HNSW under ``REPRO_ANN``); the per-query LLM rerank then reorders
-        each row independently, so row ``i`` matches ``retrieve(queries[i])``.
+        The embedding lookups run as a single ``search_batch`` kernel
+        call; the per-query LLM rerank then reorders each row
+        independently, so row ``i`` matches ``retrieve(queries[i])``.
         """
         if not queries:
             return []
         rerank = rerank and self.reranker is not None
-        fetch_k = k * 2 if rerank else k
-        if len(queries) == 1:
-            hits_rows = [self.index.search(self.embedder.embed(queries[0]), k=fetch_k)]
-        else:
-            stacked = np.stack([self.embedder.embed(query) for query in queries])
-            hits_rows = self.index.search_batch(stacked, k=fetch_k)
+        stacked = np.stack([self.embedder.embed(query) for query in queries])
+        hits_rows = self.index.search_batch(stacked, k=k * 2 if rerank else k)
         return [
             self._finalize(query, hits, k, rerank)
             for query, hits in zip(queries, hits_rows)

@@ -7,8 +7,10 @@ script, same library, same starting constraints always yield the same
 result — so one content-addressed lookup replaces a full
 elaborate/map/optimize/time run.
 
-Keys are SHA-256 over (library name, design name, RTL source, top module,
-script text); for callers that already hold an elaborated netlist,
+Keys are SHA-256 over (library digest, design name, RTL source, top module,
+script text); the digest (:meth:`TechLibrary.digest`) covers every cell
+value, so two same-named libraries with different cells never share a
+result.  For callers that already hold an elaborated netlist,
 :meth:`Netlist.fingerprint` supplies the netlist half of the key instead of
 the RTL text.  Values are deep copies of :class:`ScriptResult`, so cached
 transcripts/QoR can never be mutated by one caller into another.
@@ -118,7 +120,7 @@ def atomic_pickle_read(path: str, expected_type: type):
 
 
 def synthesis_key(
-    library_name: str,
+    library_digest: str,
     design_name: str,
     content: str,
     top: str | None,
@@ -126,11 +128,12 @@ def synthesis_key(
 ) -> str:
     """Content address for one (design, script) synthesis run.
 
-    ``content`` is either the RTL source or a netlist fingerprint — any
-    stable digest of what ``read_verilog`` will load.
+    ``library_digest`` is :meth:`TechLibrary.digest` of the target
+    library.  ``content`` is either the RTL source or a netlist
+    fingerprint — any stable digest of what ``read_verilog`` will load.
     """
     h = hashlib.sha256()
-    for part in (library_name, design_name, content, top or "", script):
+    for part in (library_digest, design_name, content, top or "", script):
         h.update(part.encode())
         h.update(b"\x00")
     return h.hexdigest()
@@ -442,7 +445,7 @@ def synthesize_cached(
         shell = DCShell(library=library)
         key = None
         if use_cache:
-            key = synthesis_key(shell.library.name, design_name, verilog, top, script)
+            key = synthesis_key(shell.library.digest(), design_name, verilog, top, script)
             cached = store.get(key, disk_dir)
             if cached is not None:
                 sp.set_attribute("cached", True)

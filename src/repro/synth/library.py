@@ -12,7 +12,8 @@ Table IV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass
 
 __all__ = ["LibCell", "TechLibrary", "nangate45"]
 
@@ -61,16 +62,33 @@ class TechLibrary:
         self.name = name
         self._by_name: dict[str, LibCell] = {}
         self._by_function: dict[str, list[LibCell]] = {}
+        self._digest: str | None = None
         for cell in cells:
             self.add_cell(cell)
 
     def add_cell(self, cell: LibCell) -> None:
         if cell.name in self._by_name:
             raise ValueError(f"duplicate cell {cell.name!r}")
+        self._digest = None
         self._by_name[cell.name] = cell
         siblings = self._by_function.setdefault(cell.function, [])
         siblings.append(cell)
         siblings.sort(key=lambda c: c.drive)
+
+    def digest(self) -> str:
+        """SHA-256 over the library name and every field of every cell.
+
+        A cell's dataclass ``repr`` names every field, with floats written
+        exactly, so two libraries share a digest only if they hold the
+        same cells with the same values in the same order.  Result caches
+        key on it.  Memoized; :meth:`add_cell` resets it.
+        """
+        if self._digest is None:
+            h = hashlib.sha256(self.name.encode())
+            for cell in self._by_name.values():
+                h.update(repr(cell).encode())
+            self._digest = h.hexdigest()
+        return self._digest
 
     def cell(self, name: str) -> LibCell:
         try:

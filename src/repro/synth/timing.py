@@ -183,24 +183,6 @@ class TimingEngine:
             self._loads[net_name] = load
         return load
 
-    def net_load(self, net_name: str) -> float:
-        """Total load in fF: sink pin caps + wireload estimate."""
-        self._sync()
-        return self._load_of(net_name)
-
-    def _delay_of(self, cell: Cell) -> float:
-        if cell.gate in _CONSTS:
-            return 0.0
-        lib = self._bound_of(cell)
-        if cell.is_sequential:
-            return lib.clk_to_q + lib.drive_res * self._load_of(cell.output) / 1000.0
-        return lib.delay(self._load_of(cell.output))
-
-    def cell_delay(self, cell: Cell) -> float:
-        """Delay of ``cell`` driving its output net."""
-        self._sync()
-        return self._delay_of(cell)
-
     # -- journal synchronisation -----------------------------------------------------
 
     def _env_signature(self) -> tuple:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -21,40 +20,18 @@ _LIVE_INDEXES: "weakref.WeakSet" = weakref.WeakSet()
 
 
 def live_index_stats() -> dict:
-    """Aggregate health of every live index (``vectorstore`` provider).
-
-    Beyond raw size, the ANN indexes contribute graph shape and search
-    effort counters (hops, distance evaluations, brute-force fallbacks)
-    so the metrics endpoint can watch retrieval cost drift as corpora
-    grow — a cheap recall proxy: effort per query collapsing while the
-    corpus grows is the signature of a degraded graph.
-    """
+    """Aggregate size and search count of every live index (``vectorstore`` provider)."""
     indexes = list(_LIVE_INDEXES)
-    totals = {
+    return {
         "indexes": len(indexes),
         "vectors": sum(len(ix) for ix in indexes),
-        "rebuilds": sum(getattr(ix, "rebuilds", 0) for ix in indexes),
-        "graph_edges": 0,
-        "searches": 0,
-        "hops": 0,
-        "dist_evals": 0,
-        "exhaustive_searches": 0,
+        "rebuilds": sum(ix.rebuilds for ix in indexes),
+        "searches": sum(ix.searches for ix in indexes),
     }
-    for ix in indexes:
-        counters = getattr(ix, "search_counters", None)
-        if callable(counters):
-            for name, value in counters().items():
-                totals[name] = totals.get(name, 0) + value
-    return totals
 
 
 def topk_order(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` largest scores, best first.
-
-    The shared selection kernel: every index funnels its final ranking
-    through this so tie handling is identical across exact search, ANN
-    rerank and the batched paths.
-    """
+    """Indices of the ``k`` largest scores, best first."""
     k = min(k, scores.shape[-1])
     if k <= 0:
         return np.empty(0, dtype=np.intp)
@@ -72,32 +49,30 @@ class SearchResult:
 
 
 class FlatIndex:
-    """Exact nearest-neighbour search over dense vectors.
+    """Exact nearest-neighbour search over dense float64 vectors.
 
     Vectors are added with a hashable ``key`` and an optional ``payload``
     (any object — SynthRAG stores strategy records here).  ``search``
     returns the top-k entries by the chosen metric, largest score first.
+    ``add`` and ``search`` are ``add_batch`` and ``search_batch`` of one
+    row, so single and batched calls share one code path.
 
     Storage is a :class:`~repro.vectorstore.storage.VectorArena`: one
     preallocated contiguous matrix that doubles in capacity when full,
     so interleaved add/search streams cost O(1) amortized per add — a
-    search never triggers a rebuild, and only capacity growth (or a
-    mmap materialization) reallocates.  ``rebuilds`` counts those
-    reallocations.  ``remove`` swaps the last row into the hole, so it
-    is O(dim) and touches exactly one key position.
+    search never reallocates.  ``rebuilds`` counts the capacity growths.
     """
 
-    def __init__(
-        self, dim: int, metric: str = "cosine", dtype: Any = np.float64
-    ) -> None:
+    def __init__(self, dim: int, metric: str = "cosine") -> None:
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}")
-        self._arena = VectorArena(dim, dtype=dtype)
+        self._arena = VectorArena(dim)
         self.metric = metric
         self._keys: list[Any] = []
         self._payloads: list[Any] = []
         self._key_pos: dict[Any, int] = {}
-        self._searches = 0
+        #: Queries scored so far (one per row of every ``search_batch``).
+        self.searches = 0
         _LIVE_INDEXES.add(self)
 
     @property
@@ -106,7 +81,7 @@ class FlatIndex:
 
     @property
     def rebuilds(self) -> int:
-        """Matrix reallocations (capacity doublings + mmap detach)."""
+        """Matrix reallocations (capacity growths)."""
         return self._arena.rebuilds
 
     def __len__(self) -> int:
@@ -117,12 +92,7 @@ class FlatIndex:
 
     def add(self, key: Any, vector: Sequence[float], payload: Any = None) -> None:
         """Insert one vector; duplicate keys are rejected."""
-        if key in self._key_pos:
-            raise ValueError(f"duplicate key {key!r}")
-        position = self._arena.append(vector)
-        self._key_pos[key] = position
-        self._keys.append(key)
-        self._payloads.append(payload)
+        self.add_batch([key], np.asarray(vector, dtype=np.float64).reshape(1, -1), [payload])
 
     def add_batch(
         self,
@@ -137,7 +107,7 @@ class FlatIndex:
         payloads = list(payloads) if payloads is not None else [None] * len(keys)
         if len(payloads) != len(keys):
             raise ValueError("payloads length must match keys")
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=self._arena.dtype))
+        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         if vectors.shape[0] != len(keys):
             raise ValueError("vectors row count must match keys")
         fresh = set()
@@ -151,53 +121,27 @@ class FlatIndex:
         self._keys.extend(keys)
         self._payloads.extend(payloads)
 
-    def remove(self, key: Any) -> None:
-        """Swap-with-last removal: O(dim), one ``_key_pos`` update."""
-        idx = self._key_pos.pop(key)
-        moved_from = self._arena.swap_remove(idx)
-        last = len(self._keys) - 1
-        if moved_from is not None:
-            moved_key = self._keys[last]
-            self._keys[idx] = moved_key
-            self._payloads[idx] = self._payloads[last]
-            self._key_pos[moved_key] = idx
-        del self._keys[last], self._payloads[last]
-
     def get_vector(self, key: Any) -> np.ndarray:
-        return np.array(self._arena.row(self._key_pos[key]), dtype=np.float64)
-
-    def _database(self) -> np.ndarray:
-        return self._arena.view()
+        return self._arena.row(self._key_pos[key]).copy()
 
     def search(self, query: Sequence[float], k: int = 5) -> list[SearchResult]:
         """Top-``k`` entries closest to ``query`` (largest score first)."""
-        if not len(self):
-            return []
-        query = np.asarray(query, dtype=np.float64).reshape(1, -1)
-        if query.shape[1] != self.dim:
-            raise ValueError(f"expected dim {self.dim}, got {query.shape[1]}")
-        self._searches += 1
-        scores = pairwise_scores(query, self._database(), self.metric)[0]
-        top = topk_order(scores, k)
-        return [
-            SearchResult(key=self._keys[i], score=float(scores[i]), payload=self._payloads[i])
-            for i in top
-        ]
+        return self.search_batch(np.asarray(query, dtype=np.float64).reshape(1, -1), k)[0]
 
     def search_batch(self, queries: np.ndarray, k: int = 5) -> list[list[SearchResult]]:
-        """Batched exact search: one stacked distance computation.
+        """Exact search for every row of ``queries``: one stacked distance computation.
 
-        All queries score against the arena in a single
-        ``(B, n)`` kernel call, then each row is ranked independently —
-        the per-query numpy dispatch overhead is paid once per batch.
+        All queries score against the arena in a single ``(B, n)`` kernel
+        call, then each row is ranked independently — the per-query numpy
+        dispatch overhead is paid once per batch.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if queries.shape[1] != self.dim:
             raise ValueError(f"expected dim {self.dim}, got {queries.shape[1]}")
         if not len(self):
             return [[] for _ in range(queries.shape[0])]
-        self._searches += queries.shape[0]
-        scores = pairwise_scores(queries, self._database(), self.metric)
+        self.searches += queries.shape[0]
+        scores = pairwise_scores(queries, self._arena.view(), self.metric)
         out: list[list[SearchResult]] = []
         for row in scores:
             top = topk_order(row, k)
@@ -210,37 +154,3 @@ class FlatIndex:
                 ]
             )
         return out
-
-    def search_counters(self) -> dict:
-        return {"searches": self._searches}
-
-    # -- persistence -----------------------------------------------------------
-
-    def save(self, prefix: str | os.PathLike) -> None:
-        """Persist to ``<prefix>.npy`` + ``<prefix>.json``.
-
-        Keys and payloads land in the JSON sidecar, so both must be
-        JSON-serializable (payloads default to ``None``, which is).
-        """
-        self._arena.save(
-            prefix,
-            sidecar={
-                "index": "flat",
-                "metric": self.metric,
-                "keys": self._keys,
-                "payloads": self._payloads,
-            },
-        )
-
-    @classmethod
-    def load(cls, prefix: str | os.PathLike, mmap: bool = True) -> "FlatIndex":
-        """Reopen a saved index; ``mmap=True`` maps vectors zero-copy."""
-        arena, sidecar = VectorArena.load(prefix, mmap=mmap)
-        index = cls(arena.dim, metric=sidecar["metric"], dtype=arena.dtype)
-        index._arena = arena
-        index._keys = list(sidecar["keys"])
-        index._payloads = list(sidecar["payloads"])
-        index._key_pos = {key: i for i, key in enumerate(index._keys)}
-        if len(index._keys) != len(arena):
-            raise ValueError("sidecar keys do not match stored vectors")
-        return index

@@ -1,19 +1,10 @@
-"""Contiguous vector storage with memory-mapped persistence.
+"""Contiguous vector storage behind :class:`~repro.vectorstore.flat.FlatIndex`.
 
-:class:`VectorArena` is the storage layer behind every vector index: a
-single 2-D array (float32-capable; float64 default for bit-exact parity
-with the historical list-backed stores) that doubles in capacity on
-append, so interleaved add/search streams cost O(1) amortized per add
-and a search always scores against one contiguous block — no per-search
+:class:`VectorArena` keeps every vector of an index in one float64
+``(capacity, dim)`` block that doubles in capacity when full, so
+interleaved add/search streams cost O(1) amortized per add and a search
+always scores against one contiguous block — no per-search
 ``np.vstack``.
-
-Persistence is a plain ``.npy`` file plus a JSON sidecar
-(``<prefix>.npy`` + ``<prefix>.json``): :meth:`VectorArena.load` with
-``mmap=True`` maps the vectors read-only straight off the page cache, so
-a million-vector corpus opens without copying and several processes
-share one physical copy.  A memory-mapped arena stays zero-copy until
-the first mutation, which materializes it to heap memory first
-(copy-on-write growth).
 
 Arenas pickle as their trimmed contiguous matrix (protocol-5 pickling
 exports the buffer out-of-band), so they ride the process pool's
@@ -22,43 +13,27 @@ exports the buffer out-of-band), so they ride the process pool's
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-from typing import Any, Sequence
-
 import numpy as np
 
 __all__ = ["VectorArena"]
 
-#: Sidecar format tag; bumped on incompatible layout changes.
-FORMAT = "repro-arena-v1"
-
 
 class VectorArena:
-    """A growable contiguous ``(capacity, dim)`` vector block.
+    """A growable contiguous float64 ``(capacity, dim)`` vector block.
 
-    Rows are identified by their integer position.  ``swap_remove``
-    fills holes with the last row so the block stays dense; callers that
-    maintain key→position maps get the moved row's old index back and
-    patch exactly one entry.
+    Rows are identified by their integer position, in insertion order.
     """
 
-    __slots__ = ("dim", "dtype", "_data", "_size", "rebuilds", "mmapped")
+    __slots__ = ("dim", "_data", "_size", "rebuilds")
 
-    def __init__(
-        self, dim: int, dtype: Any = np.float64, capacity: int = 0
-    ) -> None:
+    def __init__(self, dim: int) -> None:
         if dim <= 0:
             raise ValueError("dim must be positive")
         self.dim = dim
-        self.dtype = np.dtype(dtype)
-        self._data = np.empty((capacity, dim), dtype=self.dtype)
+        self._data = np.empty((0, dim))
         self._size = 0
-        #: Reallocations (capacity growth + mmap materialization).
+        #: Reallocations (capacity growth).
         self.rebuilds = 0
-        #: Whether the backing block is still the read-only mapped file.
-        self.mmapped = False
 
     def __len__(self) -> int:
         return self._size
@@ -76,148 +51,35 @@ class VectorArena:
             raise IndexError(f"row {index} out of range (size {self._size})")
         return self._data[index]
 
-    def _coerce(self, vector: Sequence[float]) -> np.ndarray:
-        vector = np.asarray(vector, dtype=self.dtype).reshape(-1)
-        if vector.shape[0] != self.dim:
-            raise ValueError(f"expected dim {self.dim}, got {vector.shape[0]}")
-        return vector
-
-    def _materialize(self) -> None:
-        """Detach from a read-only mapping before the first mutation."""
-        if self.mmapped:
-            self._data = np.array(self._data, dtype=self.dtype)
-            self.mmapped = False
-            self.rebuilds += 1
-
     def _grow(self, minimum: int) -> None:
-        self._materialize()
         capacity = max(4, self.capacity)
         while capacity < minimum:
             capacity *= 2
-        grown = np.empty((capacity, self.dim), dtype=self.dtype)
+        grown = np.empty((capacity, self.dim))
         grown[: self._size] = self._data[: self._size]
         self._data = grown
         self.rebuilds += 1
 
-    def append(self, vector: Sequence[float]) -> int:
-        """Add one row; returns its position."""
-        vector = self._coerce(vector)
-        self._materialize()
-        if self._size == self.capacity:
-            self._grow(self._size + 1)
-        self._data[self._size] = vector
-        self._size += 1
-        return self._size - 1
-
     def extend(self, matrix: np.ndarray) -> range:
         """Block-copy ``matrix`` rows in; returns the new positions."""
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=self.dtype))
-        if matrix.size == 0:
-            return range(self._size, self._size)
+        matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
         if matrix.ndim != 2 or matrix.shape[1] != self.dim:
-            raise ValueError(f"expected (*, {self.dim}) rows, got {matrix.shape}")
+            raise ValueError(f"expected dim {self.dim}, got rows of shape {matrix.shape}")
         start = self._size
         count = matrix.shape[0]
-        self._materialize()
         if start + count > self.capacity:
             self._grow(start + count)
         self._data[start : start + count] = matrix
         self._size += count
         return range(start, start + count)
 
-    def swap_remove(self, index: int) -> int | None:
-        """Remove a row by overwriting it with the last row.
-
-        Returns the old position of the row that moved (always the last
-        one), or ``None`` when the removed row *was* the last.
-        """
-        if not 0 <= index < self._size:
-            raise IndexError(f"row {index} out of range (size {self._size})")
-        self._materialize()
-        last = self._size - 1
-        if index != last:
-            self._data[index] = self._data[last]
-        self._size = last
-        return last if index != last else None
-
-    # -- persistence -----------------------------------------------------------
-
-    def save(self, prefix: str | os.PathLike, sidecar: dict | None = None) -> None:
-        """Write ``<prefix>.npy`` + ``<prefix>.json`` atomically.
-
-        ``sidecar`` entries (keys, payloads, index parameters...) must be
-        JSON-serializable; they come back verbatim from :meth:`load`.
-        """
-        prefix = os.fspath(prefix)
-        meta = dict(sidecar or {})
-        meta["format"] = FORMAT
-        meta["dim"] = self.dim
-        meta["dtype"] = self.dtype.name
-        meta["size"] = self._size
-        directory = os.path.dirname(prefix) or "."
-        blob = json.dumps(meta)  # serialize before touching the filesystem
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".npy.tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.save(handle, np.ascontiguousarray(self.view()))
-            os.replace(tmp, prefix + ".npy")
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".json.tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(blob)
-            os.replace(tmp, prefix + ".json")
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    @classmethod
-    def load(
-        cls, prefix: str | os.PathLike, mmap: bool = True
-    ) -> tuple["VectorArena", dict]:
-        """Open a saved arena; returns ``(arena, sidecar)``.
-
-        With ``mmap=True`` the vectors stay on disk, mapped read-only;
-        the arena materializes to heap memory only if mutated.
-        """
-        prefix = os.fspath(prefix)
-        with open(prefix + ".json") as handle:
-            meta = json.load(handle)
-        if meta.get("format") != FORMAT:
-            raise ValueError(f"unrecognized arena format {meta.get('format')!r}")
-        data = np.load(prefix + ".npy", mmap_mode="r" if mmap else None)
-        if data.ndim != 2 or data.shape != (meta["size"], meta["dim"]):
-            raise ValueError(
-                f"arena file shape {data.shape} does not match sidecar "
-                f"({meta['size']}, {meta['dim']})"
-            )
-        arena = cls(meta["dim"], dtype=meta["dtype"], capacity=0)
-        arena._data = data
-        arena._size = meta["size"]
-        arena.mmapped = mmap
-        sidecar = {
-            k: v for k, v in meta.items()
-            if k not in ("format", "dim", "dtype", "size")
-        }
-        return arena, sidecar
-
     # -- pickling (SharedRef / process-pool transport) ---------------------------
 
     def __getstate__(self) -> dict:
-        return {
-            "dim": self.dim,
-            "dtype": self.dtype.name,
-            "data": np.ascontiguousarray(self.view()),
-        }
+        return {"dim": self.dim, "data": np.ascontiguousarray(self.view())}
 
     def __setstate__(self, state: dict) -> None:
         self.dim = state["dim"]
-        self.dtype = np.dtype(state["dtype"])
         self._data = state["data"]
         self._size = state["data"].shape[0]
         self.rebuilds = 0
-        self.mmapped = False

@@ -33,9 +33,7 @@ def _approx_scores(batch_hits, loop_hits):
 
 
 class TestManualRetrieverBatch:
-    @pytest.mark.parametrize("ann", ["0", "1"])
-    def test_matches_single_query_loop(self, monkeypatch, ann):
-        monkeypatch.setenv("REPRO_ANN", ann)
+    def test_matches_single_query_loop(self):
         retriever = ManualRetriever()
         batch = retriever.retrieve_batch(QUERIES, k=3)
         for row, query in enumerate(QUERIES):
@@ -57,7 +55,7 @@ class TestManualRetrieverBatch:
         batch = retriever.retrieve_batch([QUERIES[0]], k=3)
         single = retriever.retrieve(QUERIES[0], k=3)
         assert [h.command for h in batch[0]] == [h.command for h in single]
-        # Singleton batches take the scalar search path: scores bit-equal.
+        # A singleton batch scores the same (1, d) query: scores bit-equal.
         assert [h.score for h in batch[0]] == [h.score for h in single]
 
 

@@ -1,12 +1,20 @@
 """Tests for the content-addressed synthesis result cache."""
 
+import dataclasses
 import threading
 
 import pytest
 
 from repro.designs import get_benchmark
 from repro.eval.harness import baseline_script
-from repro.synth import ScriptResult, SynthesisCache, default_cache, synthesize_cached
+from repro.synth import (
+    ScriptResult,
+    SynthesisCache,
+    default_cache,
+    TechLibrary,
+    nangate45,
+    synthesize_cached,
+)
 from repro.synth.cache import cache_enabled, synthesis_key
 
 
@@ -37,6 +45,21 @@ class TestSynthesisKey:
         assert synthesis_key("l", "d", "v", None, "s") == synthesis_key(
             "l", "d", "v", None, "s"
         )
+
+    def test_library_digest_covers_cell_values(self):
+        base = nangate45()
+        assert base.digest() == nangate45().digest()
+        cells = base.cells()
+        tweaked = [dataclasses.replace(cells[0], leakage=cells[0].leakage + 1.0)]
+        same_name = TechLibrary(base.name, tweaked + cells[1:])
+        assert same_name.digest() != base.digest()
+
+    def test_add_cell_resets_library_digest(self):
+        lib = nangate45()
+        before = lib.digest()
+        extra = dataclasses.replace(lib.cell("INV_X1"), name="INV_X8", drive=8)
+        lib.add_cell(extra)
+        assert lib.digest() != before
 
 
 class TestSynthesisCache:
@@ -154,6 +177,31 @@ class TestSynthesizeCached:
             None, bench.name, bench.verilog, script, top=bench.top, cache=cache
         )
         assert len(cache) == 0
+
+    def test_same_named_library_with_other_cells_misses(self):
+        """A library with 3x intrinsic delays under the same name must not
+        be served the nangate45 result: the key hashes the cells."""
+        bench = get_benchmark("aes")
+        script = baseline_script(bench)
+        base = nangate45()
+        slow = TechLibrary(
+            base.name,
+            [dataclasses.replace(c, intrinsic=c.intrinsic * 3) for c in base.cells()],
+        )
+        cache = SynthesisCache()
+        first = synthesize_cached(
+            base, bench.name, bench.verilog, script, top=bench.top, cache=cache
+        )
+        served = synthesize_cached(
+            slow, bench.name, bench.verilog, script, top=bench.top, cache=cache
+        )
+        fresh = synthesize_cached(
+            slow, bench.name, bench.verilog, script, top=bench.top,
+            cache=SynthesisCache(),
+        )
+        assert cache.stats()["hits"] == 0
+        assert served.qor == fresh.qor
+        assert served.qor.wns < first.qor.wns
 
     def test_default_cache_is_shared(self):
         assert default_cache() is default_cache()

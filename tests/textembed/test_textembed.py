@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.textembed import HashingEmbedder, TfidfModel, char_ngrams, word_tokens
+from repro.textembed import HashingEmbedder, char_ngrams, word_tokens
 
 
 class TestTokenizer:
@@ -86,34 +86,3 @@ class TestHashingEmbedder:
         e = HashingEmbedder(dim=64)
         assert np.linalg.norm(e.embed(text)) <= 1.0 + 1e-9
 
-
-class TestTfidf:
-    CORPUS = [
-        "retiming moves registers to balance pipeline stages",
-        "buffer insertion fixes high fanout nets",
-        "compile ultra enables aggressive timing optimization",
-        "wireload models approximate net capacitance before layout",
-    ]
-
-    def test_rank_retrieves_topical_document(self):
-        model = TfidfModel().fit(self.CORPUS)
-        top, _ = model.rank("how to balance registers with retiming", k=1)[0]
-        assert top == 0
-
-    def test_rank_scores_descending(self):
-        model = TfidfModel().fit(self.CORPUS)
-        scores = [s for _, s in model.rank("timing optimization", k=4)]
-        assert scores == sorted(scores, reverse=True)
-
-    def test_transform_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            TfidfModel().transform("query")
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
-            TfidfModel().fit([])
-
-    def test_out_of_vocabulary_query(self):
-        model = TfidfModel().fit(self.CORPUS)
-        results = model.rank("zzz qqq xxx", k=2)
-        assert all(s == 0.0 for _, s in results)

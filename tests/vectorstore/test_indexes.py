@@ -73,14 +73,6 @@ class TestFlatIndex:
         with pytest.raises(ValueError):
             idx.search([1, 2])
 
-    def test_remove(self):
-        idx = FlatIndex(dim=2)
-        idx.add("a", [1, 0])
-        idx.add("b", [0, 1])
-        idx.remove("a")
-        assert "a" not in idx
-        assert idx.search([1, 0], k=1)[0].key == "b"
-
     def test_get_vector_round_trip(self):
         idx = FlatIndex(dim=3)
         idx.add("a", [1.5, 2.5, 3.5])
@@ -156,33 +148,6 @@ class TestFlatIndexGrowth:
         got = [(r.key, r.score) for r in grown.search(query, k=5)]
         want = [(r.key, r.score) for r in batch.search(query, k=5)]
         assert got == want
-
-    def test_remove_swaps_last_without_rebuild(self):
-        """Satellite (ISSUE 8): remove is swap-with-last — no O(n)
-        compaction, no reallocation, and every surviving key still maps
-        to its own vector."""
-        rng = np.random.default_rng(3)
-        vectors = rng.normal(size=(6, 3))
-        idx = FlatIndex(dim=3)
-        for i in range(6):
-            idx.add(i, vectors[i])
-        rebuilds = idx.rebuilds
-        idx.remove(2)
-        assert idx.rebuilds == rebuilds  # no matrix reallocation
-        assert 2 not in idx
-        for key in (0, 1, 3, 4, 5):
-            assert key in idx
-            np.testing.assert_array_equal(idx.get_vector(key), vectors[key])
-        # The swapped-in row (old last) must be searchable at its new slot.
-        assert idx.search(vectors[5], k=1)[0].key == 5
-
-    def test_remove_last_key(self):
-        idx = FlatIndex(dim=2)
-        idx.add("a", [1.0, 0.0])
-        idx.add("b", [0.0, 1.0])
-        idx.remove("b")
-        assert "b" not in idx and len(idx) == 1
-        assert idx.search([1.0, 0.0], k=2)[0].key == "a"
 
     def test_add_batch_rejects_duplicates_and_shape(self):
         idx = FlatIndex(dim=2)

@@ -1,22 +1,11 @@
-"""Cross-index parity: randomized recall, exactness, errors, persistence.
-
-Satellite suite for the ANN work: FlatIndex is ground truth, and every
-other index must either match it exactly (exhaustive settings) or clear
-a recall floor (ANN settings), raise the same errors for the same bad
-inputs, and survive mmap persistence — including into a fresh process.
-"""
-
-import subprocess
-import sys
+"""FlatIndex contract: error handling and the batched paths."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.vectorstore import FlatIndex, HNSWIndex
+from repro.vectorstore import FlatIndex
 
-ALL_INDEX_TYPES = [FlatIndex, HNSWIndex]
+ALL_INDEX_TYPES = [FlatIndex]
 
 
 def _corpus(seed: int, n: int, dim: int, clusters: int = 6) -> np.ndarray:
@@ -27,59 +16,6 @@ def _corpus(seed: int, n: int, dim: int, clusters: int = 6) -> np.ndarray:
         [c + rng.normal(scale=0.5, size=(per, dim)) for c in centers]
     )
     return rows[:n]
-
-
-class TestRandomizedRecall:
-    @settings(max_examples=8, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        metric=st.sampled_from(["cosine", "l2"]),
-    )
-    def test_hnsw_recall_at_default_ef(self, seed, metric):
-        """recall@10 >= 0.95 vs flat ground truth at default ef_search."""
-        data = _corpus(seed, n=400, dim=16)
-        flat = FlatIndex(dim=16, metric=metric)
-        hnsw = HNSWIndex(dim=16, metric=metric, seed=seed % 17)
-        flat.add_batch(range(len(data)), data)
-        hnsw.add_batch(range(len(data)), data)
-        rng = np.random.default_rng(seed + 1)
-        queries = data[rng.integers(0, len(data), size=20)] + rng.normal(
-            scale=0.05, size=(20, 16)
-        )
-        hits = total = 0
-        for query in queries:
-            truth = {r.key for r in flat.search(query, k=10)}
-            approx = {r.key for r in hnsw.search(query, k=10)}
-            hits += len(truth & approx)
-            total += len(truth)
-        assert hits / total >= 0.95
-
-    @settings(max_examples=8, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        metric=st.sampled_from(["cosine", "ip", "l2"]),
-        k=st.integers(min_value=1, max_value=12),
-    )
-    def test_hnsw_exact_at_exhaustive_ef(self, seed, metric, k):
-        """ef_search >= n is brute force: keys AND scores match flat."""
-        data = _corpus(seed, n=120, dim=8)
-        flat = FlatIndex(dim=8, metric=metric)
-        hnsw = HNSWIndex(
-            dim=8, metric=metric, ef_search=len(data), dtype=np.float64
-        )
-        flat.add_batch(range(len(data)), data)
-        hnsw.add_batch(range(len(data)), data)
-        query = _corpus(seed + 5, n=1, dim=8)[0]
-        want = [(r.key, r.score) for r in flat.search(query, k=k)]
-        got = [(r.key, r.score) for r in hnsw.search(query, k=k)]
-        assert got == want
-        got_batch = [
-            (r.key, r.score) for r in hnsw.search_batch(query.reshape(1, -1), k=k)[0]
-        ]
-        batch_want = [
-            (r.key, r.score) for r in flat.search_batch(query.reshape(1, -1), k=k)[0]
-        ]
-        assert got_batch == batch_want
 
 
 class TestErrorParity:
@@ -142,45 +78,3 @@ class TestBatchParity:
         assert all(len(row) == 4 for row in out)
         assert out[2][0].key == 2
 
-
-class TestPersistenceParity:
-    def test_flat_save_load(self, tmp_path):
-        data = _corpus(7, n=50, dim=6)
-        idx = FlatIndex(dim=6)
-        idx.add_batch(range(len(data)), data, payloads=[{"i": i} for i in range(len(data))])
-        idx.save(tmp_path / "flat")
-        loaded = FlatIndex.load(tmp_path / "flat", mmap=True)
-        query = data[11] + 0.01
-        assert [(r.key, r.score, r.payload) for r in loaded.search(query, k=5)] == [
-            (r.key, r.score, r.payload) for r in idx.search(query, k=5)
-        ]
-
-    def test_mmap_round_trip_across_process(self, tmp_path):
-        """A saved index must reopen (mmapped) in a fresh interpreter."""
-        data = _corpus(8, n=150, dim=10)
-        idx = HNSWIndex(dim=10, metric="cosine", M=8, seed=1)
-        idx.add_batch(range(len(data)), data)
-        idx.save(tmp_path / "xproc")
-        query = data[33] + 0.01
-        want = [r.key for r in idx.search(query, k=5)]
-
-        import pathlib
-
-        import repro
-
-        src_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        code = (
-            "import sys, numpy as np\n"
-            f"sys.path.insert(0, {src_root!r})\n"
-            "from repro.vectorstore import HNSWIndex\n"
-            f"idx = HNSWIndex.load({str(tmp_path / 'xproc')!r}, mmap=True)\n"
-            "assert idx._store.mmapped\n"
-            f"query = np.asarray({query.tolist()!r})\n"
-            "print(','.join(str(r.key) for r in idx.search(query, k=5)))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        got = [int(s) for s in proc.stdout.strip().split(",")]
-        assert got == want

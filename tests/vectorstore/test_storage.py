@@ -1,6 +1,5 @@
-"""VectorArena: growth, swap-removal, mmap persistence, pickling."""
+"""VectorArena: growth and pickling."""
 
-import os
 import pickle
 
 import numpy as np
@@ -12,19 +11,21 @@ from repro.vectorstore import VectorArena
 class TestArenaBasics:
     def test_append_and_view(self):
         arena = VectorArena(3)
-        assert arena.append([1.0, 2.0, 3.0]) == 0
-        assert arena.append([4.0, 5.0, 6.0]) == 1
+        assert list(arena.extend([1.0, 2.0, 3.0])) == [0]
+        assert list(arena.extend([4.0, 5.0, 6.0])) == [1]
         np.testing.assert_array_equal(arena.view(), [[1, 2, 3], [4, 5, 6]])
+        assert arena.view().dtype == np.float64
         assert len(arena) == 2
 
     def test_dim_validation(self):
         with pytest.raises(ValueError):
             VectorArena(0)
         arena = VectorArena(3)
-        with pytest.raises(ValueError):
-            arena.append([1.0, 2.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dim"):
+            arena.extend([1.0, 2.0])
+        with pytest.raises(ValueError, match="dim"):
             arena.extend(np.ones((2, 4)))
+        assert len(arena) == 0
 
     def test_extend_is_block_copy(self):
         arena = VectorArena(4)
@@ -36,95 +37,16 @@ class TestArenaBasics:
     def test_growth_is_logarithmic(self):
         arena = VectorArena(2)
         for i in range(200):
-            arena.append([float(i), 0.0])
+            arena.extend([float(i), 0.0])
         assert arena.rebuilds <= int(np.ceil(np.log2(200))) + 1
         assert len(arena) == 200
-
-    def test_swap_remove_moves_last(self):
-        arena = VectorArena(2)
-        arena.extend(np.array([[0.0, 0], [1, 1], [2, 2], [3, 3]]))
-        moved_from = arena.swap_remove(1)
-        assert moved_from == 3
-        np.testing.assert_array_equal(arena.view(), [[0, 0], [3, 3], [2, 2]])
-        assert arena.swap_remove(2) is None  # removing the last row
-        assert len(arena) == 2
-
-    def test_float32_capable(self):
-        arena = VectorArena(2, dtype=np.float32)
-        arena.append([1.5, 2.5])
-        assert arena.view().dtype == np.float32
-
-
-class TestArenaPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        arena = VectorArena(3, dtype=np.float32)
-        arena.extend(np.arange(12.0).reshape(4, 3))
-        prefix = tmp_path / "vecs"
-        arena.save(prefix, sidecar={"keys": ["a", "b", "c", "d"]})
-        assert (tmp_path / "vecs.npy").exists()
-        assert (tmp_path / "vecs.json").exists()
-        loaded, sidecar = VectorArena.load(prefix, mmap=False)
-        np.testing.assert_array_equal(loaded.view(), arena.view())
-        assert loaded.dtype == np.float32
-        assert sidecar == {"keys": ["a", "b", "c", "d"]}
-
-    def test_mmap_load_is_zero_copy_until_mutation(self, tmp_path):
-        arena = VectorArena(2)
-        arena.extend(np.array([[1.0, 2], [3, 4]]))
-        arena.save(tmp_path / "m")
-        loaded, _ = VectorArena.load(tmp_path / "m", mmap=True)
-        assert loaded.mmapped
-        assert isinstance(loaded.view(), np.memmap)
-        np.testing.assert_array_equal(loaded.view(), arena.view())
-        # First mutation materializes to heap memory (copy-on-write).
-        loaded.append([5.0, 6.0])
-        assert not loaded.mmapped
-        assert not isinstance(loaded.view(), np.memmap)
-        assert len(loaded) == 3
-        # The file on disk is untouched.
-        again, _ = VectorArena.load(tmp_path / "m")
-        assert len(again) == 2
-
-    def test_bad_format_rejected(self, tmp_path):
-        arena = VectorArena(2)
-        arena.append([1.0, 2.0])
-        arena.save(tmp_path / "x")
-        sidecar = (tmp_path / "x.json").read_text()
-        (tmp_path / "x.json").write_text(sidecar.replace("repro-arena-v1", "bogus"))
-        with pytest.raises(ValueError):
-            VectorArena.load(tmp_path / "x")
-
-    def test_shape_mismatch_rejected(self, tmp_path):
-        arena = VectorArena(2)
-        arena.extend(np.ones((3, 2)))
-        arena.save(tmp_path / "y")
-        np.save(tmp_path / "y.npy", np.ones((2, 2)))  # truncate vectors
-        with pytest.raises(ValueError):
-            VectorArena.load(tmp_path / "y")
-
-    def test_save_is_atomic_no_tmp_left_behind(self, tmp_path):
-        arena = VectorArena(2)
-        arena.append([1.0, 2.0])
-        arena.save(tmp_path / "z")
-        leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
-        assert leftovers == []
 
 
 class TestArenaPickle:
     def test_round_trip(self):
-        arena = VectorArena(3, dtype=np.float32)
+        arena = VectorArena(3)
         arena.extend(np.arange(6.0).reshape(2, 3))
         clone = pickle.loads(pickle.dumps(arena, protocol=5))
         np.testing.assert_array_equal(clone.view(), arena.view())
-        assert clone.dtype == np.float32
-        clone.append([9.0, 9.0, 9.0])  # clone stays independently growable
+        clone.extend([9.0, 9.0, 9.0])  # clone stays independently growable
         assert len(clone) == 3 and len(arena) == 2
-
-    def test_mmapped_arena_pickles_contents(self, tmp_path):
-        arena = VectorArena(2)
-        arena.extend(np.array([[1.0, 2], [3, 4]]))
-        arena.save(tmp_path / "p")
-        loaded, _ = VectorArena.load(tmp_path / "p", mmap=True)
-        clone = pickle.loads(pickle.dumps(loaded, protocol=5))
-        assert not clone.mmapped
-        np.testing.assert_array_equal(clone.view(), arena.view())
