@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .. import perf
+from .. import obs
 from .ast_nodes import (
     AlwaysBlock,
     BinaryOp,
@@ -1084,7 +1084,7 @@ def elaborate(
     if isinstance(source, str):
         from .parser import parse_source
 
-        with perf.timer("hdl.parse"):
+        with obs.span("hdl.parse"):
             source = parse_source(source)
-    with perf.timer("hdl.elaborate"):
+    with obs.span("hdl.elaborate"):
         return Elaborator(source, top, params).elaborate()

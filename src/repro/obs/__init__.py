@@ -2,16 +2,17 @@
 
 Five layers over the same span/event/metric model:
 
-* :mod:`repro.obs.tracer` — hierarchical span tracer (``REPRO_TRACE``),
-  contextvars-nested across ``parallel_map`` worker threads, exporting
+* :mod:`repro.obs.tracer` — :func:`span`, the one way code times a stage:
+  every span adds its duration to the :mod:`repro.perf` timer of its name,
+  and with ``REPRO_TRACE`` set it is also a node of a hierarchical trace,
+  contextvars-nested across ``parallel_map`` worker threads, exported as
   JSONL or Chrome trace-event JSON;
 * :mod:`repro.obs.logs` — structured JSON-lines logging (``REPRO_LOG``)
   with trace/span correlation ids;
-* :mod:`repro.obs.metrics` — live typed metrics (labelled counters,
-  gauges, histograms) bridged from :mod:`repro.perf`, exposed in
-  Prometheus text format by a background HTTP server
-  (``REPRO_METRICS_PORT``), with the resource sampler of
-  :mod:`repro.obs.sampler` (``REPRO_METRICS_SAMPLE_SECS``);
+* :mod:`repro.obs.metrics` — the perf registry's counters and stage
+  histograms, labelled histograms and collect-time gauges (the process
+  gauges of :mod:`repro.obs.sampler` among them), exposed in Prometheus
+  text format by a background HTTP server (``REPRO_METRICS_PORT``);
 * :mod:`repro.obs.ledger` — one persistent manifest per eval run
   (``REPRO_RUN_LEDGER``): git rev, env fingerprint, per-stage
   latencies, counters, caches, per-design QoR;
@@ -19,10 +20,11 @@ Five layers over the same span/event/metric model:
   for the per-stage run report, ``--diff base new`` for the
   threshold-gated regression diff between two ledger manifests.
 
-Everything is off by default and near-zero overhead when disabled, so
-call sites are never guarded.
+Everything beyond the perf timers is off by default and near-zero
+overhead when disabled, so call sites are never guarded.
 """
 
+from . import sampler  # noqa: F401  (registers the process gauges)
 from .ledger import ledger_enabled, record_run
 from .metrics import ensure_server as ensure_metrics_server
 from .metrics import metrics_enabled

@@ -131,10 +131,12 @@ def build_manifest(
     """Assemble one run manifest from the current process state.
 
     The perf snapshot is taken here, so callers should build the manifest
-    at the *end* of the run (after :func:`repro.parallel.sync_worker_perf`
-    or pool shutdown, if the process backend ran, so worker activity is
-    folded in).
+    at the *end* of the run.  Live process-pool workers are drained into
+    this process's registry first, so their activity is in it.
     """
+    from ..parallel import sync_worker_perf  # parallel imports obs
+
+    sync_worker_perf()
     snapshot = perf.snapshot()
     caches = dict(snapshot.get("caches", {}))
     parallel = caches.pop("parallel", None)

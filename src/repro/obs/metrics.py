@@ -1,27 +1,24 @@
-"""Live metrics: typed registry + Prometheus text exposition endpoint.
+"""Live metrics: Prometheus text exposition of the process's telemetry.
 
 Where :mod:`repro.perf` is the *write* side of runtime telemetry (cheap
-counters and timers updated on every hot-path event) and the trace/report
-stack is *post-hoc*, this module is the **live read side**: a typed
-metrics registry (labelled counters, gauges, histograms) whose families
-are rendered in the Prometheus text exposition format and served by a
-stdlib background HTTP server, so a running evaluation — a full Table III
-sweep on the process pool — can be scraped mid-flight for queue depths,
-worker utilization, cache hit ratios and process resource usage.
+counters and stage timers updated on every hot-path event) and the
+trace/report stack is *post-hoc*, this module is the **live read side**:
+a registry of metric families rendered in the Prometheus text exposition
+format and served by a stdlib background HTTP server, so a running
+evaluation — a full Table III sweep on the process pool — can be scraped
+mid-flight for stage latencies, queue depths, worker utilization, cache
+hit ratios and process resource usage.
 
-Three metric sources feed one scrape:
+Two kinds of source feed one scrape:
 
-* **typed metrics** registered here (:class:`Counter`, :class:`Gauge`,
-  :class:`Histogram`), including callback gauges whose value is computed
-  lazily at collect time — the instrumentation pattern used by the
-  parallel pool and the caches, which costs nothing between scrapes;
-* the **perf bridge** (:func:`collect_perf`): every ``repro.perf``
-  counter, timer (exported as a histogram — bucket counts estimated from
-  the bounded reservoir, ``_sum``/``_count`` exact) and stats provider
-  (cache entries/hits/misses plus a derived hit ratio), so the whole
-  existing instrumentation surface is scrapeable without re-plumbing;
-* the **resource sampler** (:mod:`repro.obs.sampler`), which sets process
-  gauges (RSS, CPU%, GC, FDs, threads) on a period.
+* labelled :class:`Histogram` metrics registered here (batch widths and
+  the like), each label set one :class:`repro.perf.Histogram`;
+* **collect-time callbacks**, which compute families from state the code
+  already keeps and cost nothing between scrapes: the perf bridge
+  (:func:`collect_perf` — every ``repro.perf`` counter, every timer as a
+  histogram with its own bucket counts, every stats provider), the
+  process gauges of :mod:`repro.obs.sampler`, and the parallel pool's
+  and serving engine's live gauges.
 
 Everything is **off by default**: with ``REPRO_METRICS_PORT`` unset,
 :func:`ensure_server` is one environment lookup and no thread, no socket,
@@ -35,7 +32,6 @@ ephemeral port) and every harness entry point starts the endpoint::
 
 from __future__ import annotations
 
-import bisect
 import os
 import re
 import threading
@@ -44,17 +40,12 @@ from typing import Any, Callable, Iterable, Iterator
 from .. import perf
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
     "MetricsServer",
     "Sample",
-    "DEFAULT_BUCKETS",
     "registry",
-    "counter",
-    "gauge",
     "histogram",
     "register_callback",
     "collect_perf",
@@ -67,13 +58,6 @@ __all__ = [
     "stop_server",
     "active_server",
 ]
-
-#: Default histogram bucket upper bounds (seconds) for stage latencies:
-#: sub-millisecond cache hits through minute-scale full-corpus stages.
-DEFAULT_BUCKETS: tuple[float, ...] = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
-)
 
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_OK = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -115,176 +99,70 @@ class MetricFamily:
             Sample(self.name + suffix, {k: str(v) for k, v in labels.items()}, value)
         )
 
+    def add_histogram(self, hist: perf.Histogram, **labels: Any) -> None:
+        """Add ``hist`` as cumulative ``_bucket``, ``_sum`` and ``_count`` series.
+
+        The bucket counts are the histogram's own, so they never decrease
+        and the ``+Inf`` bucket equals ``_count``.
+        """
+        cumulative = 0
+        for bound, count in zip(hist.bounds, hist.counts):
+            cumulative += count
+            self.add(cumulative, suffix="_bucket", le=_fmt_bound(bound), **labels)
+        calls = hist.calls
+        self.add(calls, suffix="_bucket", le="+Inf", **labels)
+        self.add(hist.total, suffix="_sum", **labels)
+        self.add(calls, suffix="_count", **labels)
+
 
 def _label_key(labels: dict[str, str]) -> tuple:
     return tuple(sorted(labels.items()))
 
 
-class _Metric:
-    """Base for typed metrics: labelled children behind one lock."""
-
-    kind = "untyped"
-
-    def __init__(self, name: str, help: str = "",
-                 registry: "MetricsRegistry | None" = None) -> None:
-        if not _NAME_OK.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
-        self.name = name
-        self.help = help
-        self._lock = threading.Lock()
-        self._children: dict[tuple, Any] = {}
-        if registry is not None:
-            registry.register(self)
-
-    def _check_labels(self, labels: dict[str, Any]) -> dict[str, str]:
-        out = {}
-        for key, value in labels.items():
-            if not _LABEL_OK.match(key):
-                raise ValueError(f"invalid label name {key!r}")
-            out[key] = str(value)
-        return out
-
-    def clear(self) -> None:
-        with self._lock:
-            self._children.clear()
-
-    def collect(self) -> MetricFamily:
-        raise NotImplementedError
-
-
-class Counter(_Metric):
-    """Monotonically increasing labelled counter."""
-
-    kind = "counter"
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase")
-        labels = self._check_labels(labels)
-        key = _label_key(labels)
-        with self._lock:
-            current, _ = self._children.get(key, (0.0, labels))
-            self._children[key] = (current + amount, labels)
-
-    def value(self, **labels: Any) -> float:
-        key = _label_key(self._check_labels(labels))
-        with self._lock:
-            return self._children.get(key, (0.0, {}))[0]
-
-    def collect(self) -> MetricFamily:
-        family = MetricFamily(self.name, self.kind, self.help)
-        with self._lock:
-            children = list(self._children.values())
-        for value, labels in children:
-            family.add(value, **labels)
-        return family
-
-
-class Gauge(_Metric):
-    """Labelled gauge: a value that can go up, down, or be computed lazily.
-
-    ``set_function`` installs a callable evaluated at collect time — the
-    zero-overhead instrumentation pattern for live state (queue depths,
-    pool occupancy): nothing runs until something scrapes.
-    """
-
-    kind = "gauge"
-
-    def set(self, value: float, **labels: Any) -> None:
-        labels = self._check_labels(labels)
-        with self._lock:
-            self._children[_label_key(labels)] = (float(value), labels)
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        labels = self._check_labels(labels)
-        key = _label_key(labels)
-        with self._lock:
-            current, _ = self._children.get(key, (0.0, labels))
-            if callable(current):
-                raise ValueError(f"gauge {self.name} child is a callback")
-            self._children[key] = (current + amount, labels)
-
-    def dec(self, amount: float = 1.0, **labels: Any) -> None:
-        self.inc(-amount, **labels)
-
-    def set_function(self, fn: Callable[[], float], **labels: Any) -> None:
-        labels = self._check_labels(labels)
-        with self._lock:
-            self._children[_label_key(labels)] = (fn, labels)
-
-    def value(self, **labels: Any) -> float:
-        key = _label_key(self._check_labels(labels))
-        with self._lock:
-            value, _ = self._children.get(key, (0.0, {}))
-        return float(value()) if callable(value) else value
-
-    def collect(self) -> MetricFamily:
-        family = MetricFamily(self.name, self.kind, self.help)
-        with self._lock:
-            children = list(self._children.values())
-        for value, labels in children:
-            if callable(value):
-                try:
-                    value = float(value())
-                except Exception:  # a dead callback must not kill the scrape
-                    continue
-            family.add(value, **labels)
-        return family
-
-
-class Histogram(_Metric):
+class Histogram:
     """Labelled histogram with fixed bucket upper bounds.
 
-    Renders the standard cumulative ``_bucket{le=...}`` series plus exact
-    ``_sum`` and ``_count``; bucket counts are monotonically non-
-    decreasing by construction and the ``+Inf`` bucket always equals
+    Each label set is one :class:`repro.perf.Histogram` over these bounds
+    (by default the stage-timer bounds :data:`repro.perf.BOUNDS`), rendered
+    as the standard cumulative ``_bucket{le=...}`` series plus ``_sum`` and
     ``_count``.
     """
 
-    kind = "histogram"
-
     def __init__(self, name: str, help: str = "",
-                 buckets: Iterable[float] = DEFAULT_BUCKETS,
-                 registry: "MetricsRegistry | None" = None) -> None:
+                 buckets: Iterable[float] = perf.BOUNDS) -> None:
+        if not _NAME_OK.match(name):
+            raise ValueError(f"invalid metric name {name!r}")
         bounds = tuple(sorted(float(b) for b in buckets))
         if not bounds:
             raise ValueError("histogram needs at least one bucket")
         if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ValueError("bucket bounds must be strictly increasing")
+        self.name = name
+        self.help = help
         self.bounds = bounds
-        super().__init__(name, help, registry)
+        self._lock = threading.Lock()
+        self._children: dict[tuple, tuple[perf.Histogram, dict[str, str]]] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
-        labels = self._check_labels(labels)
+        for key in labels:
+            if not _LABEL_OK.match(key):
+                raise ValueError(f"invalid label name {key!r}")
+        labels = {k: str(v) for k, v in labels.items()}
         key = _label_key(labels)
         with self._lock:
             child = self._children.get(key)
             if child is None:
-                child = self._children[key] = (
-                    [0] * len(self.bounds), [0.0, 0], labels
-                )
-            counts, sum_count, _ = child
-            idx = bisect.bisect_left(self.bounds, value)
-            if idx < len(counts):
-                counts[idx] += 1
-            sum_count[0] += value
-            sum_count[1] += 1
+                child = self._children[key] = (perf.Histogram(self.bounds), labels)
+            child[0].add(value)
 
     def collect(self) -> MetricFamily:
-        family = MetricFamily(self.name, self.kind, self.help)
+        family = MetricFamily(self.name, "histogram", self.help)
         with self._lock:
             children = [
-                (list(counts), list(sum_count), dict(labels))
-                for counts, sum_count, labels in self._children.values()
+                (hist.copy(), labels) for hist, labels in self._children.values()
             ]
-        for counts, (total, count), labels in children:
-            cumulative = 0
-            for bound, bucket in zip(self.bounds, counts):
-                cumulative += bucket
-                family.add(cumulative, suffix="_bucket", le=_fmt_bound(bound), **labels)
-            family.add(count, suffix="_bucket", le="+Inf", **labels)
-            family.add(total, suffix="_sum", **labels)
-            family.add(count, suffix="_count", **labels)
+        for hist, labels in children:
+            family.add_histogram(hist, **labels)
         return family
 
 
@@ -294,48 +172,27 @@ def _fmt_bound(bound: float) -> str:
 
 
 class MetricsRegistry:
-    """Thread-safe collection of typed metrics plus collector callbacks.
+    """Thread-safe collection of histograms plus collector callbacks.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create (idempotent, so
-    modules that reload re-register harmlessly); callbacks return extra
-    :class:`MetricFamily` lists computed at scrape time — the perf bridge
-    and the parallel-pool live stats register through this channel.
+    ``histogram`` is get-or-create (idempotent, so modules that reload
+    re-register harmlessly); callbacks return extra :class:`MetricFamily`
+    lists computed at scrape time — the perf bridge, the process gauges,
+    and the parallel pool's and serving engine's live stats register
+    through this channel.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics: dict[str, _Metric] = {}
+        self._metrics: dict[str, Histogram] = {}
         self._callbacks: dict[str, Callable[[], Iterable[MetricFamily]]] = {}
 
-    def register(self, metric: _Metric) -> None:
-        with self._lock:
-            existing = self._metrics.get(metric.name)
-            if existing is not None and existing is not metric:
-                raise ValueError(f"metric {metric.name!r} already registered")
-            self._metrics[metric.name] = metric
-
-    def _get_or_create(self, cls, name: str, help: str, **kwargs) -> Any:
+    def histogram(self, name: str, help: str = "",
+                  buckets: Iterable[float] = perf.BOUNDS) -> Histogram:
         with self._lock:
             metric = self._metrics.get(name)
-        if metric is not None:
-            if not isinstance(metric, cls):
-                raise ValueError(
-                    f"metric {name!r} already registered as {metric.kind}"
-                )
+            if metric is None:
+                metric = self._metrics[name] = Histogram(name, help, buckets)
             return metric
-        metric = cls(name, help, **kwargs)
-        with self._lock:
-            return self._metrics.setdefault(name, metric)
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(Counter, name, help)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, help)
-
-    def histogram(self, name: str, help: str = "",
-                  buckets: Iterable[float] = DEFAULT_BUCKETS) -> Histogram:
-        return self._get_or_create(Histogram, name, help, buckets=buckets)
 
     def register_callback(
         self, name: str, fn: Callable[[], Iterable[MetricFamily]]
@@ -366,8 +223,6 @@ class MetricsRegistry:
 #: The process-global registry served by the metrics endpoint.
 registry = MetricsRegistry()
 
-counter = registry.counter
-gauge = registry.gauge
 histogram = registry.histogram
 
 
@@ -382,11 +237,8 @@ def collect_perf() -> list[MetricFamily]:
     """Bridge the :mod:`repro.perf` registry into metric families.
 
     * counters → ``repro_perf_events_total{name=...}``;
-    * timers → ``repro_stage_seconds{stage=...}`` histograms: bucket
-      counts estimated from the bounded duration reservoir (each retained
-      sample represents ``calls / len(samples)`` observations), while
-      ``_sum``/``_count`` stay exact — so rate and mean are exact and
-      quantiles are as good as the reservoir;
+    * timers → ``repro_stage_seconds{stage=...}`` histograms whose bucket
+      counts, ``_sum`` and ``_count`` are the timer's own;
     * stats providers → ``repro_cache_stat{cache=...,stat=...}`` for every
       numeric stat, plus a derived ``repro_cache_hit_ratio`` wherever the
       provider reports hits and misses.
@@ -403,24 +255,10 @@ def collect_perf() -> list[MetricFamily]:
 
     stages = MetricFamily(
         "repro_stage_seconds", "histogram",
-        "Per-stage wall clock from repro.perf timers (reservoir-estimated buckets).",
+        "Per-stage wall clock from repro.perf timers.",
     )
-    for name, entry in sorted(state.get("timers", {}).items()):
-        calls = entry.get("calls", 0)
-        samples = sorted(entry.get("samples", ()))
-        cumulative_prev = 0
-        for bound in DEFAULT_BUCKETS:
-            if samples:
-                frac = bisect.bisect_right(samples, bound) / len(samples)
-                cumulative = min(calls, round(frac * calls))
-            else:
-                cumulative = 0
-            cumulative = max(cumulative, cumulative_prev)
-            cumulative_prev = cumulative
-            stages.add(cumulative, suffix="_bucket", stage=name, le=_fmt_bound(bound))
-        stages.add(calls, suffix="_bucket", stage=name, le="+Inf")
-        stages.add(entry.get("total_s", 0.0), suffix="_sum", stage=name)
-        stages.add(calls, suffix="_count", stage=name)
+    for name, timer in sorted(state.get("timers", {}).items()):
+        stages.add_histogram(timer, stage=name)
     families.append(stages)
 
     snapshot_caches = perf.snapshot().get("caches", {})
@@ -658,22 +496,20 @@ class MetricsServer:
 
 _SERVER_LOCK = threading.Lock()
 _SERVER: MetricsServer | None = None
-_SAMPLER = None
 
 
 def active_server() -> MetricsServer | None:
     return _SERVER
 
 
-def start_server(port: int | None = None,
-                 sample_secs: float | None = None) -> MetricsServer:
-    """Start the exposition endpoint (and the resource sampler) now.
+def start_server(port: int | None = None) -> MetricsServer:
+    """Start the exposition endpoint now.
 
     Idempotent: a second call returns the running server.  ``port=None``
     reads ``REPRO_METRICS_PORT`` and raises if unset — use
     :func:`ensure_server` for the env-gated auto-start.
     """
-    global _SERVER, _SAMPLER
+    global _SERVER
     with _SERVER_LOCK:
         if _SERVER is not None:
             return _SERVER
@@ -682,22 +518,13 @@ def start_server(port: int | None = None,
             if port is None:
                 raise ValueError("REPRO_METRICS_PORT is not set")
         _SERVER = MetricsServer(port)
-        from .sampler import ResourceSampler, sample_interval
-
-        _SAMPLER = ResourceSampler(
-            interval=sample_interval() if sample_secs is None else sample_secs
-        )
-        _SAMPLER.start()
         return _SERVER
 
 
 def stop_server() -> None:
-    """Stop the endpoint and the sampler (test teardown / embedding)."""
-    global _SERVER, _SAMPLER
+    """Stop the endpoint (test teardown / embedding)."""
+    global _SERVER
     with _SERVER_LOCK:
-        if _SAMPLER is not None:
-            _SAMPLER.stop()
-            _SAMPLER = None
         if _SERVER is not None:
             _SERVER.close()
             _SERVER = None

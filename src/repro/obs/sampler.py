@@ -1,24 +1,20 @@
-"""Periodic process-resource sampler feeding the metrics registry.
+"""Process resource gauges, read when the metrics endpoint is scraped.
 
-A daemon thread samples the process every ``REPRO_METRICS_SAMPLE_SECS``
-seconds (default 5) and sets gauges in :mod:`repro.obs.metrics`:
+:func:`process_families` is a collect-time callback on the
+:mod:`repro.obs.metrics` registry, like the parallel pool's and the
+serving engine's gauges, so nothing runs between scrapes:
 
 * ``repro_process_rss_bytes`` — resident set size (``/proc/self/statm``,
   falling back to ``resource.getrusage`` peak-RSS on non-Linux);
-* ``repro_process_cpu_percent`` — user+system CPU over the last sample
-  interval, as a percentage of one core (can exceed 100 under the thread
-  executor or while pool results are being deserialized);
+* ``repro_process_cpu_seconds_total`` — user+system CPU seconds of this
+  process (a counter: a scraper's rate over it is the CPU use);
 * ``repro_process_gc_collections_total{generation=...}`` — cumulative
   CPython GC collections per generation;
 * ``repro_process_open_fds`` — open file descriptors
   (``/proc/self/fd``; absent on platforms without procfs);
 * ``repro_process_threads`` — live ``threading`` thread count;
-* ``repro_process_uptime_seconds`` — seconds since the sampler started.
-
-The sampler only runs while the metrics endpoint is up (it is started
-and stopped by :func:`repro.obs.metrics.start_server` /
-:func:`~repro.obs.metrics.stop_server`), so with metrics disabled there
-is no thread and no sampling work at all.
+* ``repro_process_uptime_seconds`` — seconds since :mod:`repro.obs` was
+  imported.
 """
 
 from __future__ import annotations
@@ -28,28 +24,13 @@ import os
 import threading
 import time
 
-from . import metrics
+from .metrics import MetricFamily, register_callback
 
-__all__ = ["ResourceSampler", "sample_interval", "read_rss_bytes", "count_open_fds"]
-
-#: Default sampling period in seconds.
-DEFAULT_SAMPLE_SECS = 5.0
+__all__ = ["process_families", "read_rss_bytes", "count_open_fds"]
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
-
-def sample_interval() -> float:
-    """The sampling period from ``REPRO_METRICS_SAMPLE_SECS`` (min 0.05s)."""
-    raw = os.environ.get("REPRO_METRICS_SAMPLE_SECS", "").strip()
-    if not raw:
-        return DEFAULT_SAMPLE_SECS
-    try:
-        interval = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_METRICS_SAMPLE_SECS must be a number, got {raw!r}"
-        )
-    return max(0.05, interval)
+_STARTED = time.perf_counter()
 
 
 def read_rss_bytes() -> int | None:
@@ -78,88 +59,38 @@ def count_open_fds() -> int | None:
         return None
 
 
-class ResourceSampler:
-    """Daemon thread that periodically sets process gauges.
+def _gauge(name: str, help: str, value: float | None) -> MetricFamily:
+    family = MetricFamily(name, "gauge", help)
+    if value is not None:
+        family.add(value)
+    return family
 
-    One sample is taken synchronously in :meth:`start`, so gauges exist
-    the moment the endpoint comes up; further samples run on the period
-    until :meth:`stop`.
-    """
 
-    def __init__(self, interval: float = DEFAULT_SAMPLE_SECS,
-                 registry: metrics.MetricsRegistry | None = None) -> None:
-        self.interval = interval
-        reg = registry if registry is not None else metrics.registry
-        self._rss = reg.gauge(
-            "repro_process_rss_bytes", "Resident set size of this process."
-        )
-        self._cpu = reg.gauge(
-            "repro_process_cpu_percent",
-            "CPU use over the last sample interval (% of one core).",
-        )
-        self._gc = reg.gauge(
-            "repro_process_gc_collections_total",
-            "Cumulative CPython GC collections per generation.",
-        )
-        self._fds = reg.gauge(
-            "repro_process_open_fds", "Open file descriptors."
-        )
-        self._threads = reg.gauge(
-            "repro_process_threads", "Live threading.Thread count."
-        )
-        self._uptime = reg.gauge(
-            "repro_process_uptime_seconds", "Seconds since the sampler started."
-        )
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._started = time.perf_counter()
-        self._last_wall = self._started
-        self._last_cpu = self._cpu_seconds()
-        self.samples = 0
+def process_families() -> list[MetricFamily]:
+    """The process gauges and counters, read now."""
+    times = os.times()
+    cpu = MetricFamily(
+        "repro_process_cpu_seconds_total", "counter",
+        "User+system CPU seconds of this process.",
+    )
+    cpu.add(times.user + times.system)
+    collections = MetricFamily(
+        "repro_process_gc_collections_total", "counter",
+        "Cumulative CPython GC collections per generation.",
+    )
+    for generation, stats in enumerate(gc.get_stats()):
+        collections.add(stats.get("collections", 0), generation=generation)
+    return [
+        _gauge("repro_process_rss_bytes", "Resident set size of this process.",
+               read_rss_bytes()),
+        cpu,
+        collections,
+        _gauge("repro_process_open_fds", "Open file descriptors.", count_open_fds()),
+        _gauge("repro_process_threads", "Live threading.Thread count.",
+               threading.active_count()),
+        _gauge("repro_process_uptime_seconds", "Seconds since repro.obs was imported.",
+               time.perf_counter() - _STARTED),
+    ]
 
-    @staticmethod
-    def _cpu_seconds() -> float:
-        times = os.times()
-        return times.user + times.system
 
-    def sample(self) -> None:
-        """Take one sample and update every gauge."""
-        now = time.perf_counter()
-        cpu_now = self._cpu_seconds()
-        wall_delta = now - self._last_wall
-        if wall_delta > 0:
-            self._cpu.set(100.0 * (cpu_now - self._last_cpu) / wall_delta)
-        self._last_wall = now
-        self._last_cpu = cpu_now
-
-        rss = read_rss_bytes()
-        if rss is not None:
-            self._rss.set(rss)
-        fds = count_open_fds()
-        if fds is not None:
-            self._fds.set(fds)
-        for generation, stats in enumerate(gc.get_stats()):
-            self._gc.set(stats.get("collections", 0), generation=generation)
-        self._threads.set(threading.active_count())
-        self._uptime.set(now - self._started)
-        self.samples += 1
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.sample()
-
-    def start(self) -> "ResourceSampler":
-        if self._thread is not None:
-            return self
-        self.sample()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-metrics-sampler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+register_callback("process", process_families)

@@ -2,14 +2,19 @@
 
 A *span* is one timed region of the pipeline — a customization run, one
 SynthRAG retrieval, one SynthExpert thought-step revision, one synthesis
-phase.  Spans carry a trace id (shared by every span of one root
-operation), a span id, a parent span id and free-form key-value
+phase — and :func:`span` is the only way code times a stage.  Every span
+adds its duration to the :mod:`repro.perf` timer of its name, traced or
+not, so an untraced run's ``perf.snapshot()``, run ledger and ``/metrics``
+still show where its time went in every layer.
+
+With tracing on, spans also carry a trace id (shared by every span of one
+root operation), a span id, a parent span id and free-form key-value
 attributes, and nest through :mod:`contextvars` so spans opened inside
 ``parallel_map`` worker threads attach to the harness span that spawned
-them.  On close, each span also records the :mod:`repro.perf` counter
-deltas observed while it was open (cache hits/misses, ``sta.incremental``
-vs ``sta.full`` ...), which is how wall-clock gets attributed to cache
-behaviour per stage.
+them.  On close, each traced span also records the :mod:`repro.perf`
+counter deltas observed while it was open (cache hits/misses,
+``sta.incremental`` vs ``sta.full`` ...), which is how wall-clock gets
+attributed to cache behaviour per stage.
 
 Tracing is **off by default** and configured through the environment:
 
@@ -17,9 +22,9 @@ Tracing is **off by default** and configured through the environment:
   event log (one JSON object per line), ``*.json`` paths get Chrome
   trace-event format loadable in Perfetto / ``chrome://tracing``.
 
-When disabled, :func:`span` returns a shared no-op context manager — one
-function call and no allocation beyond the kwargs dict, no events, no
-file I/O.  Programmatic configuration (tests, embedding) goes through
+When disabled, :func:`span` returns a small falsy span that only times its
+block into the perf registry: no ids, no contextvar, no events, no file
+I/O.  Programmatic configuration (tests, embedding) goes through
 :func:`configure`.
 
 Span naming convention (see DESIGN.md):
@@ -27,7 +32,9 @@ Span naming convention (see DESIGN.md):
 * ``chatls.*`` — framework stages (prepare, draft, sample, customize);
 * ``rag.*`` — the three SynthRAG retrieval modes;
 * ``expert.*`` — SynthExpert CoT refinement;
-* ``synth.*`` — synthesis engine phases (elaborate, techmap, optimize, sta);
+* ``synth.*`` — synthesis engine phases (elaborate, techmap, sta);
+* ``hdl.*``, ``sta.*``, ``pass.*``, ``explore.*`` — front end, STA
+  lowering and kernels, optimizer passes, the sizing explorer;
 * ``eval.*`` — harness fan-out (tables, cells, parallel tasks).
 """
 
@@ -70,7 +77,7 @@ _FLUSH_EVERY = 512
 
 
 class _NoopSpan:
-    """Shared do-nothing span: the disabled-tracing fast path."""
+    """Shared do-nothing span: :func:`current_span` outside any span."""
 
     __slots__ = ()
 
@@ -98,9 +105,25 @@ class _NoopSpan:
         return False
 
 
-#: The singleton returned by :func:`span` when tracing is disabled.  It is
-#: stateless, so re-entering it concurrently from many threads is safe.
+#: The span :func:`current_span` returns when no traced span is open.
 NOOP_SPAN = _NoopSpan()
+
+
+class _TimedSpan(_NoopSpan):
+    """Untraced span: only adds its block's duration to the perf timer."""
+
+    __slots__ = ("name", "_start")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __enter__(self) -> "_TimedSpan":
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        perf.registry.add_time(self.name, time.perf_counter() - self._start)
+        return False
 
 
 class Span:
@@ -178,6 +201,7 @@ class Span:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.end = time.perf_counter()
+        perf.registry.add_time(self.name, self.end - self.start)
         _CURRENT.reset(self._token)
         if exc_type is not None:
             self.attrs["error"] = f"{exc_type.__name__}: {exc}"
@@ -335,10 +359,11 @@ def tracing_enabled() -> bool:
 
 
 def span(name: str, **attrs: Any):
-    """Open a span (use as a context manager).
+    """Open a span (use as a context manager) timing the ``name`` stage.
 
-    No-op (a shared singleton, no allocation or I/O) when tracing is
-    disabled, so call sites never need to guard::
+    The block's duration always lands in the perf timer ``name``.  With
+    tracing disabled the span is falsy, ignores attributes and records
+    nothing else, so call sites never need to guard::
 
         with obs.span("rag.manual", k=k) as sp:
             hits = ...
@@ -346,7 +371,7 @@ def span(name: str, **attrs: Any):
     """
     tracer = get_tracer()
     if not tracer.enabled:
-        return NOOP_SPAN
+        return _TimedSpan(name)
     return tracer.start_span(name, attrs)
 
 

@@ -41,9 +41,11 @@ thread backend only (more GIL-bound threads than that just add
 contention; the process backend happily uses every core).
 
 Use :func:`shared` to broadcast one large read-only object (an expert
-database, a report map) to every task without per-task pickling, and
-:func:`shutdown_pools` to retire warm workers (their perf registries
-merge into this process's on the way out).
+database, a report map) to every task without per-task pickling,
+:func:`sync_worker_perf` to merge warm workers' perf registries into this
+process's, :func:`clear_worker_caches` to empty their synthesis caches,
+and :func:`shutdown_pools` to retire them (their perf registries merge
+on the way out).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from __future__ import annotations
 import contextvars
 import os
 import pickle
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -80,6 +83,7 @@ __all__ = [
     "release_shared",
     "shutdown_pools",
     "sync_worker_perf",
+    "clear_worker_caches",
 ]
 
 #: Upper bound on the default *thread* worker count (override with
@@ -327,31 +331,37 @@ async def parallel_map_async(
     )
 
 
+def _pool_module():
+    """The pool module if anything started a pool, else None (no import)."""
+    return sys.modules.get(f"{__name__}.pool")
+
+
 def shutdown_pools() -> None:
     """Retire warm process pools, merging worker perf into this process."""
-    import sys
-
-    pool_module = sys.modules.get(f"{__name__}.pool")
+    pool_module = _pool_module()
     if pool_module is not None:
         pool_module.shutdown_pools()
 
 
 def sync_worker_perf() -> int:
     """Drain live pools' worker perf registries into the parent's, now."""
-    import sys
-
-    pool_module = sys.modules.get(f"{__name__}.pool")
+    pool_module = _pool_module()
     if pool_module is None:
         return 0
     return pool_module.sync_worker_perf()
 
 
+def clear_worker_caches() -> None:
+    """Empty the synthesis caches of every live pool worker, now."""
+    pool_module = _pool_module()
+    if pool_module is not None:
+        pool_module.clear_worker_caches()
+
+
 def _parallel_stats() -> dict:
     """Effective backend/jobs + live pool stats (obs run report)."""
-    import sys
-
     info = dict(_LAST)
-    pool_module = sys.modules.get(f"{__name__}.pool")
+    pool_module = _pool_module()
     if pool_module is not None:
         info.update(pool_module.pool_stats())
     return info

@@ -20,10 +20,13 @@ semantics match a serial loop exactly: every task runs, then the
 exception of the lowest failing input index is raised (the unpickled
 instance of the worker's exception).
 
-At shutdown each worker exports its :mod:`repro.perf` registry and the
-parent merges it (:func:`repro.perf.merge_state`), so counters, cache
-stats and per-worker queue-wait/steal percentiles from sharded runs land
-in the parent's snapshot and the obs run report.
+Between maps the parent can drain every worker's :mod:`repro.perf`
+registry into its own (:func:`repro.perf.merge_state`; the run ledger
+does so before each manifest, and shutdown does so once more), so
+counters, cache stats and per-worker queue-wait/steal histograms from
+sharded runs land in the parent's snapshot and the obs run report.  It
+can also empty every worker's synthesis caches, which
+:func:`repro.synth.cache.clear_caches` does.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
     "get_pool",
     "shutdown_pools",
     "sync_worker_perf",
+    "clear_worker_caches",
     "pool_stats",
 ]
 
@@ -255,26 +259,39 @@ class ProcessPool:
             raise exc
         return results
 
-    # -- perf aggregation -----------------------------------------------------
+    # -- requests between maps -------------------------------------------------
+
+    def _request(self, message: tuple) -> list[tuple]:
+        """Send ``message`` to every live worker; returns their replies.
+
+        Holds the map lock, so a request never interleaves with another
+        thread's map on the same pipes.
+        """
+        replies = []
+        with self._map_lock:
+            for worker in self.workers:
+                if worker.process.is_alive():
+                    worker.conn.send(message)
+                    replies.append(worker.conn.recv())
+        return replies
 
     def drain_perf(self) -> int:
         """Merge every worker's perf registry into the parent's, now.
 
-        Only call between maps.  Workers reset their registries after
-        exporting, so repeated drains never double-count.  Returns the
-        number of workers drained.
+        Workers reset their registries after exporting, so repeated drains
+        never double-count.  Returns the number of workers drained.
         """
         drained = 0
-        for worker in self.workers:
-            if not worker.process.is_alive():
-                continue
-            worker.conn.send(("perf",))
-            msg = worker.conn.recv()
-            if msg[0] == "perf":
-                perf.merge_state(msg[2])
+        for reply in self._request(("perf",)):
+            if reply[0] == "perf":
+                perf.merge_state(reply[2])
                 drained += 1
         perf.incr("parallel.perf_drains")
         return drained
+
+    def clear_caches(self) -> None:
+        """Empty the synthesis and frontend caches of every live worker."""
+        self._request(("clear",))
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -358,7 +375,14 @@ def shutdown_pools() -> None:
 
 def sync_worker_perf() -> int:
     """Drain worker perf registries of every live pool into the parent."""
-    return sum(pool.drain_perf() for pool in _POOLS.values() if pool.usable)
+    return sum(pool.drain_perf() for pool in list(_POOLS.values()) if pool.usable)
+
+
+def clear_worker_caches() -> None:
+    """Empty the synthesis caches of every live pool's workers."""
+    for pool in list(_POOLS.values()):
+        if pool.usable:
+            pool.clear_caches()
 
 
 def pool_stats() -> dict:

@@ -8,9 +8,12 @@ serves a pickle-based request loop over its pipe:
 
 * ``("task", index, fn, payload_kind, payload, label)`` →
   ``("ok", index, result, run_s)`` or ``("err", index, exc, detail)``;
-* ``("perf",)`` → ``("perf", state)`` — drain the worker's perf registry
-  (counters/timers exported via :func:`repro.perf.export_state`, then
-  reset) for parent-side aggregation;
+* ``("perf",)`` → ``("perf", worker_id, state)`` — drain the worker's
+  perf registry (counters/timers exported via
+  :func:`repro.perf.export_state`, then reset) for parent-side
+  aggregation;
+* ``("clear",)`` → ``("cleared", worker_id)`` — empty the worker's
+  synthesis and frontend caches (:func:`repro.synth.cache.clear_caches`);
 * ``("close",)`` → ``("closed", state)`` — final perf drain, tracer
   flush, exit.
 
@@ -134,6 +137,11 @@ def worker_main(conn: Connection, worker_id: int, trace_path: str | None) -> Non
                 state = perf.export_state()
                 perf.reset()
                 conn.send(("perf", worker_id, state))
+            elif kind == "clear":
+                from ..synth.cache import clear_caches
+
+                clear_caches()
+                conn.send(("cleared", worker_id))
             elif kind == "close":
                 state = perf.export_state()
                 if trace_path:

@@ -1,4 +1,4 @@
-"""Lightweight performance counters and timers.
+"""Process-global performance counters and stage timers.
 
 The perf layers added for scale (incremental STA, the synthesis result
 cache, parallel evaluation) all report what they actually did through this
@@ -6,22 +6,29 @@ registry so speedups are *measured*, not asserted:
 
 * counters — monotonically increasing event counts
   (``sta.full``, ``sta.incremental``, ``synthcache.hit`` ...);
-* timers — accumulated wall-clock per labelled region with call counts,
-  plus a bounded reservoir of per-call durations so ``snapshot()`` can
-  report p50/p95/max without unbounded memory;
+* timers — one fixed-bucket :class:`Histogram` of per-call durations per
+  stage name.  Code times a stage with :func:`repro.obs.span`, which adds
+  the block's duration here whether or not tracing is on;
+  :func:`add_time` is the registry's write call;
 * stats providers — callables (the caches register theirs) whose output
   ``snapshot()`` surfaces under a ``caches`` key.
 
-The registry is process-global and thread-safe (the parallel evaluation
-executor updates it from worker threads).  Overhead is a dict update per
-event, cheap enough to leave on unconditionally.
+Every timer shares :data:`BOUNDS`, so merging another registry's export
+(a pool worker's) is bucket-wise addition: the merged snapshot equals the
+one a single registry that saw every call reports.  ``total_s``, ``calls``
+and ``max_s`` are exact; ``p50_s``/``p95_s`` interpolate within their
+bucket.
+
+The registry is thread-safe (the parallel evaluation executor updates it
+from worker threads).  Overhead is a dict lookup and a bisect per event,
+cheap enough to leave on unconditionally.
 
 Usage::
 
-    from repro import perf
+    from repro import obs, perf
 
     perf.incr("synthcache.hit")
-    with perf.timer("sta.analyze"):
+    with obs.span("sta.kernel"):
         engine.analyze()
     print(perf.snapshot())
 """
@@ -29,19 +36,16 @@ Usage::
 from __future__ import annotations
 
 import threading
-import time
-from contextlib import contextmanager
+from bisect import bisect_left
 from typing import Callable
 
-from .rand import rng as _seeded_rng
-
 __all__ = [
+    "BOUNDS",
+    "Histogram",
     "PerfRegistry",
     "registry",
     "incr",
-    "timer",
     "counter",
-    "elapsed",
     "snapshot",
     "reset",
     "add_time",
@@ -51,100 +55,92 @@ __all__ = [
     "merge_state",
 ]
 
-#: Per-timer reservoir size: large enough for stable p50/p95, small
-#: enough that a million calls cost a fixed few KiB per label.
-RESERVOIR_CAPACITY = 256
+#: Bucket upper bounds in seconds shared by every timer: ten per decade
+#: from 10 µs to 100 s (71 bounds; one more bucket counts what lies above).
+#: Adjacent bounds differ by at most 1.27x, below the ledger diff's default
+#: 1.5x ``latency_ratio``.
+BOUNDS: tuple[float, ...] = tuple(
+    float(f"{10.0 ** (k / 10 - 5):.3g}") for k in range(71)
+)
+
+#: Totals are kept as integer multiples of 1/_UNITS so that adding
+#: histograms is exact and independent of order.
+_UNITS = 1_000_000_000
 
 
-class _Reservoir:
-    """Bounded uniform sample of per-call durations (Vitter's algorithm R).
+class Histogram:
+    """Value counts in fixed buckets, with an exact total and maximum.
 
-    The RNG is seeded per reservoir, so sampling is deterministic for a
-    given call sequence; the exact maximum is tracked separately because
-    tail spikes are precisely what sampling may drop.
+    ``counts[i]`` counts values in ``(bounds[i-1], bounds[i]]``; the last
+    slot counts values above every bound.
     """
 
-    __slots__ = ("samples", "seen", "max", "_rng")
+    __slots__ = ("bounds", "counts", "total_units", "max")
 
-    def __init__(self) -> None:
-        self.samples: list[float] = []
-        self.seen = 0
+    def __init__(self, bounds: tuple[float, ...] = BOUNDS) -> None:
+        self.bounds = bounds
+        self.counts = [0] * (len(bounds) + 1)
+        self.total_units = 0
         self.max = 0.0
-        self._rng = _seeded_rng(0x5EED)
 
     def add(self, value: float) -> None:
-        self.seen += 1
+        self.counts[bisect_left(self.bounds, value)] += 1
+        self.total_units += round(value * _UNITS)
         if value > self.max:
             self.max = value
-        if len(self.samples) < RESERVOIR_CAPACITY:
-            self.samples.append(value)
-        else:
-            slot = self._rng.randrange(self.seen)
-            if slot < RESERVOIR_CAPACITY:
-                self.samples[slot] = value
+
+    @property
+    def calls(self) -> int:
+        return sum(self.counts)
+
+    @property
+    def total(self) -> float:
+        return self.total_units / _UNITS
 
     def percentile(self, q: float) -> float:
-        """Nearest-rank percentile over the current sample (q in [0, 1])."""
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[rank]
+        """The ``q`` quantile (q in [0, 1]), linear within its bucket."""
+        rank = q * self.calls
+        below = 0
+        for index, count in enumerate(self.counts):
+            if count and below + count >= rank:
+                lower = self.bounds[index - 1] if index else 0.0
+                upper = self.max
+                if index < len(self.bounds):
+                    upper = min(upper, self.bounds[index])
+                return lower + (upper - lower) * (rank - below) / count
+            below += count
+        return 0.0
 
-    def merge_from(self, samples: list[float], seen: int, max_value: float) -> None:
-        """Fold another reservoir's bounded sample into this one, weighted.
+    def summary(self) -> dict:
+        return {
+            "total_s": round(self.total, 6),
+            "calls": self.calls,
+            "p50_s": round(self.percentile(0.50), 6),
+            "p95_s": round(self.percentile(0.95), 6),
+            "max_s": round(self.max, 6),
+        }
 
-        Each retained sample stands for ``seen / len(samples)`` original
-        observations (a reservoir is a uniform sample of everything its
-        owner saw), so merging must weight by source call counts: a
-        worker that timed 10,000 calls deserves 100x the representation
-        of one that timed 100, even though both exported at most
-        :data:`RESERVOIR_CAPACITY` samples.  An unweighted merge —
-        feeding donor samples through :meth:`add` one by one — lets the
-        smaller source crowd the reservoir and biases p50/p95 toward its
-        distribution.
+    def copy(self) -> "Histogram":
+        clone = Histogram(self.bounds)
+        clone.merge(self)
+        return clone
 
-        Selection is weighted sampling without replacement
-        (Efraimidis–Spirakis A-Res: key ``u^(1/w)``, keep the largest
-        keys), driven by this reservoir's seeded RNG so merges stay
-        deterministic for a given call sequence.
-        """
-        if max_value > self.max:
-            self.max = max_value
-        if not samples:
-            self.seen += max(0, seen)
-            return
-        seen = max(seen, len(samples))
-        pool: list[tuple[float, float]] = []
-        if self.samples:
-            own_weight = self.seen / len(self.samples)
-            pool.extend((value, own_weight) for value in self.samples)
-        donor_weight = seen / len(samples)
-        pool.extend((value, donor_weight) for value in samples)
-        if len(pool) <= RESERVOIR_CAPACITY:
-            self.samples = [value for value, _ in pool]
-        else:
-            keyed = sorted(
-                (
-                    (self._rng.random() ** (1.0 / weight), value)
-                    for value, weight in pool
-                ),
-                key=lambda kv: kv[0],
-                reverse=True,
-            )
-            self.samples = [value for _, value in keyed[:RESERVOIR_CAPACITY]]
-        self.seen += seen
+    def merge(self, other: "Histogram") -> None:
+        """Add ``other``'s calls; both must have the same bounds."""
+        if other.bounds != self.bounds:
+            raise ValueError("cannot merge histograms with different bounds")
+        self.counts = [mine + theirs for mine, theirs in zip(self.counts, other.counts)]
+        self.total_units += other.total_units
+        self.max = max(self.max, other.max)
 
 
 class PerfRegistry:
-    """Thread-safe registry of named counters and accumulated timers."""
+    """Thread-safe registry of named counters and stage timers."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
-        self._time_total: dict[str, float] = {}
-        self._time_calls: dict[str, int] = {}
-        self._time_samples: dict[str, _Reservoir] = {}
+        self._timers: dict[str, Histogram] = {}
         self._providers: dict[str, Callable[[], dict]] = {}
 
     # -- counters -----------------------------------------------------------
@@ -164,26 +160,12 @@ class PerfRegistry:
 
     # -- timers -------------------------------------------------------------
 
-    @contextmanager
-    def timer(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_time(name, time.perf_counter() - start)
-
     def add_time(self, name: str, seconds: float) -> None:
         with self._lock:
-            self._time_total[name] = self._time_total.get(name, 0.0) + seconds
-            self._time_calls[name] = self._time_calls.get(name, 0) + 1
-            reservoir = self._time_samples.get(name)
-            if reservoir is None:
-                reservoir = self._time_samples[name] = _Reservoir()
-            reservoir.add(seconds)
-
-    def elapsed(self, name: str) -> float:
-        with self._lock:
-            return self._time_total.get(name, 0.0)
+            timer = self._timers.get(name)
+            if timer is None:
+                timer = self._timers[name] = Histogram()
+            timer.add(seconds)
 
     # -- stats providers ----------------------------------------------------
 
@@ -201,21 +183,13 @@ class PerfRegistry:
     def snapshot(self) -> dict:
         """Structured dump: ``{"counters": ..., "timers": ...[, "caches": ...]}``.
 
-        Timer entries keep the original ``total_s``/``calls`` keys and add
-        reservoir-estimated ``p50_s``/``p95_s`` plus the exact ``max_s``.
+        Timer entries report ``total_s``/``calls``/``p50_s``/``p95_s``/``max_s``.
         """
         with self._lock:
             out = {
                 "counters": dict(self._counters),
                 "timers": {
-                    name: {
-                        "total_s": round(total, 6),
-                        "calls": self._time_calls.get(name, 0),
-                        "p50_s": round(self._time_samples[name].percentile(0.50), 6),
-                        "p95_s": round(self._time_samples[name].percentile(0.95), 6),
-                        "max_s": round(self._time_samples[name].max, 6),
-                    }
-                    for name, total in self._time_total.items()
+                    name: timer.summary() for name, timer in self._timers.items()
                 },
             }
             providers = dict(self._providers)
@@ -228,76 +202,48 @@ class PerfRegistry:
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
-            self._time_total.clear()
-            self._time_calls.clear()
-            self._time_samples.clear()
+            self._timers.clear()
 
     # -- cross-process aggregation -------------------------------------------
 
     def export_state(self) -> dict:
-        """Mergeable dump of counters and timers (see :meth:`merge_state`).
+        """Mergeable copy of counters and timers (see :meth:`merge_state`).
 
-        Unlike :meth:`snapshot` this keeps the raw reservoir samples so a
-        receiving registry can fold them into its own percentile estimates.
-        Worker processes of the parallel process backend export their
-        registry through this at pool shutdown.
+        Timers are :class:`Histogram` copies (bucket counts, total, max).
+        Worker processes of the parallel process backend ship their
+        registry to the parent through this whenever it drains them.
         """
         with self._lock:
             return {
                 "counters": dict(self._counters),
                 "timers": {
-                    name: {
-                        "total_s": total,
-                        "calls": self._time_calls.get(name, 0),
-                        "samples": list(self._time_samples[name].samples),
-                        "seen": self._time_samples[name].seen,
-                        "max_s": self._time_samples[name].max,
-                    }
-                    for name, total in self._time_total.items()
+                    name: timer.copy() for name, timer in self._timers.items()
                 },
             }
 
     def merge_state(self, state: dict) -> None:
         """Fold another registry's :meth:`export_state` into this one.
 
-        Counter values, timer totals and call counts add exactly; the
-        donor's (bounded) duration samples merge into this registry's
-        reservoirs **weighted by source call counts**
-        (:meth:`_Reservoir.merge_from`), so percentiles after a
-        multi-worker merge estimate the pooled distribution instead of
-        over-representing whichever source exported fewer calls; ``max_s``
-        stays exact.
+        Counters, bucket counts and totals add and maxima combine, so the
+        result is exactly what one registry that saw both sides' calls
+        would hold.
         """
         for name, value in state.get("counters", {}).items():
             self.incr(name, value)
-        for name, entry in state.get("timers", {}).items():
+        for name, other in state.get("timers", {}).items():
             with self._lock:
-                self._time_total[name] = (
-                    self._time_total.get(name, 0.0) + entry["total_s"]
-                )
-                self._time_calls[name] = (
-                    self._time_calls.get(name, 0) + entry["calls"]
-                )
-                reservoir = self._time_samples.get(name)
-                if reservoir is None:
-                    reservoir = self._time_samples[name] = _Reservoir()
-                reservoir.merge_from(
-                    list(entry.get("samples", ())),
-                    # Older exports lack "seen"; calls equals seen for a
-                    # registry that only ever saw add_time().
-                    entry.get("seen", entry.get("calls", 0)),
-                    entry.get("max_s", 0.0),
-                )
+                timer = self._timers.get(name)
+                if timer is None:
+                    timer = self._timers[name] = Histogram()
+                timer.merge(other)
 
 
 #: The process-global registry used by the module-level helpers.
 registry = PerfRegistry()
 
 incr = registry.incr
-timer = registry.timer
 counter = registry.counter
 counters = registry.counters
-elapsed = registry.elapsed
 snapshot = registry.snapshot
 reset = registry.reset
 add_time = registry.add_time

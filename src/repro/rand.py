@@ -1,7 +1,7 @@
 """Deterministic seeded RNG streams — no module touches global ``random``.
 
 Every stochastic component in the repo (the design-space explorer, the
-RTL generators, perf reservoirs, randomized test fixtures) draws from a
+RTL generators, randomized test fixtures) draws from a
 private :class:`random.Random` built here, so test files and library
 modules can never bleed seeds into each other through the interpreter's
 global generator, and results are reproducible regardless of import or

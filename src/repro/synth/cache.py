@@ -33,6 +33,7 @@ from collections import OrderedDict
 from .. import obs, perf
 from ..hdl.elaborator import elaborate
 from ..hdl.netlist import Netlist
+from ..parallel import clear_worker_caches
 from .dcshell import DCShell, ScriptResult
 from .library import TechLibrary
 
@@ -409,9 +410,14 @@ def default_cache() -> SynthesisCache:
 
 
 def clear_caches() -> None:
-    """Empty every process-global cache (benchmark cold-start helper)."""
+    """Empty every process-global cache (benchmark cold-start helper).
+
+    Live process-pool workers empty theirs too, so the next map over a
+    warm pool starts as cold as this process.
+    """
     _DEFAULT.clear()
     _FRONTEND.clear()
+    clear_worker_caches()
 
 
 # Surface the caches in ``perf.snapshot()["caches"]``.  ``netlist`` keeps
@@ -452,8 +458,7 @@ def synthesize_cached(
                 return cached
         sp.set_attribute("cached", False)
         shell.add_design(design_name, verilog, top=top)
-        with perf.timer("synth.run_script"):
-            result = shell.run_script(script)
+        result = shell.run_script(script)
         sp.set_attribute("success", result.success)
         if not result.success:
             obs.warning("synth.script_failed", design=design_name, error=result.error)

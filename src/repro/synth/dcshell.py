@@ -216,7 +216,7 @@ class DCShell:
     )
 
     def _optimize(self, name: str, fn, *args, **kwargs):
-        """Run one optimizer pass inside a ``synth.optimize`` span.
+        """Run one optimizer pass (each times itself as ``pass.<name>``).
 
         Timing-driven passes receive the session's shared
         :class:`PassContext`, so the whole compile flow drives one
@@ -224,8 +224,7 @@ class DCShell:
         """
         if name in self._CONTEXT_PASSES:
             kwargs.setdefault("context", self._pass_context())
-        with obs.span("synth.optimize", opt=name):
-            return fn(*args, **kwargs)
+        return fn(*args, **kwargs)
 
     # -- commands ------------------------------------------------------------------------
 

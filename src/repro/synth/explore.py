@@ -236,7 +236,7 @@ def anneal_chain(
     while trials < config.budget:
         width = min(config.batch, config.budget - trials)
         violated = cur_cps < config.derate
-        with perf.timer("explore.propose"):
+        with obs.span("explore.propose"):
             moves = [
                 _propose(
                     rng, cells, sizable, pool, pool_set, neighbors,
@@ -245,7 +245,7 @@ def anneal_chain(
                 for _ in range(width)
             ]
         batch_sizes.append(width)
-        with perf.timer("explore.score"):
+        with obs.span("explore.score"):
             verdicts = engine.trial_metrics_batch(moves)
         previous_trials = trials
         trials += width
@@ -364,20 +364,9 @@ _EXPLORE_BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
 def _record_metrics(results: list[ChainResult]) -> None:
-    """Publish run totals on the live metrics endpoint (parent-side)."""
+    """Publish the chains' proposal-batch widths on the metrics endpoint."""
     from ..obs import metrics
 
-    moves = sum(result.trials for result in results)
-    accepted = sum(result.accepted for result in results)
-    metrics.counter(
-        "repro_explore_moves_total",
-        "Move-set trials evaluated by the design-space explorer",
-    ).inc(moves)
-    if moves:
-        metrics.gauge(
-            "repro_explore_acceptance_ratio",
-            "Accepted / proposed move sets in the latest exploration run",
-        ).set(accepted / moves)
     hist = metrics.histogram(
         "repro_explore_batch_size",
         "Proposal-batch widths per explorer chain",
@@ -436,7 +425,7 @@ def explore_sizing(
         results = run_chains(
             netlist, library, wireload, constraints, config, jobs=jobs
         )
-        with perf.timer("explore.reduce"):
+        with obs.span("explore.reduce"):
             best = reduce_chains(results)
         changes = 0
         if best is not None and best.bindings:

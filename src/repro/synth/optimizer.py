@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import perf
+from .. import obs, perf
 from ..hdl.netlist import EditUndo, Netlist
 from . import soa
 from .library import TechLibrary
@@ -80,11 +80,12 @@ def _context(
 
 
 def _timed(fn):
-    """Accumulate per-pass wall clock in the perf registry."""
+    """Time every call of the pass as the ``pass.<name>`` stage."""
+    stage = f"pass.{fn.__name__}"
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        with perf.timer(f"pass.{fn.__name__}"):
+        with obs.span(stage):
             return fn(*args, **kwargs)
 
     return wrapper

@@ -50,7 +50,7 @@ import weakref
 
 import numpy as np
 
-from .. import perf
+from .. import obs, perf
 from ..hdl.netlist import GENERIC_GATES, NetlistError
 
 __all__ = [
@@ -511,7 +511,7 @@ def get_structure(netlist) -> SoAStructure:
                 return structure
     version = netlist.version
     if touched is not None:
-        with perf.timer("sta.lower"):
+        with obs.span("sta.lower"):
             patched = structure.patched(netlist, *touched)
         if patched is not None:
             with _STRUCT_LOCK:
@@ -519,7 +519,7 @@ def get_structure(netlist) -> SoAStructure:
                 _STRUCTURES[netlist] = (version, patched)
             perf.incr("soa.structure_patch")
             return patched
-    with perf.timer("sta.lower"):
+    with obs.span("sta.lower"):
         structure = SoAStructure(netlist)
     with _STRUCT_LOCK:
         _STRUCT_MISSES += 1
@@ -549,7 +549,7 @@ def peek_structure(netlist) -> SoAStructure | None:
 
 
 def structure_cache_stats() -> dict:
-    """Lowering/kernel activity, shaped for ``perf.snapshot()["caches"]``."""
+    """Lowering cache activity, shaped for ``perf.snapshot()["caches"]``."""
     with _STRUCT_LOCK:
         entries, hits, misses, patches = (
             len(_STRUCTURES), _STRUCT_HITS, _STRUCT_MISSES, _STRUCT_PATCHES
@@ -559,11 +559,6 @@ def structure_cache_stats() -> dict:
         "hits": hits,
         "misses": misses,
         "patches": patches,
-        "lower_s": round(perf.elapsed("sta.lower"), 6),
-        "kernel_s": round(perf.elapsed("sta.kernel"), 6),
-        "levels_run": perf.counter("sta.vector_levels"),
-        "trials": perf.counter("sta.trial"),
-        "trial_batches": perf.counter("sta.trial_batch"),
     }
 
 
@@ -733,7 +728,7 @@ class SoAKernel:
     def propagate(self, from_level: int = 0) -> np.ndarray:
         """Run the per-level arrival kernels from ``from_level`` up."""
         s = self.s
-        with perf.timer("sta.kernel"):
+        with obs.span("sta.kernel"):
             if self.arrivals is None:
                 self.arrivals = np.zeros(s.num_nets, dtype=np.float64)
             arrivals = self.arrivals
@@ -875,7 +870,7 @@ class SoAKernel:
             resolved.append(rows_map)
         params = self.params  # after row resolution: may have appended rows
         caps = params[:, _CAP]
-        with perf.timer("sta.kernel"):
+        with obs.span("sta.kernel"):
             arrivals2 = np.repeat(self.arrivals[None, :], k, axis=0)
             net_dirty = np.zeros(s.num_nets, dtype=bool)
             forced = np.zeros(s.num_cells, dtype=bool)

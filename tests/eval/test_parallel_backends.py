@@ -12,7 +12,10 @@ import pickle
 import numpy as np
 import pytest
 
-from repro import perf
+from repro import obs, perf
+from repro.designs import get_benchmark
+from repro.eval.harness import baseline_script
+from repro.obs.ledger import build_manifest
 from repro.parallel import (
     DEFAULT_MAX_JOBS,
     effective_backend,
@@ -20,8 +23,10 @@ from repro.parallel import (
     parallel_map,
     resolve_backend,
     resolve_jobs,
+    shutdown_pools,
     sync_worker_perf,
 )
+from repro.synth.cache import clear_caches, synthesize_cached
 
 
 class Boom(RuntimeError):
@@ -48,6 +53,20 @@ def _worker_pid(_x) -> int:
 
 def _in_worker_flag(_x) -> bool:
     return in_worker()
+
+
+def _count_and_time(x: int) -> int:
+    perf.incr("test.worker_event")
+    with obs.span("test.worker_stage"):
+        return x
+
+
+def _synthesize(name: str) -> bool:
+    bench = get_benchmark(name)
+    result = synthesize_cached(
+        None, bench.name, bench.verilog, baseline_script(bench), top=bench.top
+    )
+    return result.success
 
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -177,3 +196,28 @@ class TestProcessBackendContract:
         assert any(key in timers for key in per_worker) or any(
             key.startswith("parallel.tasks.w") for key in counters
         )
+
+
+class TestWorkerState:
+    """What the parent reads or resets must include the live workers."""
+
+    def test_clear_caches_reaches_warm_workers(self):
+        designs = ["aes", "dynamic_node"]
+        assert all(parallel_map(_synthesize, designs, jobs=2, backend="process"))
+        clear_caches()
+        sync_worker_perf()
+        before = perf.counters()
+        assert all(parallel_map(_synthesize, designs, jobs=2, backend="process"))
+        sync_worker_perf()
+        after = perf.counters()
+        for name, expected in (("synthcache.miss", 2), ("synthcache.hit", 0)):
+            assert after.get(name, 0) - before.get(name, 0) == expected, name
+
+    def test_manifest_counts_live_workers(self):
+        parallel_map(_count_and_time, range(10), jobs=2, backend="process")
+        manifest = build_manifest("workers")
+        shutdown_pools()  # merges whatever the workers still hold
+        snapshot = perf.snapshot()
+        assert manifest["counters"]["test.worker_event"] >= 10
+        assert manifest["counters"] == snapshot["counters"]
+        assert manifest["stages"] == snapshot["timers"]

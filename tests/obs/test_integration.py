@@ -2,20 +2,23 @@
 
 every SynthExpert step span and every SynthRAG retrieval span — including
 those emitted from ``parallel_map`` worker threads — must be a descendant
-of the ``chatls.customize`` root span.
+of the ``chatls.customize`` root span.  Untraced, the same run still times
+every layer into the perf registry.
 """
 
 import json
 
 import pytest
 
-from repro import obs
+from repro import obs, perf
 from repro.core import ChatLS
 from repro.designs import get_benchmark
 from repro.designs.chipyard import generate_family_variant
 from repro.designs.database import ExpertDatabase
 from repro.eval.harness import TIMING_REQUIREMENT, baseline_script
 from repro.mentor import CircuitEncoder
+from repro.parallel import sync_worker_perf
+from repro.synth.cache import clear_caches
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +120,7 @@ class TestTracedCustomization:
             "synth.script",
             "synth.compile",
             "synth.techmap",
-            "synth.optimize",
+            "pass.size_gates",
             "synth.sta",
         ):
             assert expected in names, f"missing stage span {expected}"
@@ -130,3 +133,25 @@ class TestTracedCustomization:
         root = next(s for s in spans if s["name"] == "chatls.customize")
         delta = root["attrs"].get("perf", {})
         assert delta.get("sta.full", 0) + delta.get("sta.incremental", 0) > 0
+
+
+class TestUntracedCustomization:
+    def test_perf_timers_cover_every_layer(self, db):
+        obs.configure(None)
+        clear_caches()  # synthesize for real, even after the traced run
+        perf.reset()
+        bench = get_benchmark("aes")
+        ChatLS(db).customize_pass_at_k(
+            bench.verilog,
+            bench.name,
+            baseline_script(bench),
+            TIMING_REQUIREMENT,
+            k=2,
+            top=bench.top,
+            clock_period=bench.clock_period,
+            jobs=2,
+        )
+        sync_worker_perf()  # the process backend ran the seeds in workers
+        timers = perf.snapshot()["timers"]
+        for stage in ("chatls.customize", "rag.manual", "expert.step", "synth.sta"):
+            assert timers.get(stage, {}).get("calls", 0) > 0, f"no {stage} timer"

@@ -1,4 +1,4 @@
-"""Typed metrics registry, exposition format, perf bridge and endpoint."""
+"""Metrics registry, exposition format, perf bridge and endpoint."""
 
 import threading
 import time
@@ -10,9 +10,7 @@ import pytest
 from repro import perf
 from repro.obs import metrics
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
+    MetricFamily,
     MetricsRegistry,
     collect_perf,
     parse_exposition,
@@ -34,30 +32,24 @@ def scrape(port: int, path: str = "/metrics") -> str:
         return r.read().decode()
 
 
+def gauge_callback(name: str, read, **labels):
+    """A collect-time callback reporting ``read()`` as one gauge sample."""
+
+    def collect():
+        family = MetricFamily(name, "gauge")
+        family.add(read(), **labels)
+        return [family]
+
+    return collect
+
+
 class TestCounter:
-    def test_inc_and_labelled_children(self):
-        reg = MetricsRegistry()
-        c = reg.counter("events_total", "help text")
-        c.inc()
-        c.inc(4, kind="a")
-        c.inc(kind="a")
-        assert c.value() == 1
-        assert c.value(kind="a") == 5
-        family = c.collect()
-        assert family.type == "counter"
-        assert len(family.samples) == 2
-
-    def test_rejects_negative(self):
-        c = MetricsRegistry().counter("c_total")
-        with pytest.raises(ValueError, match="only increase"):
-            c.inc(-1)
-
     def test_rejects_bad_names(self):
         reg = MetricsRegistry()
         with pytest.raises(ValueError, match="invalid metric name"):
-            reg.counter("bad-name")
+            reg.histogram("bad-name")
         with pytest.raises(ValueError, match="invalid label name"):
-            reg.counter("ok").inc(**{"bad-label": "v"})
+            reg.histogram("ok").observe(1.0, **{"bad-label": "v"})
 
     def test_sanitize_name(self):
         assert sanitize_name("synthcache.hit") == "synthcache_hit"
@@ -65,27 +57,23 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
-        g = MetricsRegistry().gauge("g")
-        g.set(10)
-        g.dec(3)
-        assert g.value() == 7
-
     def test_callback_child_evaluated_at_collect(self):
-        g = MetricsRegistry().gauge("g")
+        reg = MetricsRegistry()
         state = {"v": 1.0}
-        g.set_function(lambda: state["v"], src="live")
+        reg.register_callback(
+            "live", gauge_callback("g", lambda: state["v"], src="live")
+        )
         state["v"] = 42.0
-        assert g.value(src="live") == 42.0
-        family = g.collect()
+        (family,) = reg.collect()
+        assert family.type == "gauge"
         assert family.samples[0].value == 42.0
 
     def test_dead_callback_skipped_at_collect(self):
-        g = MetricsRegistry().gauge("g")
-        g.set_function(lambda: 1 / 0, src="dead")
-        g.set(5, src="ok")
-        family = g.collect()
-        assert [(s.labels["src"], s.value) for s in family.samples] == [("ok", 5.0)]
+        reg = MetricsRegistry()
+        reg.register_callback("dead", gauge_callback("g_dead", lambda: 1 / 0))
+        reg.register_callback("ok", gauge_callback("g_ok", lambda: 5, src="ok"))
+        families = reg.collect()
+        assert [(f.name, f.samples[0].value) for f in families] == [("g_ok", 5)]
 
 
 class TestHistogram:
@@ -120,28 +108,33 @@ class TestHistogram:
 class TestRegistry:
     def test_get_or_create_idempotent(self):
         reg = MetricsRegistry()
-        assert reg.counter("x_total") is reg.counter("x_total")
-        with pytest.raises(ValueError, match="already registered"):
-            reg.gauge("x_total")
+        assert reg.histogram("x_seconds") is reg.histogram("x_seconds")
 
     def test_collect_drops_empty_families(self):
         reg = MetricsRegistry()
-        reg.counter("never_used_total")
-        reg.counter("used_total").inc()
-        assert [f.name for f in reg.collect()] == ["used_total"]
+        reg.histogram("never_used_seconds")
+        reg.histogram("used_seconds").observe(0.5)
+        assert [f.name for f in reg.collect()] == ["used_seconds"]
 
     def test_broken_callback_does_not_kill_scrape(self):
         reg = MetricsRegistry()
-        reg.counter("ok_total").inc()
+        reg.histogram("ok_seconds").observe(0.5)
         reg.register_callback("boom", lambda: 1 / 0)
-        assert [f.name for f in reg.collect()] == ["ok_total"]
+        assert [f.name for f in reg.collect()] == ["ok_seconds"]
 
 
 class TestExpositionRoundTrip:
     def build(self):
         reg = MetricsRegistry()
-        reg.counter("jobs_total", "Jobs.").inc(3, queue='we"ird\\path')
-        reg.gauge("depth").set(2.5, pool="p0")
+
+        def jobs_and_depth():
+            jobs = MetricFamily("jobs_total", "counter", "Jobs.")
+            jobs.add(3, queue='we"ird\\path')
+            depth = MetricFamily("depth", "gauge")
+            depth.add(2.5, pool="p0")
+            return [jobs, depth]
+
+        reg.register_callback("jobs", jobs_and_depth)
         h = reg.histogram("lat_seconds", "Latency.", buckets=(0.01, 0.1))
         h.observe(0.005)
         h.observe(0.05)
@@ -219,6 +212,11 @@ class TestPerfBridge:
             values = [s.value for s in buckets]
             assert values == sorted(values)
             assert values[-1] == 3
+            # every finite bucket is the timer's own cumulative count
+            timer = perf.export_state()["timers"]["bridge.test_stage"]
+            cumulative = [sum(timer.counts[: i + 1]) for i in range(len(perf.BOUNDS))]
+            assert values[:-1] == cumulative
+            assert [float(s.labels["le"]) for s in buckets[:-1]] == list(perf.BOUNDS)
         finally:
             perf.reset()
 
@@ -283,16 +281,17 @@ class TestEnvGate:
 
 class TestEndpoint:
     def test_serves_metrics_and_404(self):
-        server = metrics.start_server(port=0, sample_secs=60.0)
+        server = metrics.start_server(port=0)
         body = scrape(server.port)
         types, samples = parse_exposition(body)  # every line round-trips
-        assert "repro_process_rss_bytes" in types  # sampler primed at start
+        assert "repro_process_rss_bytes" in types  # read at collect time
+        assert types["repro_process_cpu_seconds_total"] == "counter"
         with pytest.raises(urllib.error.HTTPError):
             scrape(server.port, "/nope")
 
     def test_scrape_during_live_parallel_map(self):
         """Satellite: scrape mid-run and round-trip-parse every line."""
-        server = metrics.start_server(port=0, sample_secs=0.05)
+        server = metrics.start_server(port=0)
         done = threading.Event()
 
         def work(i):

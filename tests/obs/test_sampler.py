@@ -1,17 +1,7 @@
-"""Resource sampler tests (procfs readers + the gauge-setting loop)."""
+"""Process resource gauges: procfs readers and the collect-time callback."""
 
-import time
-
-import pytest
-
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sampler import (
-    DEFAULT_SAMPLE_SECS,
-    ResourceSampler,
-    count_open_fds,
-    read_rss_bytes,
-    sample_interval,
-)
+from repro.obs import metrics
+from repro.obs.sampler import count_open_fds, process_families, read_rss_bytes
 
 
 class TestReaders:
@@ -24,56 +14,21 @@ class TestReaders:
         assert fds is not None and fds >= 3  # stdio at minimum
 
 
-class TestInterval:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_METRICS_SAMPLE_SECS", raising=False)
-        assert sample_interval() == DEFAULT_SAMPLE_SECS
+class TestProcessFamilies:
+    def test_gauges_and_cpu_counter_read_at_collect(self):
+        first = {f.name: f for f in process_families()}
+        assert first["repro_process_rss_bytes"].type == "gauge"
+        assert first["repro_process_rss_bytes"].samples[0].value > 0
+        assert first["repro_process_threads"].samples[0].value >= 1
+        assert {s.labels["generation"] for s in
+                first["repro_process_gc_collections_total"].samples} >= {"0"}
+        cpu = first["repro_process_cpu_seconds_total"]
+        assert cpu.type == "counter"
+        sum(range(200_000))  # burn a little CPU
+        (later,) = [f for f in process_families()
+                    if f.name == "repro_process_cpu_seconds_total"]
+        assert later.samples[0].value >= cpu.samples[0].value
 
-    def test_env_override_and_floor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_METRICS_SAMPLE_SECS", "2.5")
-        assert sample_interval() == 2.5
-        monkeypatch.setenv("REPRO_METRICS_SAMPLE_SECS", "0.001")
-        assert sample_interval() == 0.05  # floored
-
-    def test_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_METRICS_SAMPLE_SECS", "soon")
-        with pytest.raises(ValueError, match="must be a number"):
-            sample_interval()
-
-
-class TestResourceSampler:
-    def test_start_primes_gauges_synchronously(self):
-        reg = MetricsRegistry()
-        sampler = ResourceSampler(interval=60.0, registry=reg)
-        sampler.start()
-        try:
-            assert sampler.samples == 1  # no loop tick needed
-            names = {f.name for f in reg.collect()}
-            assert "repro_process_rss_bytes" in names
-            assert "repro_process_threads" in names
-            assert "repro_process_gc_collections_total" in names
-            assert reg.gauge("repro_process_rss_bytes").value() > 0
-            assert reg.gauge("repro_process_threads").value() >= 1
-        finally:
-            sampler.stop()
-
-    def test_loop_samples_on_period(self):
-        reg = MetricsRegistry()
-        sampler = ResourceSampler(interval=0.05, registry=reg)
-        sampler.start()
-        try:
-            deadline = time.time() + 5.0
-            while sampler.samples < 3 and time.time() < deadline:
-                time.sleep(0.02)
-            assert sampler.samples >= 3
-            assert reg.gauge("repro_process_uptime_seconds").value() > 0
-        finally:
-            sampler.stop()
-
-    def test_stop_is_idempotent_and_start_after_start_is_noop(self):
-        sampler = ResourceSampler(interval=60.0, registry=MetricsRegistry())
-        assert sampler.start() is sampler
-        assert sampler.start() is sampler
-        assert sampler.samples == 1
-        sampler.stop()
-        sampler.stop()
+    def test_registered_on_the_global_registry(self):
+        names = {family.name for family in metrics.registry.collect()}
+        assert {"repro_process_rss_bytes", "repro_process_cpu_seconds_total"} <= names

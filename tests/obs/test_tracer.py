@@ -1,5 +1,5 @@
-"""Tracer tests: nesting, attributes, perf deltas, cross-thread
-propagation, exporters, and the disabled-mode fast path."""
+"""Tracer tests: nesting, attributes, perf deltas and timers,
+cross-thread propagation, exporters, and the disabled-mode fast path."""
 
 import json
 import threading
@@ -81,6 +81,15 @@ class TestSpanNesting:
         assert outer_delta["obs.test.outer"] == 2
         assert outer_delta["obs.test.inner"] == 1
 
+    def test_traced_span_times_into_perf(self, tmp_path):
+        tracer = obs.configure(str(tmp_path / "t.jsonl"))
+        before = perf.snapshot()["timers"].get("obs.test.traced", {}).get("calls", 0)
+        with obs.span("obs.test.traced"):
+            pass
+        tracer.flush()
+        assert len(spans_of(read_events(tracer.path))) == 1
+        assert perf.snapshot()["timers"]["obs.test.traced"]["calls"] == before + 1
+
     def test_point_events_attach_to_span(self, tmp_path):
         tracer = obs.configure(str(tmp_path / "t.jsonl"))
         with obs.span("op") as sp:
@@ -144,12 +153,16 @@ class TestCrossThread:
 
 class TestDisabledMode:
     def test_span_is_shared_noop(self):
+        """An untraced span is falsy, opens no context and only times itself."""
         obs.configure(None)
-        assert obs.span("anything", k=1) is NOOP_SPAN
-        with obs.span("anything") as sp:
-            assert sp is NOOP_SPAN
+        before = perf.snapshot()["timers"].get("obs.test.untraced", {}).get("calls", 0)
+        with obs.span("obs.test.untraced", k=1) as sp:
+            assert not sp
+            assert sp.span_id == "" and sp.parent_id is None
+            assert obs.current_span() is NOOP_SPAN
             sp.set_attribute("a", 1)
             sp.set_attributes(b=2)
+        assert perf.snapshot()["timers"]["obs.test.untraced"]["calls"] == before + 1
         assert not obs.tracing_enabled()
 
     def test_no_events_no_file(self, tmp_path, monkeypatch):

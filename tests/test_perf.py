@@ -3,6 +3,8 @@
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import perf
 from repro.perf import PerfRegistry
@@ -18,20 +20,16 @@ class TestCounters:
 
     def test_timer_accumulates(self):
         reg = PerfRegistry()
-        with reg.timer("t"):
-            pass
-        with reg.timer("t"):
-            pass
+        reg.add_time("t", 0.25)
+        reg.add_time("t", 0.5)
         snap = reg.snapshot()
         assert snap["timers"]["t"]["calls"] == 2
-        assert snap["timers"]["t"]["total_s"] >= 0.0
-        assert round(reg.elapsed("t"), 6) == snap["timers"]["t"]["total_s"]
+        assert snap["timers"]["t"]["total_s"] == 0.75
 
     def test_reset(self):
         reg = PerfRegistry()
         reg.incr("a")
-        with reg.timer("t"):
-            pass
+        reg.add_time("t", 0.001)
         reg.reset()
         assert reg.snapshot() == {"counters": {}, "timers": {}}
 
@@ -71,19 +69,12 @@ class TestPercentiles:
 
     def test_max_is_exact_beyond_reservoir_capacity(self):
         reg = PerfRegistry()
-        for _ in range(10 * perf.RESERVOIR_CAPACITY):
+        for _ in range(2560):
             reg.add_time("t", 0.001)
-        reg.add_time("t", 9.0)  # a single tail spike sampling could drop
+        reg.add_time("t", 9.0)  # a single tail spike inside a wide bucket
         snap = reg.snapshot()["timers"]["t"]
         assert snap["max_s"] == 9.0
-        assert snap["calls"] == 10 * perf.RESERVOIR_CAPACITY + 1
-
-    def test_reservoir_bounded(self):
-        reg = PerfRegistry()
-        for _ in range(5000):
-            reg.add_time("t", 0.001)
-        assert len(reg._time_samples["t"].samples) == perf.RESERVOIR_CAPACITY
-        assert reg._time_samples["t"].seen == 5000
+        assert snap["calls"] == 2561
 
     def test_percentiles_deterministic(self):
         snaps = []
@@ -131,14 +122,6 @@ class TestStatsProviders:
 
 
 class TestReservoirMerge:
-    def test_export_includes_seen(self):
-        reg = PerfRegistry()
-        for _ in range(1000):
-            reg.add_time("t", 0.001)
-        entry = reg.export_state()["timers"]["t"]
-        assert entry["seen"] == 1000
-        assert len(entry["samples"]) == perf.RESERVOIR_CAPACITY
-
     def test_merge_adds_totals_calls_and_exact_max(self):
         donor = PerfRegistry()
         donor.add_time("t", 0.002)
@@ -152,13 +135,11 @@ class TestReservoirMerge:
         assert snap["max_s"] == 9.0
 
     def test_merge_weights_by_source_call_counts(self):
-        """Skewed sources: a 10x-busier worker deserves 10x representation.
+        """Skewed sources: a 10x-busier worker keeps 10x the weight.
 
-        Donor A timed 2560 calls at ~1ms; donor B timed 256 calls at
-        ~100ms.  Both export at most RESERVOIR_CAPACITY samples, so an
-        unweighted merge fills the target reservoir ~50/50 and drags the
-        pooled p50 from 1ms toward 100ms.  The weighted merge must keep
-        the slow population near its true 1-in-11 share.
+        Donor A timed 2560 calls at 1ms; donor B timed 256 calls at
+        100ms.  Merging adds bucket counts, so the slow population keeps
+        its true 1-in-11 share and the pooled p50 stays in the 1ms bucket.
         """
         donor_a = PerfRegistry()
         for _ in range(2560):
@@ -170,17 +151,13 @@ class TestReservoirMerge:
         target.merge_state(donor_a.export_state())
         target.merge_state(donor_b.export_state())
 
-        reservoir = target._time_samples["t"]
-        assert reservoir.seen == 2816
-        assert len(reservoir.samples) == perf.RESERVOIR_CAPACITY
-        slow_share = sum(1 for s in reservoir.samples if s == 0.100) / len(
-            reservoir.samples
-        )
-        # True share is 256/2816 ~= 9.1%; unweighted merging lands ~50%.
-        assert 0.02 <= slow_share <= 0.25
-
+        counts = target.export_state()["timers"]["t"].counts
+        assert counts[perf.BOUNDS.index(0.001)] == 2560
+        assert counts[perf.BOUNDS.index(0.1)] == 256
         snap = target.snapshot()["timers"]["t"]
-        assert snap["p50_s"] == pytest.approx(0.001)
+        assert snap["calls"] == 2816
+        # p50 interpolates inside the (0.000794, 0.001] bucket.
+        assert 0.000794 < snap["p50_s"] <= 0.001
         assert snap["max_s"] == 0.100
 
     def test_merge_is_deterministic(self):
@@ -196,44 +173,54 @@ class TestReservoirMerge:
 
         assert merged() == merged()
 
-    def test_merge_tolerates_legacy_state_without_seen(self):
-        # Older exports carried only calls; calls == seen for a registry
-        # that never merged, so the fallback is exact, not approximate.
-        target = PerfRegistry()
-        target.merge_state(
-            {
-                "counters": {},
-                "timers": {
-                    "t": {"total_s": 0.5, "calls": 5,
-                          "samples": [0.1] * 5, "max_s": 0.1},
-                },
-            }
-        )
-        reservoir = target._time_samples["t"]
-        assert reservoir.seen == 5
-        assert target.snapshot()["timers"]["t"]["calls"] == 5
+    def test_merge_rejects_other_bounds(self):
+        target = perf.Histogram()
+        with pytest.raises(ValueError, match="different bounds"):
+            target.merge(perf.Histogram((1.0, 2.0)))
 
-    def test_merge_empty_donor_samples_only_counts_seen(self):
-        target = PerfRegistry()
-        target.add_time("t", 0.001)
-        before = list(target._time_samples["t"].samples)
-        target.merge_state(
-            {"counters": {}, "timers": {"t": {"total_s": 1.0, "calls": 10,
-                                              "samples": [], "seen": 10,
-                                              "max_s": 2.0}}}
-        )
-        reservoir = target._time_samples["t"]
-        assert reservoir.samples == before
-        assert reservoir.seen == 11
-        assert reservoir.max == 2.0
+
+#: Timed calls: (stage name, seconds, repeats, registry the calls land in).
+_CALLS = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c"]),
+        st.one_of(
+            st.floats(min_value=0.0, max_value=250.0),
+            st.sampled_from(perf.BOUNDS),
+        ),
+        st.integers(min_value=1, max_value=100),
+        st.integers(min_value=0, max_value=3),
+    ),
+    max_size=30,
+)
+
+
+class TestMergeIsExact:
+    @given(_CALLS)
+    def test_split_registries_merge_to_one_registry(self, calls):
+        """However calls are split over k registries, merging them reports
+        exactly what one registry that saw every call reports."""
+        whole = PerfRegistry()
+        parts = [PerfRegistry() for _ in range(4)]
+        for name, seconds, repeats, part in calls:
+            for _ in range(repeats):
+                whole.add_time(name, seconds)
+                parts[part].add_time(name, seconds)
+        merged = PerfRegistry()
+        for part in reversed(parts):
+            merged.merge_state(part.export_state())
+        assert merged.snapshot() == whole.snapshot()
+        want = whole.export_state()["timers"]
+        got = merged.export_state()["timers"]
+        assert {n: h.counts for n, h in got.items()} == {
+            n: h.counts for n, h in want.items()
+        }
 
 
 class TestModuleRegistry:
     def test_module_aliases_hit_global_registry(self):
         perf.reset()
         perf.incr("x", 2)
-        with perf.timer("y"):
-            pass
+        perf.add_time("y", 0.001)
         snap = perf.snapshot()
         assert snap["counters"]["x"] == 2
         assert snap["timers"]["y"]["calls"] == 1
