@@ -8,6 +8,7 @@ model's context window) — no CircuitMentor, no SynthRAG, no SynthExpert.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..parallel import parallel_map
 from ..llm.base import LLMClient
@@ -95,14 +96,9 @@ class BaselineRunner:
         from .chatls import _better_timing
 
         runs = parallel_map(
-            lambda seed: self.run_once(
-                verilog,
-                design_name,
-                baseline_script,
-                requirement,
-                tool_report=tool_report,
-                top=top,
-                seed=seed,
+            partial(
+                self.run_once, verilog, design_name, baseline_script,
+                requirement, tool_report, top,
             ),
             range(k),
             jobs=jobs,

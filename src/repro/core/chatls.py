@@ -17,17 +17,11 @@ each run through the synthesis tool; the best executable result wins.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .. import obs
 from ..designs.database import ExpertDatabase
-from ..parallel import (
-    SharedRef,
-    effective_backend,
-    parallel_map,
-    release_shared,
-    resolve_shared,
-    shared,
-)
+from ..parallel import parallel_map
 from ..llm.base import LLMClient
 from ..llm.baselines import chatls_core
 from ..mentor.analyzer import DesignAnalysis, analyze_design
@@ -303,24 +297,16 @@ class ChatLS:
                 verilog, design_name, requirement, top, clock_period
             )
             # The per-seed context (pipeline + analysis + retrieval) is
-            # identical across samples: broadcast it once so the process
-            # backend ships a ref per seed instead of megabytes each.
-            ctx_ref = shared(
-                (self, prepared, analysis, rag, verilog, design_name,
-                 baseline_script, tool_report, top),
-                backend=effective_backend(jobs=jobs, items=k),
+            # identical across samples: bind it once, so the process
+            # backend ships it to each worker once per map, not per seed.
+            context = (
+                self, prepared, analysis, rag, verilog, design_name,
+                baseline_script, tool_report, top,
             )
-            cost = len(verilog)
-            try:
-                results = parallel_map(
-                    _pass_at_k_sample,
-                    [(ctx_ref, seed) for seed in range(k)],
-                    jobs=jobs,
-                    label="pass-at-k",
-                    cost=lambda task: cost,
-                )
-            finally:
-                release_shared(ctx_ref)
+            results = parallel_map(
+                partial(_pass_at_k_sample, context), range(k),
+                jobs=jobs, label="pass-at-k",
+            )
             best: CustomizationResult | None = None
             for result in results:
                 if not result.executable or result.qor is None:
@@ -343,15 +329,14 @@ class ChatLS:
             return best
 
 
-def _pass_at_k_sample(task: tuple[SharedRef, int]) -> CustomizationResult:
+def _pass_at_k_sample(context: tuple, seed: int) -> CustomizationResult:
     """One seeded pass@k sample (module-level so it crosses processes).
 
-    The shared ref carries the full per-design context built once by
+    ``context`` is the full per-design context built once by
     :meth:`ChatLS.customize_pass_at_k`; only the seed varies per task.
     """
-    ctx_ref, seed = task
     (chatls, prepared, analysis, rag, verilog, design_name,
-     baseline_script, tool_report, top) = resolve_shared(ctx_ref)
+     baseline_script, tool_report, top) = context
     result = chatls._draft_and_refine(
         prepared, analysis, rag, baseline_script, tool_report, seed
     )

@@ -7,9 +7,8 @@ paper's qualitative shape.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,14 +34,7 @@ from ..synth import (
 from ..synth.cache import synthesize_cached
 from ..synth.reports import QoRSnapshot, snapshot
 from .metrics import RetrievalScore, mean_f1, precision_recall_f1
-from ..parallel import (
-    SharedRef,
-    effective_backend,
-    parallel_map,
-    release_shared,
-    resolve_shared,
-    shared,
-)
+from ..parallel import parallel_map
 from .tables import render_series, render_table
 
 __all__ = [
@@ -81,8 +73,8 @@ def _design_cost(name: str) -> float:
     """Cheap per-design cost estimate (gate-count proxy) for scheduling.
 
     RTL source size tracks elaborated gate count closely across the
-    OpenCores set and costs nothing to compute; the work-stealing
-    scheduler only uses it to shape initial placement, so precision does
+    OpenCores set and costs nothing to compute; the process pool only
+    uses it to dispatch the costliest designs first, so precision does
     not affect results.
     """
     return float(len(get_benchmark(name).verilog))
@@ -180,48 +172,18 @@ class Table3Result:
 #: Table III model columns in render order.
 _TABLE3_MODELS = ("GPT-4o", "Claude-3.5", "ChatLS")
 
-#: Per-process runtime for Table III cells, memoized by database ref
-#: token: the thread backend reuses one ChatLS/runner set exactly as
-#: before, and each process-pool worker builds its own once per
-#: broadcast database instead of once per cell.
-_CELL_RUNTIMES: OrderedDict[str, dict] = OrderedDict()
-_CELL_RUNTIMES_LOCK = threading.Lock()
-_CELL_RUNTIMES_CAP = 4
 
-
-def _cell_runtime(db_ref: SharedRef) -> dict:
-    with _CELL_RUNTIMES_LOCK:
-        runtime = _CELL_RUNTIMES.get(db_ref.token)
-        if runtime is not None:
-            _CELL_RUNTIMES.move_to_end(db_ref.token)
-            return runtime
-    database = resolve_shared(db_ref)
-    runtime = {
-        "chatls": ChatLS(database),
-        "runners": {
-            "GPT-4o": BaselineRunner(gpt4o()),
-            "Claude-3.5": BaselineRunner(claude35()),
-        },
-    }
-    with _CELL_RUNTIMES_LOCK:
-        runtime = _CELL_RUNTIMES.setdefault(db_ref.token, runtime)
-        _CELL_RUNTIMES.move_to_end(db_ref.token)
-        while len(_CELL_RUNTIMES) > _CELL_RUNTIMES_CAP:
-            _CELL_RUNTIMES.popitem(last=False)
-    return runtime
-
-
-def _table3_cell(task: tuple) -> QoRSnapshot | None:
+def _table3_cell(
+    runtime: dict, reports: dict[str, str], k: int, task: tuple[str, str]
+) -> QoRSnapshot | None:
     """One (model, design) Table III cell (module-level, process-safe).
 
-    The database and the Table IV report map arrive as shared refs:
-    resolved in place under the thread backend, through the pool's
-    shared-memory store (once per worker process) under the process
-    backend.
+    ``runtime`` (the ChatLS pipeline and the baseline runners) and the
+    Table IV report map are bound once per map with
+    :func:`functools.partial`, so a process worker unpickles them once
+    per map rather than once per cell.
     """
-    model_name, design, k, db_ref, reports_ref = task
-    runtime = _cell_runtime(db_ref)
-    reports = resolve_shared(reports_ref)
+    model_name, design = task
     with obs.span("eval.cell", model=model_name, design=design) as sp:
         bench = get_benchmark(design)
         script = baseline_script(bench)
@@ -243,7 +205,7 @@ def _table3_cell(task: tuple) -> QoRSnapshot | None:
 
 def _table3_cost(task: tuple) -> float:
     """Cell cost estimate: design size, weighted up for the full pipeline."""
-    model_name, design = task[0], task[1]
+    model_name, design = task
     return _design_cost(design) * (2.0 if model_name == "ChatLS" else 1.0)
 
 
@@ -274,30 +236,23 @@ def run_table3_customization(
     model_names = list(_TABLE3_MODELS)
     result.models = {name: {} for name in model_names}
 
-    n_tasks = len(names) * len(model_names)
-    backend = effective_backend(jobs=jobs, items=n_tasks)
-    db_ref = shared(database, backend=backend)
-    reports_ref = shared(table4.reports, backend=backend)
-    tasks = [
-        (model, design, k, db_ref, reports_ref)
-        for design in names
-        for model in model_names
-    ]
-    try:
-        with obs.span(
-            "eval.table3", designs=len(names), models=len(model_names), k=k
+    runtime = {
+        "chatls": ChatLS(database),
+        "runners": {
+            "GPT-4o": BaselineRunner(gpt4o()),
+            "Claude-3.5": BaselineRunner(claude35()),
+        },
+    }
+    tasks = [(model, design) for design in names for model in model_names]
+    with obs.span("eval.table3", designs=len(names), models=len(model_names), k=k):
+        for (model, design), qor in zip(
+            tasks,
+            parallel_map(
+                partial(_table3_cell, runtime, table4.reports, k), tasks,
+                jobs=jobs, label="table3", cost=_table3_cost,
+            ),
         ):
-            for task, qor in zip(
-                tasks,
-                parallel_map(
-                    _table3_cell, tasks, jobs=jobs, label="table3",
-                    cost=_table3_cost,
-                ),
-            ):
-                result.models[task[0]][task[1]] = qor
-    finally:
-        release_shared(db_ref)
-        release_shared(reports_ref)
+            result.models[model][design] = qor
     qor = {f"baseline/{n}": q for n, q in result.baseline.items()}
     for model, cells in result.models.items():
         qor.update({f"{model}/{n}": q for n, q in cells.items()})

@@ -9,8 +9,8 @@ Usage::
 **Trace mode** prints a per-stage wall-clock breakdown (total, calls,
 p50/p95/max aggregated by span name), the perf counter summary captured
 at tracer shutdown, the parallel-execution summary (effective
-backend/jobs plus per-worker queue-wait and steal statistics when the
-process backend ran), and the slowest individual spans.  Worker
+backend/jobs plus per-worker task counts, queue wait and run time when
+the process backend ran), and the slowest individual spans.  Worker
 *sidecar* traces (``trace.jsonl.wNN``, written by process-pool workers
 whose spans cannot nest under the parent's — see
 :mod:`repro.parallel.worker`) are merged in automatically; their
@@ -178,9 +178,9 @@ def summarize(events: list[dict]) -> dict[str, Any]:
 
 
 def _worker_stats(counters: dict, timers: dict) -> list[dict]:
-    """Per-worker queue-wait/run/steal rows from the merged perf state.
+    """Per-worker task/queue-wait/run rows from the merged perf state.
 
-    The scheduler and workers record under ``parallel.<metric>.wNN``
+    The pool and its workers record under ``parallel.<metric>.wNN``
     keys; after pool shutdown those live in the parent snapshot.
     """
     ids: set[str] = set()
@@ -196,7 +196,6 @@ def _worker_stats(counters: dict, timers: dict) -> list[dict]:
             {
                 "worker": f"w{wid}",
                 "tasks": counters.get(f"parallel.tasks.w{wid}", 0),
-                "steals": counters.get(f"parallel.steals.w{wid}", 0),
                 "wait_p50_s": wait.get("p50_s", 0.0),
                 "wait_p95_s": wait.get("p95_s", 0.0),
                 "wait_max_s": wait.get("max_s", 0.0),
@@ -267,18 +266,18 @@ def render_report(events: list[dict], top: int = 10) -> str:
         out.append(
             render_table(
                 [
-                    "Worker", "Tasks", "Steals",
+                    "Worker", "Tasks",
                     "Wait p50 (s)", "Wait p95 (s)", "Wait max (s)", "Run (s)",
                 ],
                 [
                     [
-                        w["worker"], w["tasks"], w["steals"],
+                        w["worker"], w["tasks"],
                         _s(w["wait_p50_s"]), _s(w["wait_p95_s"]),
                         _s(w["wait_max_s"]), _s(w["run_total_s"]),
                     ]
                     for w in summary["workers"]
                 ],
-                title="Process-pool workers (queue wait / steals)",
+                title="Process-pool workers (queue wait / run time)",
             )
         )
     out.append("")

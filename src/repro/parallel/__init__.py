@@ -14,23 +14,25 @@ package provides the one primitive they need, an order-preserving
   this backend overlaps I/O and caches, not Python compute.
 * ``process`` — a persistent **warm multiprocessing pool**
   (:mod:`repro.parallel.pool`): spawned workers pre-load the technology
-  library and the synthesis/eval stack once, then serve pickled tasks
-  over pipes, with large payloads moved through
-  ``multiprocessing.shared_memory`` (:mod:`repro.parallel.shm`) and a
-  work-stealing scheduler (:mod:`repro.parallel.sched`) balancing
-  per-design costs across workers.  This is the backend that scales
+  library and the synthesis/eval stack once, then take pickled tasks
+  over pipes from one costliest-first queue.  A map pickles its function
+  once and each worker unpickles it once, so context every task shares
+  (a database, a design) is bound into the function with
+  :func:`functools.partial` rather than repeated in every item.  The
+  function and items must pickle: a lambda, a closure or an unpicklable
+  item raises :class:`~repro.parallel.pool.TaskSerializationError`
+  naming the map before any task runs.  This is the backend that scales
   full-corpus evaluation with core count.
 
 Backend selection, in priority order: explicit ``backend=`` argument,
 the ``REPRO_PARALLEL_BACKEND`` environment variable, then ``thread``.
-The process backend transparently **falls back to threads** when a task
-function or item cannot be pickled (e.g. closure-based fan-outs), so
-``parallel_map``'s contract is backend-independent:
+``parallel_map``'s contract is otherwise backend-independent:
 
 * results are returned in input order regardless of completion order;
 * exceptions propagate as in a serial loop (the lowest failing input
   index raises; under the process backend the raised object is the
-  unpickled equivalent of the worker's exception);
+  unpickled equivalent of the worker's exception, and a worker that
+  dies raises :class:`~repro.parallel.pool.WorkerDiedError`);
 * ``jobs=1`` (or ``REPRO_JOBS=1``) forces fully serial execution;
 * inside a process-pool worker, nested ``parallel_map`` calls default
   to serial (no pools-within-pools) unless ``jobs=`` is explicit.
@@ -40,19 +42,16 @@ then ``os.cpu_count()`` — capped at :data:`DEFAULT_MAX_JOBS` for the
 thread backend only (more GIL-bound threads than that just add
 contention; the process backend happily uses every core).
 
-Use :func:`shared` to broadcast one large read-only object (an expert
-database, a report map) to every task without per-task pickling,
-:func:`sync_worker_perf` to merge warm workers' perf registries into this
-process's, :func:`clear_worker_caches` to empty their synthesis caches,
-and :func:`shutdown_pools` to retire them (their perf registries merge
-on the way out).
+Use :func:`sync_worker_perf` to merge warm workers' perf registries into
+this process's, :func:`clear_worker_caches` to empty their synthesis
+caches, and :func:`shutdown_pools` to retire them (their perf registries
+merge on the way out).
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-import pickle
 import sys
 import threading
 import time
@@ -60,27 +59,15 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .. import obs, perf
-from .shm import (  # noqa: F401  (re-exported transport API)
-    SharedRef,
-    ShmHandle,
-    release_all_shared,
-    release_shared,
-    resolve_shared,
-    shared,
-)
 
 __all__ = [
     "DEFAULT_MAX_JOBS",
     "BACKENDS",
     "resolve_backend",
     "resolve_jobs",
-    "effective_backend",
     "in_worker",
     "parallel_map",
     "parallel_map_async",
-    "shared",
-    "resolve_shared",
-    "release_shared",
     "shutdown_pools",
     "sync_worker_perf",
     "clear_worker_caches",
@@ -96,15 +83,12 @@ BACKENDS = ("thread", "process")
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Sentinel: process backend declined the work (unpicklable fn/items).
-_FALLBACK = object()
-
 #: Last-resolved execution info, surfaced via the ``parallel`` stats
 #: provider so run reports show the effective backend and job count.
 _LAST: dict = {"backend": None, "jobs": None, "tasks": 0}
 
-#: Tasks currently executing in this process (thread backend and process
-#: fallback), for the live queue-depth gauge on the metrics endpoint.
+#: Tasks currently executing in this process's thread executor, for the
+#: live in-flight gauge on the metrics endpoint.
 _INFLIGHT_LOCK = threading.Lock()
 _INFLIGHT = 0
 
@@ -161,29 +145,6 @@ def resolve_jobs(jobs: int | None = None, backend: str | None = None) -> int:
     return max(1, jobs)
 
 
-def effective_backend(
-    jobs: int | None = None,
-    items: int | None = None,
-    backend: str | None = None,
-) -> str:
-    """Predict which backend a :func:`parallel_map` call would use.
-
-    Returns ``"serial"`` when the resolved worker count (or item count,
-    if given) cannot sustain a fan-out.  Callers use this to decide
-    whether :func:`shared` should bother creating shared-memory segments
-    before the map actually runs.
-    """
-    resolved = resolve_backend(backend)
-    workers = resolve_jobs(jobs, backend=resolved)
-    if items is not None:
-        workers = min(workers, items)
-        if items <= 1:
-            return "serial"
-    if workers <= 1:
-        return "serial"
-    return resolved
-
-
 def _run_task(
     ctx: contextvars.Context,
     fn: Callable[[T], R],
@@ -237,32 +198,15 @@ def _process_map(
     workers: int,
     label: str,
     cost: Callable[[T], float] | None,
-):
-    """Run through the warm pool, or return ``_FALLBACK`` if unpicklable."""
-    from .pool import TaskSerializationError, get_pool
+) -> list[R]:
+    from .pool import get_pool
 
-    try:
-        pickle.dumps(fn)
-    except Exception as exc:
-        perf.incr("parallel.process_fallback")
-        obs.warning(
-            "parallel.process_fallback", label=label,
-            reason=f"function not picklable: {exc!r}",
-        )
-        return _FALLBACK
     pool = get_pool(workers)
     with obs.span(
         "eval.parallel_map",
         backend="process", workers=workers, tasks=len(work), label=label,
     ):
-        try:
-            return pool.map(fn, work, label=label, cost=cost)
-        except TaskSerializationError as exc:
-            perf.incr("parallel.process_fallback")
-            obs.warning(
-                "parallel.process_fallback", label=label, reason=str(exc)
-            )
-            return _FALLBACK
+        return pool.map(fn, work, label=label, cost=cost)
 
 
 def parallel_map(
@@ -279,8 +223,8 @@ def parallel_map(
     completion order, and the first (lowest-input-index) exception raised
     by ``fn`` propagates as in a serial loop.  Runs serially when only
     one worker is resolved or there is at most one item.  ``cost`` is an
-    optional cheap per-item cost estimate (e.g. gate count) that shapes
-    the process backend's work-stealing schedule; it never affects
+    optional cheap per-item cost estimate (e.g. gate count): the process
+    backend dispatches the costliest items first.  It never affects
     results.
     """
     work: Sequence[T] = list(items)
@@ -296,9 +240,7 @@ def parallel_map(
     perf.incr("eval.parallel_batches")
     perf.incr("eval.parallel_tasks", len(work))
     if resolved == "process":
-        result = _process_map(fn, work, workers, label, cost)
-        if result is not _FALLBACK:
-            return result
+        return _process_map(fn, work, workers, label, cost)
     return _thread_map(fn, work, workers, label)
 
 

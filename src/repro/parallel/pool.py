@@ -1,4 +1,4 @@
-"""Persistent warm process pool with work-stealing dispatch.
+"""Persistent warm process pool that ships pickles over its worker pipes.
 
 Workers are spawned once (``spawn`` start method: clean interpreters, no
 inherited locks) and stay resident across ``parallel_map`` calls, so the
@@ -6,24 +6,28 @@ per-spawn warm-up — importing the synthesis/eval stack, building the
 technology library, attaching the on-disk cache layers — is paid once per
 pool, not once per task.  Pools are keyed by worker count **and** a
 fingerprint of the ``REPRO_*`` environment: changing a gate (cache dirs,
-vector modes, trace paths) between calls retires the stale pool and warms
-a fresh one, because workers bind those gates at spawn.
+trace paths) between calls retires the stale pool and warms a fresh one,
+because workers bind those gates at spawn.
 
-Dispatch is parent-coordinated: every worker holds exactly one task in
-flight; on completion the parent hands it the next task from its deque in
-the :class:`~repro.parallel.sched.WorkStealingScheduler` (stealing the
-tail half of the longest queue when its own runs dry).  Task payloads are
-pre-serialized once — small ones ride the pipe, large ones (elaborated
-netlists, SoA arrays) move through shared memory — and results return
-over the pipe keyed by input index, so output order and exception
-semantics match a serial loop exactly: every task runs, then the
-exception of the lowest failing input index is raised (the unpickled
-instance of the worker's exception).
+A map pickles its function and every item once, up front, and raises
+:class:`TaskSerializationError` before dispatching anything if one of
+them cannot be pickled.  Context every task needs (a database, a design)
+rides in the function — callers bind it with :func:`functools.partial` —
+so each worker receives the function's bytes with its first task of the
+map and unpickles them once.  Dispatch is parent-coordinated: every
+worker holds exactly one task in flight and, on completion, takes the
+next from one queue sorted costliest-first by the caller's ``cost``
+estimate (ties by input index).  Results return over the pipe keyed by
+input index, so output order and exception semantics match a serial
+loop exactly: every task runs, then the exception of the lowest failing
+input index is raised (the unpickled instance of the worker's
+exception).  A worker that dies mid-map raises :class:`WorkerDiedError`
+and retires the pool; the next map warms a fresh one.
 
 Between maps the parent can drain every worker's :mod:`repro.perf`
 registry into its own (:func:`repro.perf.merge_state`; the run ledger
 does so before each manifest, and shutdown does so once more), so
-counters, cache stats and per-worker queue-wait/steal histograms from
+counters, cache stats and per-worker queue-wait/run histograms from
 sharded runs land in the parent's snapshot and the obs run report.  It
 can also empty every worker's synthesis caches, which
 :func:`repro.synth.cache.clear_caches` does.
@@ -36,17 +40,17 @@ import os
 import pickle
 import threading
 import time
+from collections import deque
 from multiprocessing import get_context
 from multiprocessing.connection import wait as connection_wait
 
 from .. import obs, perf
-from . import shm
-from .sched import WorkStealingScheduler
 from .worker import worker_main
 
 __all__ = [
     "ProcessPool",
     "TaskSerializationError",
+    "WorkerDiedError",
     "WorkerTaskError",
     "get_pool",
     "shutdown_pools",
@@ -66,6 +70,10 @@ class WorkerTaskError(RuntimeError):
     """A task failed with an exception that could not itself be pickled."""
 
 
+class WorkerDiedError(RuntimeError):
+    """A pool worker process exited while it was running a task."""
+
+
 class _Worker:
     __slots__ = ("process", "conn", "id", "info")
 
@@ -74,6 +82,15 @@ class _Worker:
         self.conn = conn
         self.id = worker_id
         self.info: dict = {}
+
+
+def _dumps(obj, what: str, label: str) -> bytes:
+    try:
+        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise TaskSerializationError(
+            f"{what} of {label!r} not picklable: {exc!r}"
+        ) from exc
 
 
 class ProcessPool:
@@ -87,19 +104,16 @@ class ProcessPool:
         self.closed = False
         self.maps = 0
         self.tasks = 0
-        self.steal_total = 0
         self.created = time.perf_counter()
         #: Cumulative per-worker telemetry (run seconds from worker task
-        #: replies; dispatch/steal counts folded in after every map) —
-        #: the utilization and steal-rate gauges on the metrics endpoint.
+        #: replies, dispatch counts) — the utilization and task gauges on
+        #: the metrics endpoint.
         self.worker_run_s = [0.0] * size
         self.worker_dispatched = [0] * size
-        self.worker_steals = [0] * size
-        self.worker_stolen_tasks = [0] * size
-        #: Live view of the in-flight map (scheduler + busy set), read by
-        #: the metrics collector for queue-depth gauges; None between maps.
+        #: Live view of the in-flight map (queue + busy set), read by the
+        #: metrics collector for the queue-depth gauge; None between maps.
         self.active: dict | None = None
-        #: One map at a time: the scheduler, busy set and worker pipes are
+        #: One map at a time: the queue, busy set and worker pipes are
         #: shared pool state, so concurrent maps (e.g. two serving-engine
         #: stage fan-outs overlapping from executor threads) serialize here.
         self._map_lock = threading.Lock()
@@ -151,28 +165,6 @@ class ProcessPool:
 
     # -- mapping --------------------------------------------------------------
 
-    def _prepare_payloads(self, work: list) -> tuple[list, list[shm.ShmHandle]]:
-        """Serialize every item once; big ones go to shared memory."""
-        payloads: list[tuple] = []
-        handles: list[shm.ShmHandle] = []
-        try:
-            for item in work:
-                data, raws = shm._serialize(item)
-                total = len(data) + sum(raw.nbytes for raw in raws)
-                if total >= shm.DEFAULT_SHM_MIN_BYTES:
-                    handle = shm._dump_parts(data, raws)
-                    handles.append(handle)
-                    payloads.append(("shm", handle))
-                else:
-                    payloads.append(
-                        ("inline", (data, [bytes(raw) for raw in raws]))
-                    )
-        except (pickle.PicklingError, TypeError, AttributeError) as exc:
-            for handle in handles:
-                shm.unlink_handle(handle)
-            raise TaskSerializationError(f"task item not picklable: {exc!r}")
-        return payloads, handles
-
     def map(self, fn, items, label: str = "repro-eval", cost=None) -> list:
         """Order-preserving map with serial-equivalent exception semantics.
 
@@ -187,28 +179,36 @@ class ProcessPool:
         work = list(items)
         if not work:
             return []
-        payloads, handles = self._prepare_payloads(work)
-        costs = (
-            [max(0.0, float(cost(item))) for item in work]
-            if cost is not None
-            else [1.0] * len(work)
-        )
-        sched = WorkStealingScheduler(costs, self.size)
+        fn_bytes = _dumps(fn, "function", label)
+        payloads = [_dumps(item, f"item {i}", label) for i, item in enumerate(work)]
+        order = range(len(work))
+        if cost is not None:
+            order = sorted(order, key=lambda i: (-float(cost(work[i])), i))
+        queue = deque(order)
         results: list = [_UNSET] * len(work)
         errors: dict[int, tuple[BaseException | None, str]] = {}
         busy: dict[int, int] = {}  # worker id -> in-flight task index
+        has_fn: set[int] = set()  # workers already sent this map's function
         self.maps += 1
         self.tasks += len(work)
-        self.active = {"sched": sched, "busy": busy, "label": label}
+        self.active = {"queue": queue, "busy": busy, "label": label}
+        started = time.perf_counter()
 
         def dispatch(worker: _Worker) -> None:
-            index = sched.next_task(worker.id)
-            if index is None:
+            if not queue:
                 return
+            index = queue.popleft()
+            first = worker.id not in has_fn
             worker.conn.send(
-                ("task", index, fn, *payloads[index], label)
+                ("task", index, fn_bytes if first else None, payloads[index], label)
             )
+            has_fn.add(worker.id)
             busy[worker.id] = index
+            self.worker_dispatched[worker.id] += 1
+            wait = time.perf_counter() - started
+            perf.add_time("eval.parallel_queue_wait", wait)
+            perf.add_time(f"parallel.queue_wait.w{worker.id:02d}", wait)
+            perf.incr(f"parallel.tasks.w{worker.id:02d}")
 
         try:
             for worker in self.workers:
@@ -223,11 +223,10 @@ class ProcessPool:
                     try:
                         msg = conn.recv()
                     except EOFError:
-                        self.shutdown(force=True)
-                        raise RuntimeError(
+                        raise WorkerDiedError(
                             f"pool worker {worker.id} died while running "
-                            f"task {busy.get(worker.id)} of {label!r}"
-                        )
+                            f"task {busy[worker.id]} of {label!r}"
+                        ) from None
                     kind = msg[0]
                     if kind == "ok":
                         _, index, result, run_s = msg
@@ -242,13 +241,10 @@ class ProcessPool:
                     dispatch(worker)
         finally:
             self.active = None
-            for wid in range(self.size):
-                self.worker_dispatched[wid] += sched.dispatched[wid]
-                self.worker_steals[wid] += sched.steals[wid]
-                self.worker_stolen_tasks[wid] += sched.stolen_tasks[wid]
-            for handle in handles:
-                shm.unlink_handle(handle)
-        self.steal_total += sum(sched.steals)
+            if busy:
+                # A dead worker, or replies still in flight that the next
+                # map would read as its own: retire the pool.
+                self.shutdown(force=True)
         if errors:
             index = min(errors)
             exc, detail = errors[index]
@@ -325,7 +321,6 @@ class ProcessPool:
             "alive": sum(w.process.is_alive() for w in self.workers),
             "maps": self.maps,
             "tasks": self.tasks,
-            "steals": self.steal_total,
             "spawn_s": round(self.spawn_s, 6),
         }
 
@@ -393,14 +388,13 @@ def pool_stats() -> dict:
         "pool_workers": sum(p.size for p in pools),
         "maps": sum(p.maps for p in pools),
         "pool_tasks": sum(p.tasks for p in pools),
-        "steals": sum(p.steal_total for p in pools),
     }
 
 
 def _pool_metric_families() -> list:
     """Live pool gauges for the metrics endpoint (collect-time only).
 
-    Reads the in-flight scheduler/busy view without locks: the GIL makes
+    Reads the in-flight queue/busy view without locks: the GIL makes
     ``len(deque)`` and dict snapshots safe, the values are monotone
     approximations anyway, and a scrape must never slow the dispatch
     loop.  Emits nothing when no pool is warm.
@@ -412,7 +406,7 @@ def _pool_metric_families() -> list:
         return []
     depth = obs_metrics.MetricFamily(
         "repro_pool_queue_depth", "gauge",
-        "Tasks queued per process-pool worker (in-flight map only).",
+        "Tasks queued in the pool's in-flight map, not yet dispatched.",
     )
     busy_f = obs_metrics.MetricFamily(
         "repro_pool_worker_busy", "gauge",
@@ -422,17 +416,9 @@ def _pool_metric_families() -> list:
         "repro_pool_worker_utilization", "gauge",
         "Fraction of pool lifetime each worker spent running tasks.",
     )
-    steal_rate = obs_metrics.MetricFamily(
-        "repro_pool_worker_steal_rate", "gauge",
-        "Steals per dispatched task, per worker (cumulative).",
-    )
     tasks_total = obs_metrics.MetricFamily(
         "repro_pool_worker_tasks_total", "counter",
-        "Tasks dispatched to each worker (completed maps).",
-    )
-    steals_total = obs_metrics.MetricFamily(
-        "repro_pool_worker_steals_total", "counter",
-        "Steal events per worker (completed maps).",
+        "Tasks dispatched to each worker.",
     )
     summary = obs_metrics.MetricFamily(
         "repro_pool_workers_alive", "gauge", "Live process-pool workers."
@@ -444,26 +430,17 @@ def _pool_metric_families() -> list:
             sum(w.process.is_alive() for w in pool.workers), pool=pool_label
         )
         active = pool.active
-        sched = active["sched"] if active else None
+        depth.add(len(active["queue"]) if active else 0, pool=pool_label)
         busy = dict(active["busy"]) if active else {}
         age = max(now - pool.created, 1e-9)
         for wid in range(pool.size):
             worker = f"w{wid:02d}"
-            if sched is not None:
-                try:
-                    depth.add(len(sched.queues[wid]), pool=pool_label, worker=worker)
-                except IndexError:
-                    pass
             busy_f.add(int(wid in busy), pool=pool_label, worker=worker)
             util.add(pool.worker_run_s[wid] / age, pool=pool_label, worker=worker)
-            dispatched = pool.worker_dispatched[wid]
-            steal_rate.add(
-                pool.worker_steals[wid] / dispatched if dispatched else 0.0,
-                pool=pool_label, worker=worker,
+            tasks_total.add(
+                pool.worker_dispatched[wid], pool=pool_label, worker=worker
             )
-            tasks_total.add(dispatched, pool=pool_label, worker=worker)
-            steals_total.add(pool.worker_steals[wid], pool=pool_label, worker=worker)
-    return [depth, busy_f, util, steal_rate, tasks_total, steals_total, summary]
+    return [depth, busy_f, util, tasks_total, summary]
 
 
 def _register_pool_metrics() -> None:

@@ -6,8 +6,11 @@ library and attaches the frontend/synthesis cache layers once, so every
 task after the first message runs against hot modules and caches.  It then
 serves a pickle-based request loop over its pipe:
 
-* ``("task", index, fn, payload_kind, payload, label)`` →
-  ``("ok", index, result, run_s)`` or ``("err", index, exc, detail)``;
+* ``("task", index, fn_bytes, item_bytes, label)`` →
+  ``("ok", index, result, run_s)`` or ``("err", index, exc, detail)``.
+  ``fn_bytes`` is the map's pickled function on the worker's first task
+  of a map and ``None`` after it: the worker unpickles it once and keeps
+  it for the rest of the map;
 * ``("perf",)`` → ``("perf", worker_id, state)`` — drain the worker's
   perf registry (counters/timers exported via
   :func:`repro.perf.export_state`, then reset) for parent-side
@@ -17,9 +20,8 @@ serves a pickle-based request loop over its pipe:
 * ``("close",)`` → ``("closed", state)`` — final perf drain, tracer
   flush, exit.
 
-Payloads arrive inline (small items, pickled bytes) or as a
-:class:`~repro.parallel.shm.ShmHandle` (large items, mapped zero-copy for
-the duration of the task).
+A worker whose pipe closes — the parent exited, or retired the pool
+after another worker died — exits quietly.
 
 **Span re-rooting.**  ``contextvars`` do not cross process boundaries, so
 worker task spans cannot nest under the parent's harness span the way
@@ -44,7 +46,6 @@ import traceback
 from multiprocessing.connection import Connection
 
 from .. import obs, perf
-from .shm import ShmHandle, load_from_shm
 
 __all__ = ["worker_main", "warm_worker"]
 
@@ -75,42 +76,32 @@ def warm_worker() -> dict:
     }
 
 
-def _load_item(payload_kind: str, payload):
-    """Materialize one task item; returns (item, open_payload_or_None)."""
-    if payload_kind == "shm":
-        assert isinstance(payload, ShmHandle)
-        opened = load_from_shm(payload, copy=False)
-        return opened.obj, opened
-    data, buffers = payload
-    return pickle.loads(data, buffers=buffers), None
-
-
-def _serve_task(conn: Connection, worker_id: int, msg: tuple) -> None:
-    _, index, fn, payload_kind, payload, label = msg
-    opened = None
+def _serve_task(conn: Connection, worker_id: int, msg: tuple, fn_bytes, fn):
+    """Run one task and send its reply; returns the map's loaded function."""
+    _, index, _, item_bytes, label = msg
     started = time.perf_counter()
     try:
-        item, opened = _load_item(payload_kind, payload)
+        if fn is None:
+            fn = pickle.loads(fn_bytes)
+        item = pickle.loads(item_bytes)
         with obs.span("eval.task", label=label, index=index, worker=worker_id):
             result = fn(item)
         run_s = time.perf_counter() - started
         perf.add_time(f"parallel.task_run.w{worker_id:02d}", run_s)
-        try:
-            conn.send(("ok", index, result, run_s))
-        except Exception as exc:  # unpicklable result: report, don't die
-            conn.send(
-                ("err", index, None,
-                 f"task {index} result not picklable: {exc!r}")
-            )
+        reply = ("ok", index, result, run_s)
     except Exception as exc:
-        detail = traceback.format_exc()
-        try:
-            conn.send(("err", index, exc, detail))
-        except Exception:  # unpicklable exception: ship the traceback text
-            conn.send(("err", index, None, detail))
-    finally:
-        if opened is not None:
-            opened.close()
+        reply = ("err", index, exc, traceback.format_exc())
+    try:
+        conn.send(reply)
+    except OSError:
+        raise  # the pipe is closed: the serve loop exits
+    except Exception as exc:  # unpicklable result or exception: ship text
+        detail = (
+            reply[3] if reply[0] == "err"
+            else f"task {index} result not picklable: {exc!r}"
+        )
+        conn.send(("err", index, None, detail))
+    return fn
 
 
 def worker_main(conn: Connection, worker_id: int, trace_path: str | None) -> None:
@@ -124,15 +115,15 @@ def worker_main(conn: Connection, worker_id: int, trace_path: str | None) -> Non
         conn.send(("spawn_error", worker_id, traceback.format_exc()))
         return
     conn.send(("ready", worker_id, info))
+    fn_bytes = fn = None
     try:
         while True:
-            try:
-                msg = conn.recv()
-            except EOFError:  # parent died: exit quietly
-                return
+            msg = conn.recv()
             kind = msg[0]
             if kind == "task":
-                _serve_task(conn, worker_id, msg)
+                if msg[2] is not None:  # first task of a new map
+                    fn_bytes, fn = msg[2], None
+                fn = _serve_task(conn, worker_id, msg, fn_bytes, fn)
             elif kind == "perf":
                 state = perf.export_state()
                 perf.reset()
@@ -151,5 +142,7 @@ def worker_main(conn: Connection, worker_id: int, trace_path: str | None) -> Non
                 return
             else:
                 conn.send(("err", -1, None, f"unknown message {kind!r}"))
+    except (EOFError, ConnectionError):
+        return  # the parent closed the pipe: exit quietly
     finally:
         conn.close()

@@ -20,8 +20,8 @@ processes them as **one** kernel call:
 * ``revise``    — SynthExpert plans every session's thought steps, then
   every step query across the whole batch goes through one batched
   manual retrieval before the per-step revisions are applied.
-* ``synthesize``— scripts fan out over the work-stealing process pool
-  (or thread executor) via ``parallel_map_async``.
+* ``synthesize``— scripts fan out over the process pool (or thread
+  executor) via ``parallel_map_async``, costliest RTL first.
 
 Stage kernels are synchronous; they run in a small per-engine thread
 executor so different stages overlap in wall clock while the event loop

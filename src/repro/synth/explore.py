@@ -38,16 +38,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .. import obs, perf
 from ..hdl.netlist import Netlist
-from ..parallel import (
-    effective_backend,
-    parallel_map,
-    release_shared,
-    resolve_shared,
-    shared,
-)
+from ..parallel import parallel_map
 from ..rand import rng as _stream_rng
 from .library import TechLibrary
 from .optimizer import PassResult, _context, _timed
@@ -314,10 +309,15 @@ def anneal_chain(
     )
 
 
-def _chain_task(task) -> ChainResult:
+def _chain_task(
+    netlist: Netlist,
+    library: TechLibrary,
+    wireload: WireLoadModel,
+    constraints: Constraints,
+    config: ExploreConfig,
+    chain_index: int,
+) -> ChainResult:
     """One multi-start chain (module-level so process workers can run it)."""
-    ref, config, chain_index = task
-    netlist, library, wireload, constraints = resolve_shared(ref)
     local = netlist.clone()
     with obs.span("explore.chain", chain=chain_index):
         return anneal_chain(
@@ -335,18 +335,15 @@ def run_chains(
 ) -> list[ChainResult]:
     """Fan ``config.chains`` independent seeded chains across the pool.
 
-    The design payload rides the ``SharedRef`` transport (one shm
-    serialization under the process backend, a no-op under threads);
-    each chain clones the netlist so the input is never mutated.
-    Results come back in chain order — bit-identical across backends.
+    The design is bound into the task function once, so the process
+    backend ships it to each worker once per map; each chain clones the
+    netlist so the input is never mutated.  Results come back in chain
+    order — bit-identical across backends.
     """
-    backend = effective_backend(jobs=jobs, items=config.chains)
-    ref = shared((netlist, library, wireload, constraints), backend=backend)
-    tasks = [(ref, config, index) for index in range(config.chains)]
-    try:
-        results = parallel_map(_chain_task, tasks, jobs=jobs, label="explore")
-    finally:
-        release_shared(ref)
+    results = parallel_map(
+        partial(_chain_task, netlist, library, wireload, constraints, config),
+        range(config.chains), jobs=jobs, label="explore",
+    )
     return [result for result in results if result is not None]
 
 

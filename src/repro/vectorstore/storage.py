@@ -6,9 +6,8 @@ interleaved add/search streams cost O(1) amortized per add and a search
 always scores against one contiguous block — no per-search
 ``np.vstack``.
 
-Arenas pickle as their trimmed contiguous matrix (protocol-5 pickling
-exports the buffer out-of-band), so they ride the process pool's
-``SharedRef`` shared-memory transport unchanged.
+Arenas pickle as their trimmed contiguous matrix, so an index bound into
+a process-pool task ships only its filled rows.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ class VectorArena:
         self._size += count
         return range(start, start + count)
 
-    # -- pickling (SharedRef / process-pool transport) ---------------------------
+    # -- pickling (process-pool transport) -------------------------------------
 
     def __getstate__(self) -> dict:
         return {"dim": self.dim, "data": np.ascontiguousarray(self.view())}

@@ -9,6 +9,12 @@ from repro import perf
 from repro.parallel import DEFAULT_MAX_JOBS, parallel_map, resolve_jobs
 
 
+@pytest.fixture(autouse=True)
+def _thread_backend(monkeypatch):
+    """These tests pass closures and check thread-executor behaviour."""
+    monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "thread")
+
+
 class TestResolveJobs:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "7")

@@ -8,6 +8,12 @@ qualified name.
 
 import os
 import pickle
+import subprocess
+import sys
+import textwrap
+import time
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +24,6 @@ from repro.eval.harness import baseline_script
 from repro.obs.ledger import build_manifest
 from repro.parallel import (
     DEFAULT_MAX_JOBS,
-    effective_backend,
     in_worker,
     parallel_map,
     resolve_backend,
@@ -26,6 +31,7 @@ from repro.parallel import (
     shutdown_pools,
     sync_worker_perf,
 )
+from repro.parallel.pool import TaskSerializationError, WorkerDiedError
 from repro.synth.cache import clear_caches, synthesize_cached
 
 
@@ -59,6 +65,50 @@ def _count_and_time(x: int) -> int:
     perf.incr("test.worker_event")
     with obs.span("test.worker_stage"):
         return x
+
+
+def _lookup(context: dict, key: str) -> int:
+    return context[key]
+
+
+def _stamp_start(x: int) -> tuple[int, float]:
+    started = time.monotonic()
+    perf.incr("test.stamped_tasks")
+    time.sleep(0.2)  # later tasks start well after the first two
+    return x, started
+
+
+def _die_on_two(x: int) -> int:
+    if x == 2:
+        os._exit(3)
+    time.sleep(0.2)  # the other worker is mid-task when the pool retires
+    return x
+
+
+#: Unpickles of :class:`_LoadCounter` in this process.
+_LOADS = 0
+
+
+class _LoadCounter:
+    """A task function that counts how often a process unpickled it."""
+
+    def __getstate__(self) -> dict:
+        return {"counted": True}  # non-empty, so unpickling calls __setstate__
+
+    def __setstate__(self, state: dict) -> None:
+        global _LOADS
+        _LOADS += 1
+
+    def __call__(self, x: int) -> tuple[int, int]:
+        time.sleep(0.01)
+        return os.getpid(), _LOADS
+
+
+def _loads_by_worker(results: list[tuple[int, int]]) -> dict[int, set[int]]:
+    loads: dict[int, set[int]] = {}
+    for pid, count in results:
+        loads.setdefault(pid, set()).add(count)
+    return loads
 
 
 def _synthesize(name: str) -> bool:
@@ -107,12 +157,6 @@ class TestBackendResolution:
         assert resolve_jobs() == 1
         assert resolve_jobs(4) == 4  # explicit argument still wins
 
-    def test_effective_backend_predicts_serial(self):
-        assert effective_backend(jobs=1, items=10, backend="process") == "serial"
-        assert effective_backend(jobs=4, items=1, backend="process") == "serial"
-        assert effective_backend(jobs=4, items=10, backend="process") == "process"
-        assert effective_backend(jobs=4, items=10, backend="thread") == "thread"
-
 
 class TestProcessBackendContract:
     def test_preserves_input_order(self):
@@ -153,21 +197,28 @@ class TestProcessBackendContract:
 
     def test_large_numpy_payloads_roundtrip(self):
         arrays = [np.full(30_000, float(i)) for i in range(4)]  # 240KB each
-        before = perf.snapshot()["counters"].get("parallel.shm_segments", 0)
         sums = parallel_map(_checksum, arrays, jobs=2, backend="process")
         assert sums == [float(a.sum()) for a in arrays]
-        after = perf.snapshot()["counters"]["parallel.shm_segments"]
-        assert after > before  # big items went through shared memory
 
-    def test_closure_falls_back_to_threads(self):
+    def test_closure_raises_serialization_error(self):
         captured = 10
-        before = perf.snapshot()["counters"].get("parallel.process_fallback", 0)
-        result = parallel_map(
-            lambda x: x + captured, range(6), jobs=2, backend="process"
-        )
-        assert result == [x + 10 for x in range(6)]
-        after = perf.snapshot()["counters"]["parallel.process_fallback"]
-        assert after == before + 1
+        with pytest.raises(TaskSerializationError, match="'closure'"):
+            parallel_map(
+                lambda x: x + captured, range(6), jobs=2, backend="process",
+                label="closure",
+            )
+
+    def test_unpicklable_item_raises_before_any_task_runs(self):
+        parallel_map(_square, range(4), jobs=2, backend="process")  # warm
+        sync_worker_perf()
+        before = perf.counters().get("test.worker_event", 0)
+        with pytest.raises(TaskSerializationError, match="item 2 of 'items'"):
+            parallel_map(
+                _count_and_time, [0, 1, lambda: 2], jobs=2, backend="process",
+                label="items",
+            )
+        sync_worker_perf()
+        assert perf.counters().get("test.worker_event", 0) == before
 
     def test_jobs_one_is_serial_no_pool(self):
         assert parallel_map(_worker_pid, range(3), jobs=1, backend="process") == [
@@ -196,6 +247,87 @@ class TestProcessBackendContract:
         assert any(key in timers for key in per_worker) or any(
             key.startswith("parallel.tasks.w") for key in counters
         )
+
+
+class TestTransport:
+    """The function ships once per worker per map; items go costliest-first."""
+
+    def test_function_unpickled_once_per_worker_per_map(self):
+        fn = _LoadCounter()
+        first = _loads_by_worker(
+            parallel_map(fn, range(12), jobs=2, backend="process")
+        )
+        second = _loads_by_worker(
+            parallel_map(fn, range(12), jobs=2, backend="process")
+        )
+        # every task a worker ran in one map saw the same load count...
+        assert all(len(counts) == 1 for counts in first.values())
+        assert all(len(counts) == 1 for counts in second.values())
+        # ...and the next map loaded the function once more
+        for pid, counts in second.items():
+            if pid in first:
+                assert counts == {min(first[pid]) + 1}
+
+    def test_partial_context_reaches_every_task(self):
+        context = {f"k{i}": i * i for i in range(10)}
+        out = parallel_map(
+            partial(_lookup, context), list(context), jobs=2, backend="process"
+        )
+        assert out == [i * i for i in range(10)]
+
+    def test_costliest_items_start_first(self):
+        items = list(range(8))
+        sync_worker_perf()
+        before = perf.counters().get("test.stamped_tasks", 0)
+        out = parallel_map(
+            _stamp_start, items, jobs=2, backend="process", cost=float
+        )
+        sync_worker_perf()
+        assert [x for x, _ in out] == items
+        assert perf.counters()["test.stamped_tasks"] - before == len(items)
+        by_start = sorted(out, key=lambda row: row[1])
+        assert {x for x, _ in by_start[:2]} == {6, 7}
+
+
+class TestWorkerDeath:
+    def test_killed_worker_raises_typed_error_then_pool_respawns(self):
+        with pytest.raises(
+            WorkerDiedError,
+            match=r"pool worker \d+ died while running task 2 of 'die'",
+        ):
+            parallel_map(_die_on_two, range(6), jobs=2, backend="process", label="die")
+        assert issubclass(WorkerDiedError, RuntimeError)
+        assert parallel_map(_square, range(6), jobs=2, backend="process") == [
+            x * x for x in range(6)
+        ]
+
+    def test_surviving_worker_exits_quietly(self):
+        root = Path(__file__).resolve().parents[2]
+        script = textwrap.dedent(
+            """
+            from repro.parallel import parallel_map
+            from tests.eval.test_parallel_backends import _die_on_two
+
+            try:
+                parallel_map(
+                    _die_on_two, range(6), jobs=2, backend="process",
+                    label="die",
+                )
+            except RuntimeError as exc:
+                print(type(exc).__name__)
+            """
+        )
+        env = dict(os.environ)
+        env.pop("REPRO_TRACE", None)
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=root, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "WorkerDiedError"
+        assert "BrokenPipeError" not in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
 
 
 class TestWorkerState:

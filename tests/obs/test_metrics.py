@@ -303,7 +303,8 @@ class TestEndpoint:
         def run():
             try:
                 result["out"] = parallel_map(
-                    work, list(range(24)), jobs=4, label="metrics_scrape"
+                    work, list(range(24)), jobs=4, label="metrics_scrape",
+                    backend="thread",
                 )
             finally:
                 done.set()

@@ -118,7 +118,7 @@ class TestCrossThread:
                 return i
 
         with obs.span("harness") as root:
-            parallel_map(work, range(6), jobs=3)
+            parallel_map(work, range(6), jobs=3, backend="thread")
         tracer.flush()
         events = spans_of(read_events(tracer.path))
         tasks = [e for e in events if e["name"] == "eval.task"]
