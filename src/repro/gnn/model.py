@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import obs
 from .batch import batched_backward, batched_forward, embed_graphs_cached
 from .graph import GraphData, mean_adjacency
 from .layers import SAGELayer
@@ -146,7 +147,8 @@ class GraphSAGE:
         """
         if type(graphs) is not list:
             graphs = list(graphs)
-        return embed_graphs_cached(self, graphs)
+        with obs.span("gnn.embed", graphs=len(graphs)):
+            return embed_graphs_cached(self, graphs)
 
     def state_dict(self) -> list[np.ndarray]:
         return [p.copy() for p in self.parameters]

@@ -469,7 +469,6 @@ class Netlist:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        state.setdefault("_max_uid_memo", None)
         self.__dict__.update(state)
         self._uid = itertools.count(self._max_uid() + 1)
 

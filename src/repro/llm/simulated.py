@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import obs
 from .base import Completion
 from .prompts import parse_sections
 
@@ -107,19 +108,20 @@ class SimulatedLLM:
     # -- public interface ------------------------------------------------------
 
     def complete(self, prompt: str, seed: int = 0) -> Completion:
-        sections = parse_sections(prompt)
-        task = sections.get("TASK", "DRAFT_SCRIPT").strip().upper()
-        rng = np.random.default_rng(_stable_seed(self.name, seed, task))
-        if task == "FORMULATE QUERY" or task == "FORMULATE_QUERY":
-            text = self._formulate_query(sections)
-        elif task in ("GENERATE CYPHER", "GENERATE_CYPHER"):
-            text = self._generate_cypher(sections)
-        elif task in ("REVISE STEP", "REVISE_STEP"):
-            text = self._revise_step(sections)
-        elif task in ("RERANK", "RERANK DOCUMENTS"):
-            text = self._rerank(sections)
-        else:
-            text = self._draft_script(sections, rng)
+        with obs.span("llm.complete"):
+            sections = parse_sections(prompt)
+            task = sections.get("TASK", "DRAFT_SCRIPT").strip().upper()
+            rng = np.random.default_rng(_stable_seed(self.name, seed, task))
+            if task == "FORMULATE QUERY" or task == "FORMULATE_QUERY":
+                text = self._formulate_query(sections)
+            elif task in ("GENERATE CYPHER", "GENERATE_CYPHER"):
+                text = self._generate_cypher(sections)
+            elif task in ("REVISE STEP", "REVISE_STEP"):
+                text = self._revise_step(sections)
+            elif task in ("RERANK", "RERANK DOCUMENTS"):
+                text = self._rerank(sections)
+            else:
+                text = self._draft_script(sections, rng)
         return Completion(text=text, model=self.name, seed=seed)
 
     # -- cue extraction -----------------------------------------------------------

@@ -199,11 +199,18 @@ def record_run(
 
 
 def load_manifest(path: str) -> dict:
-    """Load and minimally validate one manifest file."""
+    """Load one manifest; ``ValueError`` naming the path if it is not valid
+    JSON, not a manifest, or of another :data:`MANIFEST_SCHEMA`."""
     with open(path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: invalid manifest JSON ({exc})") from exc
     if not isinstance(manifest, dict) or "run_id" not in manifest:
         raise ValueError(f"{path}: not a run manifest")
+    schema = manifest.get("schema")
+    if schema != MANIFEST_SCHEMA:
+        raise ValueError(f"{path}: manifest schema {schema!r}, expected {MANIFEST_SCHEMA}")
     return manifest
 
 

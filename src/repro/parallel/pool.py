@@ -3,11 +3,11 @@
 Workers are spawned once (``spawn`` start method: clean interpreters, no
 inherited locks) and stay resident across ``parallel_map`` calls, so the
 per-spawn warm-up — importing the synthesis/eval stack, building the
-technology library, attaching the on-disk cache layers — is paid once per
-pool, not once per task.  Pools are keyed by worker count **and** a
-fingerprint of the ``REPRO_*`` environment: changing a gate (cache dirs,
-trace paths) between calls retires the stale pool and warms a fresh one,
-because workers bind those gates at spawn.
+technology library — is paid once per pool, not once per task.  Pools are
+keyed by worker count **and** a fingerprint of the ``REPRO_*``
+environment: changing a gate (the cache switch, trace paths) between
+calls retires the stale pool and warms a fresh one, because workers bind
+those gates at spawn.
 
 A map pickles its function and every item once, up front, and raises
 :class:`TaskSerializationError` before dispatching anything if one of

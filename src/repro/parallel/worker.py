@@ -1,9 +1,9 @@
 """Worker-process entry point for the process pool.
 
 Each worker is **warm**: at spawn it imports the heavy stack (synthesis,
-eval harness, GNN/RAG layers), constructs the Liberty-flavoured technology
-library and attaches the frontend/synthesis cache layers once, so every
-task after the first message runs against hot modules and caches.  It then
+eval harness, GNN/RAG layers) and constructs the Liberty-flavoured technology
+library once, so every task after the first message runs against hot
+modules; its own in-memory result caches fill as its tasks run.  It then
 serves a pickle-based request loop over its pipe:
 
 * ``("task", index, fn_bytes, item_bytes, label)`` →
@@ -51,28 +51,22 @@ __all__ = ["worker_main", "warm_worker"]
 
 
 def warm_worker() -> dict:
-    """Pre-load libraries and prime caches; returns what was warmed.
+    """Pre-load libraries; returns what was warmed.
 
     Imports pull in the parser/elaborator, techmap, timing/power engines,
     the SoA kernels, ChatLS/RAG/GNN layers and the eval harness; building
     the library once compiles its cell tables.  The frontend/synthesis
-    caches register their stats providers here, and their on-disk layers
-    (if directories are configured) serve this worker from the shared
-    store immediately.
+    caches register their stats providers here.
     """
     start = time.perf_counter()
-    from ..synth import cache as synth_cache  # noqa: F401  (providers register)
+    from ..synth import cache  # noqa: F401  (providers register)
     from ..synth.library import nangate45
     import repro.eval.harness  # noqa: F401  (pulls chatls/rag/gnn/mentor)
 
     library = nangate45()
-    _, frontend_disk = synth_cache.frontend_cache_mode()
-    _, synth_disk = synth_cache.synth_cache_mode()
     return {
         "warm_s": round(time.perf_counter() - start, 6),
         "library": library.name,
-        "frontend_disk": frontend_disk,
-        "synth_disk": synth_disk,
     }
 
 

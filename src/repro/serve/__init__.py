@@ -6,17 +6,20 @@ synthesize``) over a typed, checkpointable :class:`ChainState`; the
 :class:`ServeEngine` runs many sessions concurrently and coalesces each
 stage's pending work across sessions into batched kernel calls (grouped
 GNN embeds, stacked kNN searches, pooled synthesis fan-out) under a
-:class:`BatchPolicy` (``REPRO_SERVE_BATCH_MAX`` /
-``REPRO_SERVE_BATCH_WAIT_MS``).  Per-session results are identical to
-the sequential loop; only the schedule changes.
+:class:`BatchPolicy` (16 sessions or 2 ms by default).  Per-session
+results are identical to the sequential loop; only the schedule changes.
+A truncated, foreign or other-:data:`CHECKPOINT_FORMAT` checkpoint raises
+:class:`CheckpointError` instead of loading.
 """
 
 from .engine import BatchPolicy, MicroBatcher, ServeEngine
-from .state import DONE, STAGES, ChainState, ServeRequest
+from .state import CHECKPOINT_FORMAT, DONE, STAGES, ChainState, CheckpointError, ServeRequest
 
 __all__ = [
     "BatchPolicy",
+    "CHECKPOINT_FORMAT",
     "ChainState",
+    "CheckpointError",
     "DONE",
     "MicroBatcher",
     "STAGES",

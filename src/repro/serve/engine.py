@@ -4,8 +4,8 @@
 explicit staged pipeline of :mod:`repro.serve.state` and runs many
 sessions concurrently on one event loop.  Each stage owns a
 :class:`MicroBatcher` — a coalescing queue whose worker collects every
-session that arrives within the batching window (``REPRO_SERVE_BATCH_MAX``
-items or ``REPRO_SERVE_BATCH_WAIT_MS`` of waiting, whichever first) and
+session that arrives within the batching window (:class:`BatchPolicy`:
+``batch_max`` items or ``batch_wait_ms`` of waiting, whichever first) and
 processes them as **one** kernel call:
 
 * ``analyze``   — per-session design analysis fans out over
@@ -82,31 +82,9 @@ class BatchPolicy:
 
     def __post_init__(self) -> None:
         if self.batch_max < 1:
-            raise ValueError("REPRO_SERVE_BATCH_MAX must be >= 1")
+            raise ValueError("batch_max must be >= 1")
         if self.batch_wait_ms < 0:
-            raise ValueError("REPRO_SERVE_BATCH_WAIT_MS must be >= 0")
-
-    @classmethod
-    def from_env(cls) -> "BatchPolicy":
-        """Policy from ``REPRO_SERVE_BATCH_MAX`` / ``REPRO_SERVE_BATCH_WAIT_MS``."""
-        kwargs = {}
-        raw_max = os.environ.get("REPRO_SERVE_BATCH_MAX", "").strip()
-        if raw_max:
-            try:
-                kwargs["batch_max"] = int(raw_max)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_SERVE_BATCH_MAX must be an integer, got {raw_max!r}"
-                )
-        raw_wait = os.environ.get("REPRO_SERVE_BATCH_WAIT_MS", "").strip()
-        if raw_wait:
-            try:
-                kwargs["batch_wait_ms"] = float(raw_wait)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_SERVE_BATCH_WAIT_MS must be a number, got {raw_wait!r}"
-                )
-        return cls(**kwargs)
+            raise ValueError("batch_wait_ms must be >= 0")
 
 
 class MicroBatcher:
@@ -224,7 +202,7 @@ class ServeEngine:
         backend: str | None = None,
     ) -> None:
         self.chatls = chatls
-        self.policy = policy or BatchPolicy.from_env()
+        self.policy = policy or BatchPolicy()
         self.checkpoint_dir = checkpoint_dir
         self.jobs = jobs
         self.backend = backend

@@ -19,19 +19,35 @@ import pickle
 from dataclasses import dataclass
 from typing import Any
 
+from .. import perf
 from ..core.chatls import CustomizationResult
 from ..core.generator import DraftRetrieval, DraftResult
 from ..core.requirements import Requirement
 from ..core.thoughts import CoTTrace
 from ..mentor.analyzer import DesignAnalysis
 
-__all__ = ["STAGES", "DONE", "ServeRequest", "ChainState"]
+__all__ = ["STAGES", "DONE", "CHECKPOINT_FORMAT", "CheckpointError", "ServeRequest",
+           "ChainState"]
 
 #: The staged decomposition of ``ChatLS.customize_and_evaluate``.
 STAGES: tuple[str, ...] = ("analyze", "retrieve", "draft", "revise", "synthesize")
 
 #: Terminal stage marker: every stage of the chain has completed.
 DONE = "done"
+
+#: Version of the checkpoint file format.  Bump it whenever a field of
+#: :class:`ChainState` or :class:`ServeRequest` is added, removed or
+#: changes meaning, so older checkpoints are rejected instead of misread.
+CHECKPOINT_FORMAT = 1
+
+
+class CheckpointError(ValueError):
+    """A checkpoint that cannot be resumed from; the message names the path."""
+
+
+def _rejected(path: str, reason: str) -> CheckpointError:
+    perf.incr("serve.checkpoint_rejected")
+    return CheckpointError(f"{path}: {reason}")
 
 
 @dataclass
@@ -135,7 +151,7 @@ class ChainState:
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
-                pickle.dump(self, fh)
+                pickle.dump(("ChainState", CHECKPOINT_FORMAT, self), fh)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -144,8 +160,25 @@ class ChainState:
 
     @classmethod
     def load(cls, path: str) -> "ChainState":
+        """Read a checkpoint written by :meth:`save`.
+
+        A truncated or corrupt file, an unversioned state, another
+        :data:`CHECKPOINT_FORMAT` or any other payload raises
+        :class:`CheckpointError`, counted as ``serve.checkpoint_rejected``.
+        """
         with open(path, "rb") as fh:
-            state = pickle.load(fh)
+            try:
+                payload = pickle.load(fh)
+            except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
+                    IndexError, KeyError, TypeError, ValueError) as exc:
+                raise _rejected(path, f"truncated or corrupt checkpoint ({exc!r})") from exc
+        if isinstance(payload, cls):
+            raise _rejected(path, "unversioned checkpoint")
+        if type(payload) is not tuple or len(payload) != 3 or payload[0] != "ChainState":
+            raise _rejected(path, "not a ChainState checkpoint")
+        _, version, state = payload
+        if version != CHECKPOINT_FORMAT:
+            raise _rejected(path, f"checkpoint format {version!r}, expected {CHECKPOINT_FORMAT}")
         if not isinstance(state, cls):
-            raise ValueError(f"{path}: not a ChainState checkpoint")
+            raise _rejected(path, "not a ChainState checkpoint")
         return state

@@ -14,7 +14,6 @@ from .cache import (
     default_cache,
     elaborate_cached,
     frontend_cache,
-    frontend_cache_mode,
     synthesize_cached,
 )
 from .dcshell import DCShell, DCShellError, ScriptResult
@@ -52,7 +51,6 @@ __all__ = [
     "default_cache",
     "elaborate_cached",
     "frontend_cache",
-    "frontend_cache_mode",
     "synthesize_cached",
     "DCShell",
     "DCShellError",

@@ -122,6 +122,8 @@ class TestTracedCustomization:
             "synth.techmap",
             "pass.size_gates",
             "synth.sta",
+            "gnn.embed",
+            "llm.complete",
         ):
             assert expected in names, f"missing stage span {expected}"
 
@@ -153,5 +155,6 @@ class TestUntracedCustomization:
         )
         sync_worker_perf()  # the process backend ran the seeds in workers
         timers = perf.snapshot()["timers"]
-        for stage in ("chatls.customize", "rag.manual", "expert.step", "synth.sta"):
+        for stage in ("chatls.customize", "rag.manual", "expert.step", "synth.sta",
+                      "gnn.embed", "llm.complete"):
             assert timers.get(stage, {}).get("calls", 0) > 0, f"no {stage} timer"

@@ -94,6 +94,23 @@ class TestManifest:
         with pytest.raises(ValueError, match="not a run manifest"):
             load_manifest(str(path))
 
+    def test_load_rejects_truncated_manifest(self, tmp_path):
+        path = write_manifest(build_manifest("t"), str(tmp_path))
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        with pytest.raises(ValueError, match="invalid manifest JSON") as info:
+            load_manifest(path)
+        assert path in str(info.value)
+
+    def test_load_rejects_other_schema(self, tmp_path):
+        manifest = dict(build_manifest("t"), schema=2)
+        path = write_manifest(manifest, str(tmp_path))
+        with pytest.raises(ValueError, match="schema 2, expected 1") as info:
+            load_manifest(path)
+        assert path in str(info.value)
+
 
 class TestRecordRun:
     def test_disabled_is_a_noop(self, monkeypatch):
@@ -132,6 +149,7 @@ class TestRecordRun:
 
 def base_manifest():
     return {
+        "schema": ledger.MANIFEST_SCHEMA,
         "run_id": "base-run",
         "stages": {
             "eval.cell": {"total_s": 10.0, "calls": 9, "p50_s": 1.0,
@@ -269,6 +287,10 @@ class TestDiffCLI:
         )
         assert report_main(["--diff", "missing.json", base]) == 2
         capsys.readouterr()
+        other = self.write(tmp_path, dict(base_manifest(), schema=2), "other.json")
+        assert report_main(["--diff", base, other]) == 2
+        err = capsys.readouterr().err
+        assert "diff failed:" in err and "other.json" in err
 
     def test_thresholds_flags_reach_diff(self, tmp_path):
         base = self.write(tmp_path, base_manifest(), "base.json")

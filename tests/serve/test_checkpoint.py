@@ -1,13 +1,24 @@
-"""ChainState checkpointing: atomic writes, crash injection, partial resume."""
+"""ChainState checkpointing: atomic writes, format versioning, crash
+injection, partial resume."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 
 import pytest
 
-from repro.serve import STAGES, BatchPolicy, ChainState, ServeEngine, ServeRequest
+from repro import perf
+from repro.serve import (
+    CHECKPOINT_FORMAT,
+    STAGES,
+    BatchPolicy,
+    ChainState,
+    CheckpointError,
+    ServeEngine,
+    ServeRequest,
+)
 
 
 class _InjectedCrash(RuntimeError):
@@ -80,8 +91,83 @@ class TestChainState:
     def test_load_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(pickle.dumps({"not": "a chain state"}))
-        with pytest.raises(ValueError, match="not a ChainState"):
-            ChainState.load(str(path))
+        _assert_rejected(path, "not a ChainState")
+        path.write_bytes(pickle.dumps(("ChainState", CHECKPOINT_FORMAT, "x")))
+        _assert_rejected(path, "not a ChainState")
+
+
+def _state() -> ChainState:
+    state = ChainState(request=ServeRequest("v", "d", "b", "improve timing"))
+    state.advance()
+    return state
+
+
+def _assert_rejected(path, reason: str) -> None:
+    """Loading ``path`` raises a CheckpointError naming it, and is counted."""
+    before = perf.counter("serve.checkpoint_rejected")
+    with pytest.raises(CheckpointError, match=reason) as info:
+        ChainState.load(str(path))
+    assert isinstance(info.value, ValueError)
+    assert str(path) in str(info.value)
+    assert perf.counter("serve.checkpoint_rejected") == before + 1
+
+
+class TestCheckpointFormat:
+    def test_truncated_checkpoint_is_rejected(self, tmp_path):
+        path = tmp_path / "s.ckpt"
+        _state().save(str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        _assert_rejected(path, "truncated or corrupt")
+
+    def test_garbage_checkpoint_is_rejected(self, tmp_path):
+        path = tmp_path / "s.ckpt"
+        path.write_bytes(b"\x00 not a pickle")
+        _assert_rejected(path, "truncated or corrupt")
+
+    def test_unversioned_checkpoint_is_rejected(self, tmp_path):
+        """A bare pickled ChainState, as checkpoints were first written."""
+        path = tmp_path / "s.ckpt"
+        path.write_bytes(pickle.dumps(_state()))
+        _assert_rejected(path, "unversioned checkpoint")
+
+    def test_other_format_is_rejected(self, tmp_path):
+        path = tmp_path / "s.ckpt"
+        path.write_bytes(pickle.dumps(("ChainState", 2, _state())))
+        _assert_rejected(path, "checkpoint format 2, expected 1")
+
+    def test_format_pins_the_fields(self):
+        """Changing a checkpointed field means bumping CHECKPOINT_FORMAT."""
+        fields = (
+            tuple(f.name for f in dataclasses.fields(ChainState)),
+            tuple(f.name for f in dataclasses.fields(ServeRequest)),
+        )
+        assert (CHECKPOINT_FORMAT, fields) == (
+            1,
+            (
+                ("request", "stage", "completed", "requirement", "analysis",
+                 "design_embedding", "retrieval", "draft", "script", "trace",
+                 "qor", "executable", "error"),
+                ("verilog", "design_name", "baseline_script", "requirement",
+                 "tool_report", "top", "clock_period", "seed", "evaluate",
+                 "session_id"),
+            ),
+        )
+
+    def test_resume_rejects_before_any_stage_runs(self, chatls, tmp_path):
+        good = tmp_path / "good.ckpt"
+        _state().save(str(good))
+        stale = tmp_path / "stale.ckpt"
+        stale.write_bytes(pickle.dumps(_state()))
+        engine = ServeEngine(chatls)
+
+        def ran(state, stage):  # pragma: no cover - only on failure
+            raise AssertionError(f"stage {stage} ran")
+
+        engine._after_stage = ran
+        with pytest.raises(CheckpointError, match="stale.ckpt"):
+            engine.resume([str(good), str(stale)])
+        assert engine.stage_sessions == {}
 
 
 class TestCrashResume:

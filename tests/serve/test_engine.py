@@ -16,30 +16,13 @@ from repro.serve.engine import _serve_metric_families
 class TestBatchPolicy:
     def test_defaults(self):
         policy = BatchPolicy()
-        assert policy.batch_max >= 1
-        assert policy.batch_wait_ms >= 0
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_BATCH_MAX", "7")
-        monkeypatch.setenv("REPRO_SERVE_BATCH_WAIT_MS", "1.5")
-        policy = BatchPolicy.from_env()
-        assert policy.batch_max == 7
-        assert policy.batch_wait_ms == 1.5
-
-    def test_env_unset_uses_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_BATCH_MAX", raising=False)
-        monkeypatch.delenv("REPRO_SERVE_BATCH_WAIT_MS", raising=False)
-        assert BatchPolicy.from_env() == BatchPolicy()
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_BATCH_MAX", "many")
-        with pytest.raises(ValueError, match="REPRO_SERVE_BATCH_MAX"):
-            BatchPolicy.from_env()
+        assert policy.batch_max == 16
+        assert policy.batch_wait_ms == 2.0
 
     def test_invalid_values_raise(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="batch_max must be >= 1"):
             BatchPolicy(batch_max=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="batch_wait_ms must be >= 0"):
             BatchPolicy(batch_wait_ms=-1)
 
 

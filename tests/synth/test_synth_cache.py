@@ -15,7 +15,7 @@ from repro.synth import (
     nangate45,
     synthesize_cached,
 )
-from repro.synth.cache import cache_enabled, synthesis_key
+from repro.synth.cache import cache_enabled, elaborate_cached, synthesis_key
 
 
 @pytest.fixture
@@ -70,8 +70,7 @@ class TestSynthesisCache:
         got = cache.get(key)
         assert got is not None and got.success
         assert cache.stats() == {
-            "entries": 1, "hits": 1, "misses": 1, "disk_hits": 0, "disk_writes": 0,
-            "capacity": 4, "hit_ratio": 0.5,
+            "entries": 1, "capacity": 4, "hits": 1, "misses": 1, "hit_ratio": 0.5,
         }
 
     def test_values_are_isolated_copies(self, cache):
@@ -96,8 +95,7 @@ class TestSynthesisCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats() == {
-            "entries": 0, "hits": 0, "misses": 0, "disk_hits": 0, "disk_writes": 0,
-            "capacity": 4, "hit_ratio": 0.0,
+            "entries": 0, "capacity": 4, "hits": 0, "misses": 0, "hit_ratio": 0.0,
         }
 
     def test_thread_safety(self, cache):
@@ -133,6 +131,22 @@ class TestCacheGate:
     def test_other_values_enable(self, monkeypatch):
         monkeypatch.setenv("REPRO_SYNTH_CACHE", "1")
         assert cache_enabled()
+
+    @pytest.mark.parametrize("value", ["", "true", "YES", " on "])
+    def test_enabled_values(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_SYNTH_CACHE", value)
+        assert cache_enabled()
+
+    @pytest.mark.parametrize("value", ["/some/dir", "2"])
+    def test_other_values_raise(self, monkeypatch, value):
+        """A directory no longer selects an on-disk layer: it is an error."""
+        monkeypatch.setenv("REPRO_SYNTH_CACHE", value)
+        with pytest.raises(ValueError, match="REPRO_SYNTH_CACHE"):
+            cache_enabled()
+        with pytest.raises(ValueError, match="REPRO_SYNTH_CACHE"):
+            synthesize_cached(None, "d", "module d; endmodule", "report_qor")
+        with pytest.raises(ValueError, match="REPRO_SYNTH_CACHE"):
+            elaborate_cached("module d; endmodule", "d")
 
 
 class TestSynthesizeCached:

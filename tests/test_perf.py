@@ -116,9 +116,11 @@ class TestStatsProviders:
         import repro.synth.cache  # noqa: F401  (registers its providers)
 
         caches = perf.snapshot().get("caches", {})
-        assert "synthesis" in caches and "netlist" in caches
-        for stats in (caches["synthesis"], caches["netlist"]):
-            assert {"entries", "hits", "misses"} <= set(stats)
+        assert "netlist" not in caches
+        for name in ("synthesis", "frontend"):
+            assert set(caches[name]) == {
+                "entries", "capacity", "hits", "misses", "hit_ratio",
+            }, name
 
 
 class TestReservoirMerge:
