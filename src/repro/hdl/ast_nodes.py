@@ -286,6 +286,8 @@ class Module(Node):
 @dataclass
 class SourceFile(Node):
     modules: list[Module] = field(default_factory=list)
+    #: The Verilog this was parsed from; the frontend cache keys on it.
+    text: str = field(default="", repr=False)
 
     def module(self, name: str) -> Module | None:
         for m in self.modules:

@@ -39,6 +39,21 @@ past their cursor and they must rebuild from scratch.  Code that mutates
 nets or cells directly (bypassing the methods here) must call
 :meth:`Netlist.touch` afterwards so observers invalidate.
 
+Data model
+----------
+
+A netlist and its nets and cells hold no reference cycle, so reference
+counting frees a finished netlist at once, and each copy holds as few
+objects as the cyclic collector must track:
+
+* a cell journals its resizes into the netlist's :class:`_Journal`
+  object, which it holds instead of the netlist itself;
+* ``Net.sinks`` is an insertion-ordered ``dict`` of sink cell names to
+  ``None``: it iterates in attach order, whatever the string hash seed,
+  and the collector does not track a dict of strings;
+* ``Cell.inputs`` is a tuple, replaced (never mutated) by
+  :meth:`Netlist.rewire_input`, so clones share it.
+
 :class:`EditUndo` restores a netlist after an edit made of cell removals
 and appended cells and nets (a retiming move) to exactly its prior
 state, from a record of only the cells and nets the edit touched.
@@ -48,6 +63,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from collections.abc import Iterable
 
 __all__ = ["GENERIC_GATES", "Net", "Cell", "Netlist", "NetlistError", "EditUndo"]
 
@@ -78,6 +94,33 @@ class NetlistError(ValueError):
     """Raised for structurally invalid netlist operations."""
 
 
+class _Journal:
+    """A netlist's change events and the version of the oldest one kept.
+
+    Attached cells hold this object, not their netlist, to journal their
+    resizes.  It pickles empty: an unpickled netlist is a fresh object no
+    observer holds a cursor into, and pickle's memo hands its cells the
+    same new journal.
+    """
+
+    __slots__ = ("events", "base")
+
+    def __init__(self) -> None:
+        self.events: list[tuple] = []
+        self.base = 0
+
+    def append(self, event: tuple) -> None:
+        events = self.events
+        events.append(event)
+        if len(events) > _JOURNAL_LIMIT:
+            drop = len(events) // 2
+            self.base += drop
+            del events[:drop]
+
+    def __reduce__(self):
+        return _Journal, ()
+
+
 class Net:
     """A single-bit net (slotted: netlists hold hundreds of thousands)."""
 
@@ -88,7 +131,7 @@ class Net:
         name: str,
         uid: int,
         driver: str | None = None,
-        sinks: set[str] | None = None,
+        sinks: dict[str, None] | None = None,
         is_input: bool = False,
         is_output: bool = False,
         is_clock: bool = False,
@@ -96,7 +139,7 @@ class Net:
         self.name = name
         self.uid = uid
         self.driver = driver  # cell name, or None for primary inputs
-        self.sinks: set[str] = sinks if sinks is not None else set()
+        self.sinks: dict[str, None] = sinks if sinks is not None else {}
         self.is_input = is_input
         self.is_output = is_output
         self.is_clock = is_clock
@@ -104,32 +147,31 @@ class Net:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Net(name={self.name!r}, driver={self.driver!r}, "
-            f"sinks={sorted(self.sinks)!r})"
+            f"sinks={list(self.sinks)!r})"
         )
 
 
 class Cell:
     """A gate instance (slotted; ``lib_cell`` writes journal resize events)."""
 
-    __slots__ = ("name", "gate", "inputs", "output", "_lib_cell", "attrs", "_owner")
+    __slots__ = ("name", "gate", "inputs", "output", "_lib_cell", "attrs", "_journal")
 
     def __init__(
         self,
         name: str,
         gate: str,
-        inputs: list[str] | None = None,
+        inputs: Iterable[str] = (),
         output: str = "",
         lib_cell: str | None = None,
         attrs: dict | None = None,
-        owner: "Netlist | None" = None,
     ) -> None:
         self.name = name
         self.gate = gate
-        self.inputs: list[str] = inputs if inputs is not None else []
+        self.inputs: tuple[str, ...] = tuple(inputs)
         self.output = output
         self._lib_cell = lib_cell  # bound library cell after mapping
         self.attrs: dict = attrs if attrs is not None else {}
-        self._owner = owner
+        self._journal: _Journal | None = None  # set while in a netlist
 
     @property
     def lib_cell(self) -> str | None:
@@ -140,8 +182,8 @@ class Cell:
         if value == self._lib_cell:
             return
         self._lib_cell = value
-        if self._owner is not None:
-            self._owner._note_resize(self.name)
+        if self._journal is not None:
+            self._journal.append(("resize", self.name))
 
     @property
     def is_sequential(self) -> bool:
@@ -165,8 +207,7 @@ class Netlist:
         self.primary_inputs: list[str] = []
         self.primary_outputs: list[str] = []
         self._uid = itertools.count()
-        self._journal: list[tuple] = []
-        self._journal_base = 0
+        self._journal = _Journal()
         self._topo_cache: list[Cell] | None = None
         self._max_uid_memo: int | None = None
 
@@ -175,30 +216,25 @@ class Netlist:
     @property
     def version(self) -> int:
         """Monotonic mutation counter; equal versions mean nothing changed."""
-        return self._journal_base + len(self._journal)
+        journal = self._journal
+        return journal.base + len(journal.events)
 
     def journal_since(self, cursor: int) -> list[tuple] | None:
         """Events recorded since ``cursor``; None when trimmed past it."""
-        if cursor < self._journal_base:
-            return None
-        return self._journal[cursor - self._journal_base :]
-
-    def _append_event(self, event: tuple) -> None:
         journal = self._journal
-        journal.append(event)
-        if len(journal) > _JOURNAL_LIMIT:
-            drop = len(journal) // 2
-            self._journal_base += drop
-            del journal[:drop]
+        if cursor < journal.base:
+            return None
+        return journal.events[cursor - journal.base :]
 
     def _note_structure(self, event: tuple) -> None:
         """Journal ``("structure", cell, *nets)`` for a structural edit."""
         self._topo_cache = None
         self._max_uid_memo = None
-        self._append_event(event)
+        self._journal.append(event)
 
     def _note_resize(self, cell_name: str) -> None:
-        self._append_event(("resize", cell_name))
+        """Journal ``("resize", cell)``, as an attached cell's rebind does."""
+        self._journal.append(("resize", cell_name))
 
     def touch(self) -> None:
         """Record an out-of-band mutation (direct net/cell attribute edits)."""
@@ -255,18 +291,16 @@ class Netlist:
             raise NetlistError(f"net {output!r} already driven by {out_net.driver!r}")
         if out_net.is_input:
             raise NetlistError(f"cannot drive primary input {output!r}")
-        cell = Cell(
-            name=name, gate=gate, inputs=list(inputs), output=output,
-            attrs=attrs, owner=self,
-        )
+        cell = Cell(name=name, gate=gate, inputs=inputs, output=output, attrs=attrs)
+        cell._journal = self._journal
         out_net.driver = name
         for net_name in inputs:
-            self.get_or_add_net(net_name).sinks.add(name)
+            self.get_or_add_net(net_name).sinks[name] = None
         event = ("structure", name, output, *inputs)
         if "clock" in attrs:
             clk = self.get_or_add_net(attrs["clock"])
             clk.is_clock = True
-            clk.sinks.add(name)
+            clk.sinks[name] = None
             event += (attrs["clock"],)
         self.cells[name] = cell
         self._note_structure(event)
@@ -277,13 +311,13 @@ class Netlist:
         out = self.nets[cell.output]
         out.driver = None
         for net_name in cell.inputs:
-            self.nets[net_name].sinks.discard(name)
+            self.nets[net_name].sinks.pop(name, None)
         event = ("structure", name, cell.output, *cell.inputs)
         if "clock" in cell.attrs:
             clock = cell.attrs["clock"]
-            self.nets[clock].sinks.discard(name)
+            self.nets[clock].sinks.pop(name, None)
             event += (clock,)
-        cell._owner = None
+        cell._journal = None
         self._note_structure(event)
 
     def rewire_input(self, cell_name: str, old_net: str, new_net: str) -> None:
@@ -291,10 +325,10 @@ class Netlist:
         cell = self.cells[cell_name]
         if old_net not in cell.inputs:
             raise NetlistError(f"{old_net!r} is not an input of {cell_name!r}")
-        cell.inputs = [new_net if n == old_net else n for n in cell.inputs]
+        cell.inputs = tuple(new_net if n == old_net else n for n in cell.inputs)
         if old_net not in cell.inputs and cell.attrs.get("clock") != old_net:
-            self.nets[old_net].sinks.discard(cell_name)
-        self.get_or_add_net(new_net).sinks.add(cell_name)
+            self.nets[old_net].sinks.pop(cell_name, None)
+        self.get_or_add_net(new_net).sinks[cell_name] = None
         self._note_structure(("structure", cell_name, old_net, new_net))
 
     def rewire_clock(self, cell_name: str, new_clock: str) -> None:
@@ -305,8 +339,8 @@ class Netlist:
             raise NetlistError(f"{cell_name!r} has no clock pin")
         cell.attrs["clock"] = new_clock
         if old_clock not in cell.inputs:
-            self.nets[old_clock].sinks.discard(cell_name)
-        self.get_or_add_net(new_clock).sinks.add(cell_name)
+            self.nets[old_clock].sinks.pop(cell_name, None)
+        self.get_or_add_net(new_clock).sinks[cell_name] = None
         self._note_structure(("structure", cell_name, old_clock, new_clock))
 
     # -- queries --------------------------------------------------------------
@@ -459,12 +493,10 @@ class Netlist:
 
     def __getstate__(self) -> dict:
         # itertools.count is not picklable; __setstate__ re-derives it.  The
-        # journal and topo cache are dropped: an unpickled netlist is a fresh
-        # object no observer holds a cursor into.
+        # topo cache is dropped, and the journal pickles empty (an unpickled
+        # netlist is a fresh object no observer holds a cursor into).
         state = self.__dict__.copy()
         del state["_uid"]
-        state["_journal"] = []
-        state["_journal_base"] = 0
         state["_topo_cache"] = None
         return state
 
@@ -486,21 +518,22 @@ class Netlist:
             copy.name = net.name
             copy.uid = net.uid
             copy.driver = net.driver
-            copy.sinks = set(net.sinks)
+            copy.sinks = net.sinks.copy()
             copy.is_input = net.is_input
             copy.is_output = net.is_output
             copy.is_clock = net.is_clock
             nets[name] = copy
         cells = other.cells
+        journal = other._journal
         for name, cell in self.cells.items():
             copy = Cell.__new__(Cell)
             copy.name = cell.name
             copy.gate = cell.gate
-            copy.inputs = list(cell.inputs)
+            copy.inputs = cell.inputs  # immutable: shared
             copy.output = cell.output
             copy._lib_cell = cell._lib_cell
             copy.attrs = dict(cell.attrs)
-            copy._owner = other
+            copy._journal = journal
             cells[name] = copy
         other.primary_inputs = list(self.primary_inputs)
         other.primary_outputs = list(self.primary_outputs)
@@ -519,9 +552,9 @@ class EditUndo:
     or to nets of removed cells.  :meth:`rollback` then restores exactly
     the state that adopting a :meth:`Netlist.clone` taken at construction
     would: the same ``cells``/``nets`` dict order, the same ``sinks``
-    iteration order on every net (each a fresh copy, as a clone's is) and
-    the same next autogenerated uid.  Recording costs O(touched cells and
-    nets); only the rare rollback walks the whole netlist.
+    order on every net and the same next autogenerated uid.  Recording
+    costs O(touched cells and nets); only the rare rollback walks the
+    whole netlist.
 
     ``positions`` maps every current cell name to its position in
     ``netlist.cells`` (for example a current lowering's ``cell_index``);
@@ -536,7 +569,7 @@ class EditUndo:
             positions = dict(zip(netlist.cells, itertools.count()))
         self._positions = positions
         self._removed: list[tuple[int, Cell]] = []
-        self._nets: dict[str, tuple[str | None, set[str], bool]] = {}
+        self._nets: dict[str, tuple[str | None, dict[str, None], bool]] = {}
 
     def remove_cell(self, name: str) -> None:
         """Save ``name`` and the nets it touches, then remove it."""
@@ -548,7 +581,7 @@ class EditUndo:
         for net_name in touched:
             if net_name not in self._nets:
                 net = nets[net_name]
-                self._nets[net_name] = (net.driver, set(net.sinks), net.is_clock)
+                self._nets[net_name] = (net.driver, net.sinks.copy(), net.is_clock)
         self._removed.append((self._positions[name], cell))
         self.netlist.remove_cell(name)
 
@@ -559,19 +592,17 @@ class EditUndo:
         # Added cells and nets were appended, so they sit at the dict ends.
         added_cells = len(cells) - self._num_cells + len(self._removed)
         for name in list(itertools.islice(reversed(cells), added_cells)):
-            cells.pop(name)._owner = None
+            cells.pop(name)._journal = None
         for name in list(itertools.islice(reversed(nets), len(nets) - self._num_nets)):
             del nets[name]
-        for name, net in nets.items():
-            saved = self._nets.get(name)
-            if saved is None:
-                net.sinks = set(net.sinks)
-            else:
-                net.driver, net.sinks, net.is_clock = saved
+        # Only the saved nets changed; every other net's sinks kept its order.
+        for name, (driver, sinks, is_clock) in self._nets.items():
+            net = nets[name]
+            net.driver, net.sinks, net.is_clock = driver, sinks, is_clock
         order = list(cells.items())
         for position, cell in sorted(self._removed, key=lambda item: item[0]):
             order.insert(position, (cell.name, cell))
-            cell._owner = netlist
+            cell._journal = netlist._journal
         cells.clear()
         cells.update(order)
         netlist.touch()

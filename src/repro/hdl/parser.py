@@ -136,7 +136,7 @@ class _Parser:
     # -- top level ---------------------------------------------------------
 
     def parse(self) -> SourceFile:
-        sf = SourceFile()
+        sf = SourceFile(text=self.source)
         while not self.at("EOF"):
             if self.at("KEYWORD", "module"):
                 sf.modules.append(self.parse_module())

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import obs
 from ..hdl.netlist import Netlist
+from ..hdl.parser import parse_source
 from ..synth.library import TechLibrary, nangate45
 from ..synth.sdc import Constraints
 from ..synth.timing import TimingEngine, TimingReport
@@ -82,31 +84,36 @@ def _modules_on_path(report: TimingReport) -> list[str]:
     return seen
 
 
+def _chain_len(netlist: Netlist, cell_name: str, memo: dict[str, int]) -> int:
+    """Longest single-fanout chain of ``cell_name``'s gate ending at it.
+
+    Module level, not a closure: a recursive closure is a reference cycle
+    that would keep the netlist alive until the cyclic collector runs.
+    """
+    if cell_name in memo:
+        return memo[cell_name]
+    cell = netlist.cells[cell_name]
+    memo[cell_name] = 1  # break accidental cycles defensively
+    length = 1
+    for net_in in cell.inputs:
+        child = netlist.driver_cell(net_in)
+        if (
+            child is not None
+            and child.gate == cell.gate
+            and netlist.fanout(child.output) == 1
+        ):
+            length = max(length, 1 + _chain_len(netlist, child.name, memo))
+    memo[cell_name] = length
+    return length
+
+
 def _longest_chain(netlist: Netlist) -> int:
     """Length of the longest single-fanout chain of identical gates."""
     best = 0
     memo: dict[str, int] = {}
-
-    def chain_len(cell_name: str) -> int:
-        if cell_name in memo:
-            return memo[cell_name]
-        cell = netlist.cells[cell_name]
-        memo[cell_name] = 1  # break accidental cycles defensively
-        length = 1
-        for net_in in cell.inputs:
-            child = netlist.driver_cell(net_in)
-            if (
-                child is not None
-                and child.gate == cell.gate
-                and netlist.fanout(child.output) == 1
-            ):
-                length = max(length, 1 + chain_len(child.name))
-        memo[cell_name] = length
-        return length
-
     for name, cell in netlist.cells.items():
         if cell.gate in ("AND2", "OR2", "XOR2"):
-            best = max(best, chain_len(name))
+            best = max(best, _chain_len(netlist, name, memo))
     return best
 
 
@@ -134,15 +141,21 @@ def analyze_design(
     library: TechLibrary | None = None,
     wireload: WireLoadModel | None = None,
 ) -> DesignAnalysis:
-    """Full CircuitMentor analysis of a design at a target clock period."""
+    """Full CircuitMentor analysis of a design at a target clock period.
+
+    The RTL is parsed once; the circuit graph and the elaborated netlist
+    (on a frontend-cache miss) are both built from that parse.
+    """
     library = library or nangate45()
     wireload = wireload or get_wireload("5K_heavy_1k")
-    circuit = build_circuit_graph(verilog, design_name, top=top)
+    with obs.span("hdl.parse"):
+        source = parse_source(verilog)
+    circuit = build_circuit_graph(source, design_name, top=top)
     top_name = top or design_name
     from ..synth.cache import elaborate_cached
     from ..synth.techmap import map_to_library
 
-    netlist = elaborate_cached(verilog, top_name)
+    netlist = elaborate_cached(source, top_name)
 
     map_to_library(netlist, library)
     constraints = Constraints(clock_period=clock_period)

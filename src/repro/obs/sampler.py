@@ -10,6 +10,9 @@ serving engine's gauges, so nothing runs between scrapes:
   process (a counter: a scraper's rate over it is the CPU use);
 * ``repro_process_gc_collections_total{generation=...}`` — cumulative
   CPython GC collections per generation;
+* ``repro_process_gc_collected_total{generation=...}`` — cumulative
+  objects the cyclic collector freed per generation (objects that
+  reference counting could not free, because they sat in a cycle);
 * ``repro_process_open_fds`` — open file descriptors
   (``/proc/self/fd``; absent on platforms without procfs);
 * ``repro_process_threads`` — live ``threading`` thread count;
@@ -78,13 +81,19 @@ def process_families() -> list[MetricFamily]:
         "repro_process_gc_collections_total", "counter",
         "Cumulative CPython GC collections per generation.",
     )
+    collected = MetricFamily(
+        "repro_process_gc_collected_total", "counter",
+        "Cumulative objects freed by the CPython cyclic GC per generation.",
+    )
     for generation, stats in enumerate(gc.get_stats()):
         collections.add(stats.get("collections", 0), generation=generation)
+        collected.add(stats.get("collected", 0), generation=generation)
     return [
         _gauge("repro_process_rss_bytes", "Resident set size of this process.",
                read_rss_bytes()),
         cpu,
         collections,
+        collected,
         _gauge("repro_process_open_fds", "Open file descriptors.", count_open_fds()),
         _gauge("repro_process_threads", "Live threading.Thread count.",
                threading.active_count()),

@@ -32,6 +32,7 @@ from collections import OrderedDict
 from typing import Any, Callable
 
 from .. import obs, perf
+from ..hdl.ast_nodes import SourceFile
 from ..hdl.elaborator import elaborate
 from ..hdl.netlist import Netlist
 from ..parallel import clear_worker_caches
@@ -198,10 +199,15 @@ perf.register_stats_provider("frontend", _FRONTEND.stats)
 
 
 def elaborate_cached(
-    source: str, top: str | None = None, params: dict | None = None
+    source: SourceFile | str, top: str | None = None, params: dict | None = None
 ) -> Netlist:
-    """Elaborate RTL, serving repeated (source, top, params) from the cache."""
-    key = frontend_key(source, top, params) if cache_enabled() else None
+    """Elaborate RTL, serving repeated (source, top, params) from the cache.
+
+    A parsed ``source`` is keyed on its text and elaborated without
+    parsing again on a miss.
+    """
+    text = source if isinstance(source, str) else source.text
+    key = frontend_key(text, top, params) if cache_enabled() else None
     hit = None if key is None else _FRONTEND.get(key)
     if hit is not None:
         return hit

@@ -70,10 +70,19 @@ class ScriptResult:
         return self.success
 
 
-class DCShell:
-    """One synthesis session: design + library + constraints + commands."""
+class DCShell(TclInterpreter):
+    """One synthesis session: design + library + constraints + commands.
+
+    The shell is the Tcl interpreter its scripts run in.  Its commands
+    are plain functions of ``(shell, args)`` in the class-level table
+    :attr:`SHELL_COMMANDS`, which the interpreter dispatches with the
+    shell itself, so no per-shell closure refers back to the shell and
+    reference counting frees a dropped shell with everything it holds.
+    """
 
     def __init__(self, library: TechLibrary | None = None) -> None:
+        super().__init__()
+        self.commands.update(self.SHELL_COMMANDS)
         self.library = library or nangate45()
         self.wireload: WireLoadModel = get_wireload("5K_hvratio_1_1")
         self.constraints = Constraints()
@@ -85,9 +94,7 @@ class DCShell:
         self.compiled = False
         self.pass_log: list[str] = []
         self.last_written: str | None = None
-        self.interp = TclInterpreter()
         self._context_cache: PassContext | None = None
-        self._register_commands()
 
     # -- design registry ------------------------------------------------------------
 
@@ -102,7 +109,7 @@ class DCShell:
         """Execute a full Tcl script; never raises (errors are captured)."""
         with obs.span("synth.script", commands=len(script.splitlines())) as sp:
             try:
-                transcript = self.interp.eval_script(script)
+                transcript = self.eval_script(script)
             except (TclError, ElaborationError, ParseError, KeyError, ValueError) as exc:
                 sp.set_attribute("failed", True)
                 return ScriptResult(success=False, error=str(exc))
@@ -147,39 +154,6 @@ class DCShell:
 
     def _engine(self) -> TimingEngine:
         return self._pass_context().engine
-
-    # -- command registration ---------------------------------------------------------
-
-    def _register_commands(self) -> None:
-        shell_commands = {
-            "read_verilog": self._cmd_read_verilog,
-            "current_design": self._cmd_current_design,
-            "link": self._cmd_link,
-            "set_wire_load_model": self._cmd_set_wire_load_model,
-            "create_clock": self._cmd_create_clock,
-            "set_clock_uncertainty": self._cmd_set_clock_uncertainty,
-            "set_input_delay": self._cmd_set_input_delay,
-            "set_output_delay": self._cmd_set_output_delay,
-            "set_max_area": self._cmd_set_max_area,
-            "set_max_fanout": self._cmd_set_max_fanout,
-            "set_flatten": self._cmd_set_flatten,
-            "ungroup": self._cmd_ungroup,
-            "compile": self._cmd_compile,
-            "compile_ultra": self._cmd_compile_ultra,
-            "optimize_registers": self._cmd_optimize_registers,
-            "balance_buffer": self._cmd_balance_buffer,
-            "explore_sizing": self._cmd_explore_sizing,
-            "report_timing": self._cmd_report_timing,
-            "report_area": self._cmd_report_area,
-            "report_qor": self._cmd_report_qor,
-            "report_power": self._cmd_report_power,
-            "write": self._cmd_write,
-            "all_inputs": lambda a: "[all_inputs]",
-            "all_outputs": lambda a: "[all_outputs]",
-            "get_ports": lambda a: a[0] if a else "",
-        }
-        for name, method in shell_commands.items():
-            self.interp.register(name, lambda i, a, m=method: m(a))
 
     # -- option parsing helper -----------------------------------------------------------
 
@@ -548,3 +522,32 @@ class DCShell:
 
         self.last_written = write_verilog(self.netlist, self.design_name)
         return f"wrote {len(self.last_written)} bytes of structural verilog"
+
+    #: Tcl command name -> function of ``(shell, args)``, dispatched with the shell.
+    SHELL_COMMANDS = {
+        "read_verilog": _cmd_read_verilog,
+        "current_design": _cmd_current_design,
+        "link": _cmd_link,
+        "set_wire_load_model": _cmd_set_wire_load_model,
+        "create_clock": _cmd_create_clock,
+        "set_clock_uncertainty": _cmd_set_clock_uncertainty,
+        "set_input_delay": _cmd_set_input_delay,
+        "set_output_delay": _cmd_set_output_delay,
+        "set_max_area": _cmd_set_max_area,
+        "set_max_fanout": _cmd_set_max_fanout,
+        "set_flatten": _cmd_set_flatten,
+        "ungroup": _cmd_ungroup,
+        "compile": _cmd_compile,
+        "compile_ultra": _cmd_compile_ultra,
+        "optimize_registers": _cmd_optimize_registers,
+        "balance_buffer": _cmd_balance_buffer,
+        "explore_sizing": _cmd_explore_sizing,
+        "report_timing": _cmd_report_timing,
+        "report_area": _cmd_report_area,
+        "report_qor": _cmd_report_qor,
+        "report_power": _cmd_report_power,
+        "write": _cmd_write,
+        "all_inputs": lambda shell, args: "[all_inputs]",
+        "all_outputs": lambda shell, args: "[all_outputs]",
+        "get_ports": lambda shell, args: args[0] if args else "",
+    }

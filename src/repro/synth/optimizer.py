@@ -654,6 +654,32 @@ def resynthesize_adders(
 # -- chain balancing --------------------------------------------------------------------
 
 
+def _collect_chain(
+    netlist: Netlist, cell, kind: str, chain: dict[str, None], leaves: list[str]
+) -> None:
+    """Depth first from ``cell``: single-fanout ``kind`` gates feeding the
+    chain join ``chain`` in visit order, every other input net is a leaf.
+
+    A module-level function, not a closure: a recursive closure is a
+    reference cycle that would keep the netlist alive until the cyclic
+    collector runs.
+    """
+    chain[cell.name] = None
+    for net_in in cell.inputs:
+        child = netlist.driver_cell(net_in)
+        if (
+            child is not None
+            and child.gate == kind
+            and child.name not in chain
+            and netlist.fanout(child.output) == 1
+            and cell.inputs.count(net_in) == 1
+            and not netlist.nets[child.output].is_output
+        ):
+            _collect_chain(netlist, child, kind, chain, leaves)
+        else:
+            leaves.append(net_in)
+
+
 @_timed
 def balance_chains(
     netlist: Netlist,
@@ -679,28 +705,9 @@ def balance_chains(
                 parent = netlist.cells[next(iter(out_net.sinks))]
             if parent is not None and parent.gate == kind:
                 continue
+            chain: dict[str, None] = {}
             leaves: list[str] = []
-            chain: list[str] = []
-            visited: set[str] = set()
-
-            def collect(cell) -> None:
-                visited.add(cell.name)
-                chain.append(cell.name)
-                for net_in in cell.inputs:
-                    child = netlist.driver_cell(net_in)
-                    if (
-                        child is not None
-                        and child.gate == kind
-                        and child.name not in visited
-                        and netlist.fanout(child.output) == 1
-                        and cell.inputs.count(net_in) == 1
-                        and not netlist.nets[child.output].is_output
-                    ):
-                        collect(child)
-                    else:
-                        leaves.append(net_in)
-
-            collect(root)
+            _collect_chain(netlist, root, kind, chain, leaves)
             if len(chain) < min_chain:
                 continue
             depth_before = len(chain)

@@ -31,8 +31,9 @@ Parity contract
 
 Every kernel evaluates *the same arithmetic expressions on the same
 operands in the same accumulation order* as a plain per-cell scalar
-walk: net pin caps accumulate in ``net.sinks`` iteration order (bincount
-adds sequentially in pair order), delays are ``base + res * load /
+walk: net pin caps accumulate in ``net.sinks`` order, which is attach
+order whatever the string hash seed (bincount adds sequentially in pair
+order), delays are ``base + res * load /
 1000.0`` elementwise, and max-reduction is exact regardless of order.
 WNS/CPS/TNS, endpoint slacks and switching activities are therefore
 bit-identical to the scalar reference kept as the test oracle

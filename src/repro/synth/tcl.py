@@ -9,8 +9,11 @@ Supports the script constructs our flows emit:
 * line continuation with a trailing backslash
 
 Commands dispatch to Python callables registered in a
-:class:`TclInterpreter`; unknown commands raise :class:`TclError`, which is
-how non-executable (hallucinated) scripts are detected.
+:class:`TclInterpreter`, called with the interpreter and the argument
+words; unknown commands raise :class:`TclError`, which is how
+non-executable (hallucinated) scripts are detected.  A subclass adds its
+commands as plain functions of the instance (the synthesis shell does),
+so no closure stored on the interpreter refers back to it.
 """
 
 from __future__ import annotations

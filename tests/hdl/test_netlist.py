@@ -74,7 +74,7 @@ class TestMutation:
         nl = make_inverter()
         nl.add_net("b", is_input=True)
         nl.rewire_input("u1", "a", "b")
-        assert nl.cells["u1"].inputs == ["b"]
+        assert nl.cells["u1"].inputs == ("b",)
         assert "u1" not in nl.nets["a"].sinks
         assert "u1" in nl.nets["b"].sinks
 
@@ -145,6 +145,6 @@ class TestCloneAndValidate:
 
     def test_validate_catches_broken_backlink(self):
         nl = make_inverter()
-        nl.nets["a"].sinks.discard("u1")
+        del nl.nets["a"].sinks["u1"]
         with pytest.raises(NetlistError):
             nl.validate()

@@ -2,9 +2,24 @@
 
 import pytest
 
+from repro import perf
+from repro.designs.chipyard import FAMILIES, generate_family_variant
 from repro.designs.generators import gen_imbalanced_pipeline
-from repro.designs.opencores import get_benchmark
+from repro.designs.opencores import benchmark_names, get_benchmark
+from repro.hdl import elaborate, parser
+from repro.hdl.parser import parse_source
 from repro.mentor import analyze_design
+from repro.mentor.circuit_graph import build_circuit_graph
+from repro.synth import clear_caches
+
+
+def _design(name):
+    """(verilog, top) of an OpenCores benchmark or a Chipyard family variant."""
+    if name in FAMILIES:
+        design = generate_family_variant(name, 0)
+        return design.verilog, design.top
+    bench = get_benchmark(name)
+    return bench.verilog, bench.top
 
 
 class TestPathologyDetection:
@@ -102,3 +117,37 @@ class TestAnalysisContent:
             bench.verilog, bench.name, top=bench.top, clock_period=bench.clock_period
         )
         assert analysis.hierarchy_buffers > 0
+
+
+class TestSharedParse:
+    """``analyze_design`` hands one parse to both of its consumers."""
+
+    @pytest.mark.parametrize("name", [*benchmark_names(), *FAMILIES])
+    def test_shared_parse_builds_what_separate_parses_build(self, name):
+        verilog, top = _design(name)
+        shared = parse_source(verilog)
+        graph = build_circuit_graph(shared, name, top=top)
+        netlist = elaborate(shared, top)
+        separate = build_circuit_graph(parse_source(verilog), name, top=top)
+        assert graph.profiles == separate.profiles
+        assert netlist.fingerprint() == elaborate(parse_source(verilog), top).fingerprint()
+        assert shared == parse_source(verilog)  # neither consumer mutated it
+
+    def test_cold_analysis_parses_once(self, monkeypatch):
+        parses = []
+        parse = parser._Parser.parse
+
+        def counted(self):
+            parses.append(self)
+            return parse(self)
+
+        monkeypatch.setattr(parser._Parser, "parse", counted)
+        clear_caches()
+        perf.reset()
+        bench = get_benchmark("aes")
+        analyze_design(
+            bench.verilog, bench.name, top=bench.top, clock_period=bench.clock_period
+        )
+        assert len(parses) == 1
+        assert perf.snapshot()["timers"]["hdl.parse"]["calls"] == 1
+

@@ -1,5 +1,7 @@
 """Process resource gauges: procfs readers and the collect-time callback."""
 
+import gc
+
 from repro.obs import metrics
 from repro.obs.sampler import count_open_fds, process_families, read_rss_bytes
 
@@ -28,6 +30,21 @@ class TestProcessFamilies:
         (later,) = [f for f in process_families()
                     if f.name == "repro_process_cpu_seconds_total"]
         assert later.samples[0].value >= cpu.samples[0].value
+
+    def test_gc_collected_counter_per_generation(self):
+        def collected():
+            (family,) = [f for f in process_families()
+                         if f.name == "repro_process_gc_collected_total"]
+            assert family.type == "counter"
+            return {s.labels["generation"]: s.value for s in family.samples}
+
+        before = collected()
+        assert set(before) == {"0", "1", "2"}
+        cycle = []
+        cycle.append(cycle)
+        del cycle
+        gc.collect()
+        assert collected()["2"] >= before["2"] + 1
 
     def test_registered_on_the_global_registry(self):
         names = {family.name for family in metrics.registry.collect()}

@@ -34,7 +34,12 @@ def bound_cell(cell, library):
 
 
 def net_load(netlist, library, wireload, net_name: str) -> float:
-    """Sink pin caps (clock pins included) + external pin + wireload, fF."""
+    """Sink pin caps (clock pins included) + external pin + wireload, fF.
+
+    Pin caps sum in ``net.sinks`` attach order, the order the SoA
+    lowering's pairs follow, so the float sum is the same under any hash
+    seed.
+    """
     net = netlist.nets[net_name]
     pin_cap = 0.0
     fanout = 0

@@ -45,7 +45,7 @@ def replace_with(netlist, other):
     netlist.primary_outputs = other.primary_outputs
     netlist._uid = other._uid
     for cell in netlist.cells.values():
-        cell._owner = netlist
+        cell._journal = netlist._journal
     netlist.touch()
 
 
@@ -98,8 +98,8 @@ def pipeline(before: int, after: int) -> Netlist:
         prev = f"y{i}"
     netlist.add_net("out", is_output=True)
     netlist.add_cell("BUF", [prev], "out", name="gout")
-    # A fresh copy of ``c``'s sink set iterates in another order, so a
-    # rollback must copy it as well.
+    # ``c``'s sinks lost their first 34 entries; a rollback must keep the
+    # order of the rest.
     netlist.add_net("c", is_input=True)
     for i in range(40):
         netlist.add_cell("BUF", ["c"], f"z{i}", name=f"gz{i}")
