@@ -13,7 +13,7 @@ from functools import partial
 from ..parallel import parallel_map
 from ..llm.base import LLMClient
 from ..llm.prompts import build_prompt, extract_script
-from ..synth.cache import synthesize_cached
+from ..synth.cache import synthesize_batch
 from ..synth.library import TechLibrary, nangate45
 from ..synth.reports import QoRSnapshot
 
@@ -50,31 +50,18 @@ class BaselineRunner:
             }
         )
 
-    def run_once(
+    def draft(
         self,
         verilog: str,
-        design_name: str,
         baseline_script: str,
         requirement: str,
         tool_report: str = "",
-        top: str | None = None,
         seed: int = 0,
-    ) -> BaselineRun:
+    ) -> str:
+        """The script one seeded completion drafts (the baseline if none)."""
         prompt = self.build_prompt(requirement, baseline_script, tool_report, verilog)
         completion = self.llm.complete(prompt, seed=seed)
-        script = extract_script(completion.text) or baseline_script
-        # Seeds frequently draft identical scripts; the content-addressed
-        # cache makes the duplicates free.
-        result = synthesize_cached(
-            self.library, design_name, verilog, script, top=top
-        )
-        return BaselineRun(
-            script=script,
-            executable=result.success,
-            error=result.error,
-            qor=result.qor,
-            seed=seed,
-        )
+        return extract_script(completion.text) or baseline_script
 
     def run_pass_at_k(
         self,
@@ -89,21 +76,33 @@ class BaselineRunner:
     ) -> BaselineRun:
         """Best executable run over k seeds (Table III's Pass@5).
 
-        Seeds are independent and run through the parallel executor; the
-        winner is selected in seed order, so the result is identical to a
-        serial sweep.
+        Seeds draft independently through the parallel executor, then the
+        k scripts synthesize as one batch: seeds frequently draft
+        identical scripts or shared prefixes, which the cache and the
+        prefix tree make free.  The winner is selected in seed order, so
+        the result is identical to a serial sweep.
         """
         from .chatls import _better_timing
 
-        runs = parallel_map(
-            partial(
-                self.run_once, verilog, design_name, baseline_script,
-                requirement, tool_report, top,
-            ),
+        scripts = parallel_map(
+            partial(self.draft, verilog, baseline_script, requirement, tool_report),
             range(k),
             jobs=jobs,
             label="pass-at-k",
         )
+        results = synthesize_batch(
+            self.library, design_name, verilog, scripts, top=top
+        )
+        runs = [
+            BaselineRun(
+                script=script,
+                executable=result.success,
+                error=result.error,
+                qor=result.qor,
+                seed=seed,
+            )
+            for seed, (script, result) in enumerate(zip(scripts, results))
+        ]
         best: BaselineRun | None = None
         for run in runs:
             if not run.executable or run.qor is None:

@@ -11,7 +11,8 @@
    repairing hallucinated commands against the manual (Eq. 6).
 
 ``customize_pass_at_k`` evaluates Pass@k (Table III): k seeded drafts,
-each run through the synthesis tool; the best executable result wins.
+run through the synthesis tool as one batch; the best executable result
+wins.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ..llm.base import LLMClient
 from ..llm.baselines import chatls_core
 from ..mentor.analyzer import DesignAnalysis, analyze_design
 from ..rag.synthrag import SynthRAG
-from ..synth.cache import synthesize_cached
+from ..synth.cache import synthesize_batch, synthesize_cached
 from ..synth.library import TechLibrary, nangate45
 from ..synth.reports import QoRSnapshot
 from .generator import Generator
@@ -286,9 +287,11 @@ class ChatLS:
         """Pass@k: best executable result over k seeded samples (Table III).
 
         The design analysis and retrieval context are built once and
-        shared; only the seeded draft/refine/synthesize work fans out
-        through the parallel executor.  The winner is picked in seed
-        order, matching the serial sweep exactly.
+        shared; the seeded draft/refine work fans out through the
+        parallel executor, then the k scripts synthesize as one batch
+        (:func:`synthesize_batch`), so a command prefix several drafts
+        share runs once.  The winner is picked in seed order, matching
+        the serial sweep exactly.
         """
         with obs.span(
             "chatls.customize", design=design_name, mode="pass_at_k", k=k
@@ -299,14 +302,19 @@ class ChatLS:
             # The per-seed context (pipeline + analysis + retrieval) is
             # identical across samples: bind it once, so the process
             # backend ships it to each worker once per map, not per seed.
-            context = (
-                self, prepared, analysis, rag, verilog, design_name,
-                baseline_script, tool_report, top,
-            )
+            context = (self, prepared, analysis, rag, baseline_script, tool_report)
             results = parallel_map(
                 partial(_pass_at_k_sample, context), range(k),
                 jobs=jobs, label="pass-at-k",
             )
+            runs = synthesize_batch(
+                self.library, design_name, verilog,
+                [result.script for result in results], top=top,
+            )
+            for result, run in zip(results, runs):
+                result.executable = run.success
+                result.error = run.error
+                result.qor = run.qor
             best: CustomizationResult | None = None
             for result in results:
                 if not result.executable or result.qor is None:
@@ -330,23 +338,15 @@ class ChatLS:
 
 
 def _pass_at_k_sample(context: tuple, seed: int) -> CustomizationResult:
-    """One seeded pass@k sample (module-level so it crosses processes).
+    """One seeded pass@k draft (module-level so it crosses processes).
 
     ``context`` is the full per-design context built once by
     :meth:`ChatLS.customize_pass_at_k`; only the seed varies per task.
     """
-    (chatls, prepared, analysis, rag, verilog, design_name,
-     baseline_script, tool_report, top) = context
-    result = chatls._draft_and_refine(
+    chatls, prepared, analysis, rag, baseline_script, tool_report = context
+    return chatls._draft_and_refine(
         prepared, analysis, rag, baseline_script, tool_report, seed
     )
-    run = synthesize_cached(
-        chatls.library, design_name, verilog, result.script, top=top
-    )
-    result.executable = run.success
-    result.error = run.error
-    result.qor = run.qor
-    return result
 
 
 def _extend_script(script: str) -> str:

@@ -15,8 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import obs
+from ..hdl.parser import parse_source
 from ..mentor.circuit_graph import build_circuit_graph
 from ..mentor.embeddings import CircuitEncoder
+from ..synth.cache import elaborate_cached
 from ..synth.dcshell import DCShell
 from ..synth.reports import QoRSnapshot
 from ..vectorstore import FlatIndex
@@ -166,9 +169,16 @@ class ExpertDatabase:
         The clock period is auto-calibrated: a loose compile measures the
         achievable delay and the period is tightened by ``tighten`` so
         strategy choice actually matters for the recorded QoR.
+
+        The RTL is parsed once: the circuit graph and the frontend-cache
+        entry that every strategy's ``read_verilog`` hits both come from
+        that parse.
         """
         strategies = strategies or list(STRATEGIES)
-        circuit = build_circuit_graph(design.verilog, design.name, top=design.top)
+        with obs.span("hdl.parse"):
+            source = parse_source(design.verilog)
+        circuit = build_circuit_graph(source, design.name, top=design.top)
+        elaborate_cached(source, design.top or design.name)
         embedding = self.encoder.embed_design(circuit)
         module_embeddings = self.encoder.embed_modules(circuit)
 

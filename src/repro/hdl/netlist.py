@@ -542,6 +542,21 @@ class Netlist:
         other._uid = itertools.count(max_uid + 1)
         return other
 
+    def fork(self) -> "Netlist":
+        """A :meth:`clone` that hands out the same next uid as this netlist.
+
+        A clone resumes its counter past the highest uid still present,
+        which is lower than this netlist's counter when the last uid
+        handed out named a cell that was later removed.  A fork continues
+        the counter exactly, so the same edits on both give the same
+        autogenerated names.
+        """
+        other = self.clone()
+        following = next(self._uid)
+        self._uid = itertools.count(following)
+        other._uid = itertools.count(following)
+        return other
+
 
 class EditUndo:
     """Exact undo record for an edit that removes cells and appends others.

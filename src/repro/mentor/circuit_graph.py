@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import obs
 from ..gnn import GraphData
 from ..graphdb import GraphStore
 from ..hdl.ast_nodes import Module, SourceFile
@@ -169,7 +170,8 @@ def build_circuit_graph(
 ) -> CircuitGraph:
     """Parse (if needed) and lift a design into its :class:`CircuitGraph`."""
     if isinstance(source, str):
-        source = parse_source(source)
+        with obs.span("hdl.parse"):
+            source = parse_source(source)
     store = store or GraphStore()
     graph = CircuitGraph(design_name=design_name, store=store, top=top)
 

@@ -294,7 +294,7 @@ def sync_worker_perf() -> int:
 
 
 def clear_worker_caches() -> None:
-    """Empty the synthesis caches of every live pool worker, now."""
+    """Empty the result caches of every live pool worker, now."""
     pool_module = _pool_module()
     if pool_module is not None:
         pool_module.clear_worker_caches()

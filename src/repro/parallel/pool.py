@@ -29,7 +29,7 @@ registry into its own (:func:`repro.perf.merge_state`; the run ledger
 does so before each manifest, and shutdown does so once more), so
 counters, cache stats and per-worker queue-wait/run histograms from
 sharded runs land in the parent's snapshot and the obs run report.  It
-can also empty every worker's synthesis caches, which
+can also empty every worker's result caches, which
 :func:`repro.synth.cache.clear_caches` does.
 """
 
@@ -286,7 +286,7 @@ class ProcessPool:
         return drained
 
     def clear_caches(self) -> None:
-        """Empty the synthesis and frontend caches of every live worker."""
+        """Empty the result caches of every live worker (``clear_caches``)."""
         self._request(("clear",))
 
     # -- lifecycle ------------------------------------------------------------

@@ -16,7 +16,8 @@ serves a pickle-based request loop over its pipe:
   :func:`repro.perf.export_state`, then reset) for parent-side
   aggregation;
 * ``("clear",)`` → ``("cleared", worker_id)`` — empty the worker's
-  synthesis and frontend caches (:func:`repro.synth.cache.clear_caches`);
+  synthesis, frontend and GNN embedding caches
+  (:func:`repro.synth.cache.clear_caches`);
 * ``("close",)`` → ``("closed", state)`` — final perf drain, tracer
   flush, exit.
 

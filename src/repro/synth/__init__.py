@@ -14,6 +14,7 @@ from .cache import (
     default_cache,
     elaborate_cached,
     frontend_cache,
+    synthesize_batch,
     synthesize_cached,
 )
 from .dcshell import DCShell, DCShellError, ScriptResult
@@ -51,6 +52,7 @@ __all__ = [
     "default_cache",
     "elaborate_cached",
     "frontend_cache",
+    "synthesize_batch",
     "synthesize_cached",
     "DCShell",
     "DCShellError",

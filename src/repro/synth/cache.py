@@ -15,11 +15,16 @@ transcripts/QoR can never be mutated by one caller into another.  The
 frontend cache likewise keys elaborated netlists on (RTL, top, params)
 and hands out clones.
 
+:func:`synthesize_batch` serves the scripts of one design together: it
+looks each up in input order and runs the misses as one prefix tree
+(:meth:`DCShell.run_scripts`), so a prefix the drafts share runs once.
+
 Both caches are process-global, LRU-bounded, thread-safe (the parallel
 evaluation executor hits them from worker threads) and in memory only:
 keys hash the inputs, not the code, so no entry may outlive the process,
 and with it the code, that computed it.  Set ``REPRO_SYNTH_CACHE=0`` to
-disable both without touching call sites.
+disable both without touching call sites; a batch then runs every
+script alone in a fresh shell.
 """
 
 from __future__ import annotations
@@ -32,12 +37,13 @@ from collections import OrderedDict
 from typing import Any, Callable
 
 from .. import obs, perf
+from ..gnn import embedding_cache
 from ..hdl.ast_nodes import SourceFile
 from ..hdl.elaborator import elaborate
 from ..hdl.netlist import Netlist
 from ..parallel import clear_worker_caches
 from .dcshell import DCShell, ScriptResult
-from .library import TechLibrary
+from .library import TechLibrary, nangate45
 
 __all__ = [
     "SynthesisCache",
@@ -48,6 +54,7 @@ __all__ = [
     "synthesis_key",
     "frontend_key",
     "synthesize_cached",
+    "synthesize_batch",
     "elaborate_cached",
     "clear_caches",
 ]
@@ -183,13 +190,15 @@ def frontend_cache() -> FrontendCache:
 
 
 def clear_caches() -> None:
-    """Empty every process-global cache (benchmark cold-start helper).
+    """Empty every process-global result cache (benchmark cold-start helper).
 
-    Live process-pool workers empty theirs too, so the next map over a
-    warm pool starts as cold as this process.
+    That is the synthesis, frontend and GNN embedding caches.  Live
+    process-pool workers empty theirs too, so the next map over a warm
+    pool starts as cold as this process.
     """
     _DEFAULT.clear()
     _FRONTEND.clear()
+    embedding_cache.clear()
     clear_worker_caches()
 
 
@@ -231,25 +240,80 @@ def synthesize_cached(
     Equivalent to building a :class:`DCShell`, registering the design and
     calling :meth:`DCShell.run_script` — except identical (library, design,
     script) triples are served from the cache.  Always uses a fresh shell,
-    so results are independent of any prior shell state.
+    so results are independent of any prior shell state.  A batch of one
+    (:func:`synthesize_batch`).
     """
+    return synthesize_batch(library, design_name, verilog, [script], top, cache)[0]
+
+
+def synthesize_batch(
+    library: TechLibrary | None,
+    design_name: str,
+    verilog: str,
+    scripts: list[str],
+    top: str | None = None,
+    cache: SynthesisCache | None = None,
+) -> list[ScriptResult]:
+    """:func:`synthesize_cached` for each of ``scripts``, sharing their prefixes.
+
+    Scripts are looked up in input order; an in-batch duplicate of a miss
+    counts as a hit, as it would one call at a time.  The misses run in
+    one fresh shell as a prefix tree (:meth:`DCShell.run_scripts`), and
+    each result is stored under its own key.  With the cache disabled,
+    every script runs alone in a fresh shell.
+    """
+    library = library or nangate45()
     # `cache or _DEFAULT` would discard an *empty* cache (len() == 0 is falsy).
     store = _DEFAULT if cache is None else cache
-    with obs.span("synth.synthesize", design=design_name) as sp:
-        shell = DCShell(library=library)
-        key = None
-        if cache_enabled():
-            key = synthesis_key(shell.library.digest(), design_name, verilog, top, script)
-            cached = store.get(key)
-            if cached is not None:
-                sp.set_attribute("cached", True)
-                return cached
-        sp.set_attribute("cached", False)
-        shell.add_design(design_name, verilog, top=top)
-        result = shell.run_script(script)
-        sp.set_attribute("success", result.success)
+    with obs.span("synth.synthesize", design=design_name, scripts=len(scripts)) as sp:
+        if not cache_enabled():
+            results = [
+                _fresh_shell(library, design_name, verilog, top).run_script(script)
+                for script in scripts
+            ]
+            sp.set_attributes(cached=0, forks=0)
+            _warn_failures(design_name, results)
+            return results
+        digest = library.digest()
+        keys = [
+            synthesis_key(digest, design_name, verilog, top, script)
+            for script in scripts
+        ]
+        found: list[ScriptResult | None] = [None] * len(scripts)
+        first_miss: dict[str, int] = {}
+        for index, key in enumerate(keys):
+            if key not in first_miss:
+                found[index] = store.get(key)
+                if found[index] is None:
+                    first_miss[key] = index
+        misses = list(first_miss.values())
+        forks = 0
+        if misses:
+            ran, forks = _fresh_shell(library, design_name, verilog, top).run_scripts(
+                [scripts[index] for index in misses]
+            )
+            _warn_failures(design_name, ran)
+            for index, result in zip(misses, ran):
+                store.put(keys[index], result)
+                found[index] = result
+        for index, key in enumerate(keys):
+            if found[index] is None:  # a duplicate of an earlier miss
+                found[index] = store.get(key)
+                if found[index] is None:  # evicted meanwhile
+                    found[index] = copy.deepcopy(found[first_miss[key]])
+        sp.set_attributes(cached=len(scripts) - len(misses), forks=forks)
+        return found  # type: ignore[return-value]
+
+
+def _fresh_shell(
+    library: TechLibrary, design_name: str, verilog: str, top: str | None
+) -> DCShell:
+    shell = DCShell(library=library)
+    shell.add_design(design_name, verilog, top=top)
+    return shell
+
+
+def _warn_failures(design_name: str, results: list[ScriptResult]) -> None:
+    for result in results:
         if not result.success:
             obs.warning("synth.script_failed", design=design_name, error=result.error)
-        if key is not None:
-            store.put(key, result)
-        return result

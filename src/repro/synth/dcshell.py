@@ -15,13 +15,20 @@ Typical script::
     set_max_fanout 24
     compile_ultra -retime
     report_qor
+
+:meth:`DCShell.run_scripts` runs several scripts of one design as a
+prefix tree over their logical Tcl lines: each distinct prefix runs
+once, and the shell forks an exact copy of itself (:meth:`DCShell.fork`)
+wherever the scripts diverge.  A single script is the one-leaf tree.
 """
 
 from __future__ import annotations
 
+import copy
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .. import obs
+from .. import obs, perf
 from ..hdl.elaborator import ElaborationError, elaborate
 from ..hdl.netlist import Netlist
 from ..hdl.parser import ParseError
@@ -50,6 +57,9 @@ from .timing import TimingEngine
 from .wireload import WireLoadModel, get_wireload
 
 __all__ = ["DCShell", "ScriptResult", "DCShellError"]
+
+#: What a failing command raises; a script that hits one fails, the batch goes on.
+_SCRIPT_ERRORS = (TclError, ElaborationError, ParseError, KeyError, ValueError)
 
 
 class DCShellError(TclError):
@@ -107,16 +117,114 @@ class DCShell(TclInterpreter):
 
     def run_script(self, script: str) -> ScriptResult:
         """Execute a full Tcl script; never raises (errors are captured)."""
-        with obs.span("synth.script", commands=len(script.splitlines())) as sp:
+        results, _ = self.run_scripts([script])
+        return results[0]
+
+    def run_scripts(self, scripts: Sequence[str]) -> tuple[list[ScriptResult], int]:
+        """Run every script from this shell's state, sharing common prefixes.
+
+        The scripts' logical lines form a prefix tree.  This shell runs
+        each distinct prefix once; where scripts diverge, every branch
+        but the last runs on a :meth:`fork` and the last on the shell
+        itself, so each result equals running its script alone on a copy
+        of this shell.  A command that fails fails every script through
+        it.  Returns the results in input order and the number of forks.
+        """
+        if not scripts:
+            return [], 0
+        root = _Node()
+        for index, script in enumerate(scripts):
+            node = root
+            for line in self._logical_lines(script):
+                child = node.children.get(line)
+                if child is None:
+                    child = node.children[line] = _Node()
+                node = child
+            node.ends.append(index)
+        results: list[ScriptResult] = [None] * len(scripts)  # type: ignore[list-item]
+        forks = self._finish(None, root, [], results)
+        return results, forks
+
+    def _finish(
+        self,
+        line: str | None,
+        node: "_Node",
+        transcript: list[tuple[str, str]],
+        results: list[ScriptResult],
+    ) -> int:
+        """Run ``line`` and every script below ``node``; returns the forks made.
+
+        Each call runs one segment, down to the next branch point or
+        leaf, in its own ``synth.script`` span; the commands it ran
+        (the one that failed included) add to ``synth.commands``.
+        """
+        with obs.span("synth.script") as sp:
+            commands = 0
+            failure = None
             try:
-                transcript = self.eval_script(script)
-            except (TclError, ElaborationError, ParseError, KeyError, ValueError) as exc:
+                while True:
+                    if line is not None:
+                        commands += 1
+                        transcript.append((line, self.eval_line(line)))
+                    if node.ends or len(node.children) != 1:
+                        break
+                    ((line, node),) = node.children.items()
+            except _SCRIPT_ERRORS as exc:
+                failure = str(exc)
+            sp.set_attribute("commands", commands)
+            perf.incr("synth.commands", commands)
+            if failure is not None:
                 sp.set_attribute("failed", True)
-                return ScriptResult(success=False, error=str(exc))
-            qor = self.qor() if self.netlist is not None else None
-            return ScriptResult(
-                success=True, error=None, transcript=transcript, qor=qor
-            )
+                for index in node.scripts():
+                    results[index] = ScriptResult(success=False, error=failure)
+                return 0
+            if not node.children:
+                result = self._result(transcript)
+                first, *duplicates = node.ends
+                results[first] = result
+                for index in duplicates:
+                    results[index] = copy.deepcopy(result)
+                return 0
+        # A branch point.  Scripts that end here are one branch, a leaf.
+        branches: list[tuple[str | None, _Node]] = list(node.children.items())
+        if node.ends:
+            branches.insert(0, (None, _Node(ends=node.ends)))
+        forks = len(branches) - 1
+        for line, child in branches[:-1]:
+            # The fork is the only reference to the branch's shell, so
+            # the branch is freed before the next one starts.
+            forks += self.fork()._finish(line, child, list(transcript), results)
+        line, child = branches[-1]
+        return forks + self._finish(line, child, transcript, results)
+
+    def _result(self, transcript: list[tuple[str, str]]) -> ScriptResult:
+        """The result of a script that this shell ran to its end."""
+        qor = self.qor() if self.netlist is not None else None
+        return ScriptResult(success=True, error=None, transcript=transcript, qor=qor)
+
+    def fork(self) -> "DCShell":
+        """An exact, independent copy of this session.
+
+        The copy has its own Tcl variables, output and commands,
+        constraints, design registry, pass log and netlist
+        (:meth:`Netlist.fork`, which hands out the same next name).  It
+        shares the immutable library and wireload, and rebuilds its pass
+        context, timing engine and lowering on first use: incremental
+        analysis equals a full one, so the copy's results equal the
+        original's.
+        """
+        other = copy.copy(self)
+        other.variables = dict(self.variables)
+        other.output = list(self.output)
+        other.commands = dict(self.commands)
+        other.constraints = copy.deepcopy(self.constraints)
+        other.design_sources = dict(self.design_sources)
+        other.design_tops = dict(self.design_tops)
+        other.netlist = None if self.netlist is None else self.netlist.fork()
+        other.pass_log = list(self.pass_log)
+        other._context_cache = None
+        perf.incr("synth.fork")
+        return other
 
     def qor(self) -> QoRSnapshot:
         """Structured QoR for the current design."""
@@ -551,3 +659,25 @@ class DCShell(TclInterpreter):
         "all_outputs": lambda shell, args: "[all_outputs]",
         "get_ports": lambda shell, args: args[0] if args else "",
     }
+
+
+class _Node:
+    """A logical Tcl line in a batch's prefix tree (the root: no line yet)."""
+
+    __slots__ = ("children", "ends")
+
+    def __init__(self, ends: list[int] | None = None) -> None:
+        #: Next line -> node, in the order the scripts first reach it.
+        self.children: dict[str, _Node] = {}
+        #: Input positions of the scripts whose last line this is.
+        self.ends: list[int] = ends if ends is not None else []
+
+    def scripts(self) -> list[int]:
+        """Input positions of every script through this node."""
+        found = list(self.ends)
+        stack = list(self.children.values())
+        while stack:
+            node = stack.pop()
+            found.extend(node.ends)
+            stack.extend(node.children.values())
+        return found

@@ -14,6 +14,9 @@ to a fixpoint.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+
 from .. import perf
 from ..hdl.netlist import Netlist
 from .library import TechLibrary
@@ -140,29 +143,44 @@ def remove_buffers(
     return removed
 
 
+#: Gates constant propagation never folds.
+_NEVER_FOLDED = frozenset({"CONST0", "CONST1", "DFF"})
+
+
 def propagate_constants(netlist: Netlist) -> int:
     """Fold gates fed by CONST0/CONST1 drivers.  Iterates to fixpoint.
 
     Visits are worklist-driven: only cells with a constant-driven input or
     tied-together input pins can fold, and a cell only *becomes* foldable
     when a fold rewires one of its inputs — so the pending set is seeded
-    from the constant drivers and refilled with the rewired readers of
-    each fold.  The per-sweep walk still follows ``netlist.cells``
-    insertion order, checking live pending membership, which reproduces
-    the fold sequence of the original full rescan exactly (a rescan's
-    visit to a non-pending cell was always a no-op): identical folds in
-    identical order, hence identical generated net/cell names.  The
-    number of cells actually visited lands on the
-    ``techmap.const_cells_visited`` perf counter.
+    from the tied cells and the input-pin readers of every constant
+    driver, and refilled with the rewired readers of each fold.  Each
+    sweep pops the pending cells in ``netlist.cells`` order from a heap
+    keyed by position; a reader queued behind the sweep's position, or a
+    cell the sweep created, waits for the next sweep.  That is the fold
+    sequence of a walk over every cell per sweep (a visit to a
+    non-pending cell was always a no-op): identical folds in identical
+    order, hence identical generated net/cell names.  The number of cells
+    actually visited lands on the ``techmap.const_cells_visited`` perf
+    counter.
     """
     folded = 0
     visits = 0
+    cells = netlist.cells
+    nets = netlist.nets
     const_net = {}
-    for cell in netlist.cells.values():
-        if cell.gate == "CONST0":
-            const_net[0] = cell.output
-        elif cell.gate == "CONST1":
-            const_net[1] = cell.output
+    pending: set[str] = set()
+    for name, cell in cells.items():
+        gate = cell.gate
+        if gate == "CONST0" or gate == "CONST1":
+            out = cell.output
+            const_net[1 if gate == "CONST1" else 0] = out
+            for reader in nets[out].sinks:
+                reader_cell = cells[reader]
+                if reader_cell.gate not in _NEVER_FOLDED and out in reader_cell.inputs:
+                    pending.add(reader)
+        elif gate != "DFF" and len(cell.inputs) == 2 and cell.inputs[0] == cell.inputs[1]:
+            pending.add(name)
 
     def value_of(net_name: str) -> int | None:
         driver = netlist.driver_cell(net_name)
@@ -181,23 +199,19 @@ def propagate_constants(netlist: Netlist) -> int:
             const_net[value] = net.name
         return const_net[value]
 
-    pending: set[str] = set()
-    for name, cell in netlist.cells.items():
-        if cell.gate in ("CONST0", "CONST1", "DFF"):
-            continue
-        if len(cell.inputs) == 2 and cell.inputs[0] == cell.inputs[1]:
-            pending.add(name)
-        elif any(value_of(n) is not None for n in cell.inputs):
-            pending.add(name)
+    position = dict(zip(cells, itertools.count())) if pending else {}
     changed = True
     while changed and pending:
         changed = False
-        for name in list(netlist.cells):
-            if name not in pending:
-                continue
+        _number_new_cells(cells, position)
+        horizon = len(position)  # cells created from here on wait a sweep
+        heap = [(position[name], name) for name in pending]
+        heapq.heapify(heap)
+        while heap:
+            at, name = heapq.heappop(heap)
             pending.discard(name)
-            cell = netlist.cells.get(name)
-            if cell is None or cell.gate in ("CONST0", "CONST1", "DFF"):
+            cell = cells.get(name)
+            if cell is None or cell.gate in _NEVER_FOLDED:
                 continue
             if cell.attrs.get("port_tie"):
                 continue  # constant tie driving a port: already final
@@ -210,7 +224,7 @@ def propagate_constants(netlist: Netlist) -> int:
             kind, payload = result
             out = cell.output
             pass_net = cell.inputs[payload] if kind in ("wire", "not") else None
-            if netlist.nets[out].is_output:
+            if nets[out].is_output:
                 # Port nets must keep a driver; a constant result becomes a
                 # BUF tie-off that is never re-folded (else the fold loop
                 # would oscillate removing and re-adding it).
@@ -228,7 +242,7 @@ def propagate_constants(netlist: Netlist) -> int:
                 continue
             # Readers about to be rewired may become foldable; queue them
             # before the rewire detaches them from this net.
-            readers = list(netlist.nets[out].sinks)
+            readers = list(nets[out].sinks)
             netlist.remove_cell(name)
             if kind == "const":
                 source = ensure_const(payload)
@@ -239,11 +253,28 @@ def propagate_constants(netlist: Netlist) -> int:
                 netlist.add_cell("NOT", [pass_net], inv_net.name)
                 source = inv_net.name
             _replace_net_everywhere(netlist, out, source)
-            pending.update(readers)
+            for reader in readers:
+                if reader not in pending:
+                    pending.add(reader)
+                    where = position.get(reader, horizon)
+                    if at < where < horizon:
+                        heapq.heappush(heap, (where, reader))
             folded += 1
             changed = True
     perf.incr("techmap.const_cells_visited", visits)
     return folded
+
+
+def _number_new_cells(cells: dict, position: dict[str, int]) -> None:
+    """Give the cells appended since ``position`` was last extended the
+    next positions, in order (new cells sit at the end of ``cells``)."""
+    fresh = []
+    for name in reversed(cells):
+        if name in position:
+            break
+        fresh.append(name)
+    for name in reversed(fresh):
+        position[name] = len(position)
 
 
 def _fold(gate: str, vals: list[int | None], same_inputs: bool = False):
@@ -299,39 +330,36 @@ def _fold(gate: str, vals: list[int | None], same_inputs: bool = False):
 
 
 def sweep_dead_cells(netlist: Netlist) -> int:
-    """Remove cells whose outputs reach no primary output and no register."""
-    # Liveness is the transitive fanin of the primary outputs; registers are
-    # traversed like any other cell, so unread registers die too.
-    live_nets: set[str] = set(netlist.primary_outputs)
-    stack = list(live_nets)
-    live_cells: set[str] = set()
-    while stack:
-        net_name = stack.pop()
-        driver = netlist.nets[net_name].driver
-        if driver is None or driver in live_cells:
-            continue
-        live_cells.add(driver)
-        cell = netlist.cells[driver]
-        for net_in in cell.inputs:
-            stack.append(net_in)
-        if "clock" in cell.attrs:
-            stack.append(cell.attrs["clock"])
-    dead = [name for name in netlist.cells if name not in live_cells]
-    # Removal order: repeatedly drop cells whose output has no sinks.
+    """Remove, to a fixpoint, every cell whose output nothing reads.
+
+    A cell is unread when its output net has no sinks and is not a
+    primary output.  Removing it can leave one of its input or clock
+    nets unread, and then that net's driver goes too: a worklist seeded
+    by one pass over the cells follows those removals.  These are
+    exactly the cells outside the transitive fanin of the primary
+    outputs that a removal can reach (a live cell always keeps a live
+    sink or drives a port); a dead cycle stays.
+    """
+    cells = netlist.cells
+    nets = netlist.nets
+    stack = [name for name, cell in cells.items() if _unread(nets[cell.output])]
     removed = 0
-    dead_set = set(dead)
-    progress = True
-    while dead_set and progress:
-        progress = False
-        for name in list(dead_set):
-            cell = netlist.cells[name]
-            out_net = netlist.nets[cell.output]
-            if not out_net.sinks and not out_net.is_output:
-                netlist.remove_cell(name)
-                dead_set.discard(name)
-                removed += 1
-                progress = True
+    while stack:
+        cell = cells[stack.pop()]
+        read = dict.fromkeys(cell.inputs)
+        if "clock" in cell.attrs:
+            read[cell.attrs["clock"]] = None
+        netlist.remove_cell(cell.name)
+        removed += 1
+        for net_name in read:
+            net = nets[net_name]
+            if net.driver is not None and _unread(net):
+                stack.append(net.driver)
     return removed
+
+
+def _unread(net) -> bool:
+    return not net.sinks and not net.is_output
 
 
 def map_complex_gates(netlist: Netlist, library: TechLibrary) -> int:

@@ -119,6 +119,22 @@ def _synthesize(name: str) -> bool:
     return result.success
 
 
+#: A GNN model and graph that live in the process that first embeds them.
+_EMBEDDED: dict = {}
+
+
+def _embed_misses(_x) -> tuple[int, int]:
+    """Embed this process's own graph: (pid, embedding-cache misses it cost)."""
+    from repro.gnn import GraphData, GraphSAGE, embedding_cache
+
+    if not _EMBEDDED:
+        _EMBEDDED["model"] = GraphSAGE(3, (4,), seed=0)
+        _EMBEDDED["graph"] = GraphData(np.ones((3, 3)), [(0, 1), (1, 2)])
+    before = embedding_cache.misses
+    _EMBEDDED["model"].embed_graphs([_EMBEDDED["graph"]])
+    return os.getpid(), embedding_cache.misses - before
+
+
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
 
@@ -336,14 +352,19 @@ class TestWorkerState:
     def test_clear_caches_reaches_warm_workers(self):
         designs = ["aes", "dynamic_node"]
         assert all(parallel_map(_synthesize, designs, jobs=2, backend="process"))
+        embedded = dict(parallel_map(_embed_misses, range(2), jobs=2, backend="process"))
         clear_caches()
         sync_worker_perf()
         before = perf.counters()
         assert all(parallel_map(_synthesize, designs, jobs=2, backend="process"))
+        again = parallel_map(_embed_misses, range(2), jobs=2, backend="process")
         sync_worker_perf()
         after = perf.counters()
         for name, expected in (("synthcache.miss", 2), ("synthcache.hit", 0)):
             assert after.get(name, 0) - before.get(name, 0) == expected, name
+        # A worker re-embedding a graph it embedded before the clear misses.
+        rembedded = [misses for pid, misses in again if pid in embedded]
+        assert rembedded and all(misses == 1 for misses in rembedded), (embedded, again)
 
     def test_manifest_counts_live_workers(self):
         parallel_map(_count_and_time, range(10), jobs=2, backend="process")
