@@ -54,6 +54,11 @@ objects as the cyclic collector must track:
 * ``Cell.inputs`` is a tuple, replaced (never mutated) by
   :meth:`Netlist.rewire_input`, so clones share it.
 
+Since a synthesis run builds no cycle, the cyclic garbage collector has
+nothing to free during one; it would only rescan the live nets and
+cells.  Code that runs such work (a ``DCShell`` batch, a design
+analysis) does so under :func:`collector_paused`.
+
 :class:`EditUndo` restores a netlist after an edit made of cell removals
 and appended cells and nets (a retiming move) to exactly its prior
 state, from a record of only the cells and nets the edit touched.
@@ -61,11 +66,17 @@ state, from a record of only the cells and nets the edit touched.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
-from collections.abc import Iterable
+import threading
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 
-__all__ = ["GENERIC_GATES", "Net", "Cell", "Netlist", "NetlistError", "EditUndo"]
+__all__ = [
+    "GENERIC_GATES", "Net", "Cell", "Netlist", "NetlistError", "EditUndo",
+    "collector_paused",
+]
 
 
 #: Generic gate types produced by elaboration.  ``inputs`` is the pin count.
@@ -92,6 +103,39 @@ _JOURNAL_LIMIT = 200_000
 
 class NetlistError(ValueError):
     """Raised for structurally invalid netlist operations."""
+
+
+# The collector is process-wide, so the regions' depth count is too.
+_PAUSE_LOCK = threading.Lock()
+_pause_depth = 0
+_pause_found_enabled = False
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the block with the cyclic garbage collector disabled.
+
+    Regions nest and overlap across threads: the first one in records
+    whether the collector was enabled and disables it, the last one out
+    enables it again only if it was, so a caller that disabled it keeps
+    it disabled.  The state is restored when the block raises, too.
+    Reference counting still frees everything acyclic at once; the
+    pause only defers cyclic garbage, which a synthesis run does not make.
+    Usable as a decorator: ``@collector_paused()``.
+    """
+    global _pause_depth, _pause_found_enabled
+    with _PAUSE_LOCK:
+        if _pause_depth == 0:
+            _pause_found_enabled = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _PAUSE_LOCK:
+            _pause_depth -= 1
+            if _pause_depth == 0 and _pause_found_enabled:
+                gc.enable()
 
 
 class _Journal:
@@ -349,14 +393,6 @@ class Netlist:
     def num_cells(self) -> int:
         return len(self.cells)
 
-    @property
-    def num_sequential(self) -> int:
-        return sum(1 for c in self.cells.values() if c.is_sequential)
-
-    @property
-    def num_combinational(self) -> int:
-        return self.num_cells - self.num_sequential
-
     def fanout(self, net_name: str) -> int:
         net = self.nets[net_name]
         return len(net.sinks) + (1 if net.is_output else 0)
@@ -430,11 +466,12 @@ class Netlist:
         gate_counts: dict[str, int] = {}
         for cell in self.cells.values():
             gate_counts[cell.gate] = gate_counts.get(cell.gate, 0) + 1
+        sequential = gate_counts.get("DFF", 0)
         max_fanout = max((self.fanout(n) for n in self.nets), default=0)
         return {
             "cells": self.num_cells,
-            "sequential": self.num_sequential,
-            "combinational": self.num_combinational,
+            "sequential": sequential,
+            "combinational": self.num_cells - sequential,
             "nets": len(self.nets),
             "inputs": len(self.primary_inputs),
             "outputs": len(self.primary_outputs),

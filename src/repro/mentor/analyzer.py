@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
-from ..hdl.netlist import Netlist
+from ..hdl.netlist import Netlist, collector_paused
 from ..hdl.parser import parse_source
 from ..synth.library import TechLibrary, nangate45
 from ..synth.sdc import Constraints
+from ..synth.soa import SoAStructure
 from ..synth.timing import TimingEngine, TimingReport
 from ..synth.wireload import WireLoadModel, get_wireload
 from .circuit_graph import CircuitGraph, build_circuit_graph
@@ -117,6 +118,17 @@ def _longest_chain(netlist: Netlist) -> int:
     return best
 
 
+def _high_fanout_nets(s: SoAStructure, count: int = 5) -> list[tuple[str, int]]:
+    """The ``count`` nets of highest ``Netlist.fanout``, ties in net order.
+
+    A stable sort of the negated fanouts orders ties as
+    ``sorted(..., reverse=True)`` does.
+    """
+    fanout = s.sink_fanout()
+    top = np.argsort(-fanout, kind="stable")[:count].tolist()
+    return [(s.net_names[ni], int(fanout[ni])) for ni in top]
+
+
 def _register_imbalance(
     netlist: Netlist, engine: TimingEngine, report: TimingReport
 ) -> float:
@@ -133,6 +145,7 @@ def _register_imbalance(
     return float(arrivals.std() / mean) if mean > 0 else 0.0
 
 
+@collector_paused()
 def analyze_design(
     verilog: str,
     design_name: str,
@@ -144,7 +157,10 @@ def analyze_design(
     """Full CircuitMentor analysis of a design at a target clock period.
 
     The RTL is parsed once; the circuit graph and the elaborated netlist
-    (on a frontend-cache miss) are both built from that parse.
+    (on a frontend-cache miss) are both built from that parse.  The
+    netlist counts and high-fanout nets come from the timing engine's
+    SoA kernel.  The analysis builds no reference cycle, so it runs with
+    the cyclic collector paused.
     """
     library = library or nangate45()
     wireload = wireload or get_wireload("5K_heavy_1k")
@@ -162,12 +178,10 @@ def analyze_design(
     engine = TimingEngine(netlist, library, wireload, constraints)
     report = engine.analyze()
 
-    stats = netlist.stats()
-    high_fanout = sorted(
-        ((name, netlist.fanout(name)) for name in netlist.nets),
-        key=lambda kv: kv[1],
-        reverse=True,
-    )[:5]
+    s = engine.kernel().s
+    num_registers = len(s.seq_cells)
+    high_fanout = _high_fanout_nets(s)
+    max_fanout = high_fanout[0][1] if high_fanout else 0
     category_mix: dict[str, int] = {}
     for profile in circuit.profiles.values():
         category_mix[profile.category] = category_mix.get(profile.category, 0) + 1
@@ -179,9 +193,9 @@ def analyze_design(
     adders = sum(1 for c in netlist.cells.values() if "adder" in c.attrs)
 
     pathologies = []
-    if stats["max_fanout"] >= 24:
+    if max_fanout >= 24:
         pathologies.append("high_fanout")
-    if imbalance >= 0.5 and stats["sequential"] > 0:
+    if imbalance >= 0.5 and num_registers > 0:
         pathologies.append("register_imbalance")
     if chain >= 6:
         pathologies.append("unbalanced_chains")
@@ -200,9 +214,9 @@ def analyze_design(
         netlist=netlist,
         timing=report,
         area=engine.total_area(),
-        num_cells=stats["cells"],
-        num_registers=stats["sequential"],
-        max_fanout=stats["max_fanout"],
+        num_cells=s.num_cells,
+        num_registers=num_registers,
+        max_fanout=max_fanout,
         high_fanout_nets=high_fanout,
         critical_modules=_modules_on_path(report),
         pathologies=pathologies,

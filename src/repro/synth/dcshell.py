@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .. import obs, perf
 from ..hdl.elaborator import ElaborationError, elaborate
-from ..hdl.netlist import Netlist
+from ..hdl.netlist import Netlist, collector_paused
 from ..hdl.parser import ParseError
 from .explore import explore_sizing
 from .library import TechLibrary, nangate45
@@ -120,6 +120,7 @@ class DCShell(TclInterpreter):
         results, _ = self.run_scripts([script])
         return results[0]
 
+    @collector_paused()
     def run_scripts(self, scripts: Sequence[str]) -> tuple[list[ScriptResult], int]:
         """Run every script from this shell's state, sharing common prefixes.
 
@@ -129,6 +130,8 @@ class DCShell(TclInterpreter):
         itself, so each result equals running its script alone on a copy
         of this shell.  A command that fails fails every script through
         it.  Returns the results in input order and the number of forks.
+        A run builds no reference cycle, so it runs with the cyclic
+        collector paused.
         """
         if not scripts:
             return [], 0
@@ -592,10 +595,11 @@ class DCShell(TclInterpreter):
         )
 
     def _compile_summary(self) -> str:
-        qor = self.qor()
+        engine = self._engine()
+        report = engine.analyze(with_paths=False)
         return (
-            f"Optimization complete: area={qor.area:.1f} "
-            f"wns={qor.wns:.3f} tns={qor.tns:.3f}"
+            f"Optimization complete: area={round(engine.total_area(), 2):.1f} "
+            f"wns={report.wns:.3f} tns={report.tns:.3f}"
         )
 
     def _cmd_report_timing(self, args: list[str]) -> str:

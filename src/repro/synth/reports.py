@@ -47,9 +47,12 @@ class QoRSnapshot:
 
 
 def snapshot(design: str, engine: TimingEngine, report: TimingReport) -> QoRSnapshot:
-    """Build a :class:`QoRSnapshot` from an analyzed engine."""
-    netlist = engine.netlist
-    stats = netlist.stats()
+    """Build a :class:`QoRSnapshot` from an analyzed engine.
+
+    Every number comes from the engine's SoA kernel: no walk over the
+    netlist's cells or nets.
+    """
+    s = engine.kernel().s
     return QoRSnapshot(
         design=design,
         wns=report.wns,
@@ -57,9 +60,9 @@ def snapshot(design: str, engine: TimingEngine, report: TimingReport) -> QoRSnap
         tns=report.tns,
         area=round(engine.total_area(), 2),
         num_violations=report.num_violations,
-        num_cells=stats["cells"],
-        num_registers=stats["sequential"],
-        max_fanout=stats["max_fanout"],
+        num_cells=s.num_cells,
+        num_registers=len(s.seq_cells),
+        max_fanout=int(s.sink_fanout().max(initial=0)),
         leakage_nw=round(engine.total_leakage(), 1),
         dynamic_uw=round(engine.dynamic_power(), 1),
     )
@@ -105,31 +108,19 @@ def render_timing_report(design: str, report: TimingReport, max_points: int = 20
 
 
 def render_area_report(design: str, engine: TimingEngine) -> str:
-    """DC ``report_area``-style text."""
-    netlist = engine.netlist
-    stats = netlist.stats()
-    comb_area = 0.0
-    seq_area = 0.0
-    buf_area = 0.0
-    for cell in netlist.cells.values():
-        if cell.gate in ("CONST0", "CONST1"):
-            continue
-        area = engine._bound_cell(cell).area
-        if cell.is_sequential:
-            seq_area += area
-        else:
-            comb_area += area
-            if cell.gate == "BUF":
-                buf_area += area
+    """DC ``report_area``-style text, read from the engine's SoA kernel."""
+    kernel = engine.kernel()
+    s = kernel.s
+    comb_area, seq_area, buf_area = kernel.area_by_class()
     lines = [
         "****************************************",
         "Report : area",
         f"Design : {design}",
         "****************************************",
         "",
-        f"Number of cells:          {stats['cells']:>12}",
-        f"Number of sequential:     {stats['sequential']:>12}",
-        f"Number of nets:           {stats['nets']:>12}",
+        f"Number of cells:          {s.num_cells:>12}",
+        f"Number of sequential:     {len(s.seq_cells):>12}",
+        f"Number of nets:           {s.num_nets:>12}",
         f"Combinational area:       {comb_area:>12.2f}",
         f"Buf/Inv area:             {buf_area:>12.2f}",
         f"Noncombinational area:    {seq_area:>12.2f}",

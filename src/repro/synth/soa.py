@@ -37,10 +37,13 @@ order), delays are ``base + res * load /
 1000.0`` elementwise, and max-reduction is exact regardless of order.
 WNS/CPS/TNS, endpoint slacks and switching activities are therefore
 bit-identical to the scalar reference kept as the test oracle
-(``tests/synth/scalar_reference.py``); only whole-design power *sums*
-may differ at float rounding level (numpy pairwise summation), which
+(``tests/synth/scalar_reference.py``).  The QoR totals (area, leakage,
+summed net load) fold sequentially in netlist order and are
+bit-identical too; only :func:`vector_power`'s whole-design *sums* may
+differ at float rounding level (numpy pairwise summation), which
 vanishes under the reports' 3-decimal rounding.  Property tests in
-``tests/synth/test_soa_parity.py`` enforce this.
+``tests/synth/test_soa_parity.py`` and ``tests/synth/test_qor_kernel.py``
+enforce this.
 """
 
 from __future__ import annotations
@@ -69,9 +72,20 @@ _CONSTS = ("CONST0", "CONST1")
 #: Generic gate kinds; ``SoAStructure.cell_kind`` holds indices into this.
 _KINDS = tuple(GENERIC_GATES)
 _KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
-_DFF, _CONST0, _CONST1 = (_KIND_CODE[kind] for kind in ("DFF", *_CONSTS))
+_DFF, _BUF, _CONST0, _CONST1 = (
+    _KIND_CODE[kind] for kind in ("DFF", "BUF", *_CONSTS)
+)
 
 _NET_FLAGS = ("net_is_output", "net_is_clock", "net_is_input", "net_has_driver")
+
+
+def _fold(values: np.ndarray) -> float:
+    """Sum ``values`` in order, bit-identical to a Python ``+=`` loop from 0.0.
+
+    ``cumsum`` is a strict left-to-right float64 accumulation
+    (``np.sum`` is pairwise), so its last element is the sequential fold.
+    """
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def _segments(ptr: np.ndarray, rows) -> np.ndarray:
@@ -373,6 +387,14 @@ class SoAStructure:
         self.pi_is_clock = self.net_is_clock[self.pi_nets]
         self._levelize()
         self._power_schedule = None
+
+    def sink_fanout(self) -> np.ndarray:
+        """Per net, ``Netlist.fanout``: distinct sink cells, plus one for a port.
+
+        A pair is one sink cell that reads the net, on however many pins
+        (``fanout`` counts pins, clock pins included, for the wireload).
+        """
+        return np.diff(self.pair_ptr) + self.net_is_output
 
     def _levelize(self) -> None:
         """Level every combinational cell; pack per-level input CSRs.
@@ -743,7 +765,6 @@ class SoAKernel:
 
     def run_full(self) -> None:
         """Bind, compute electricals and propagate every level."""
-        perf.incr("sta.vector_full")
         self.compute_loads()
         self.compute_delays()
         self.arrivals = None
@@ -751,7 +772,6 @@ class SoAKernel:
 
     def update_resizes(self, resized) -> None:
         """Fold journal resizes in: rebind rows, re-run dirty levels only."""
-        perf.incr("sta.vector_incremental")
         s = self.s
         cells = self.netlist.cells
         nets = self.netlist.nets
@@ -908,10 +928,7 @@ class SoAKernel:
                             if hits.size:
                                 seg_rows = seg_rows.copy()
                                 seg_rows[hits] = row
-                        weights = pair_pins[a:b] * caps[seg_rows]
-                        pin_cap = (
-                            float(np.cumsum(weights)[-1]) if b > a else 0.0
-                        )
+                        pin_cap = _fold(pair_pins[a:b] * caps[seg_rows])
                         lane_loads[ni] = (
                             (pin_cap + s.ext_cap[ni]) + self._wire_cap[ni]
                         )
@@ -1068,12 +1085,10 @@ class SoAKernel:
         # Gather areas only after every row is resolved: resolution may
         # append parameter rows, rebuilding the params matrix.
         areas = self.params[:, _AREA]
-        out: list[tuple[float, float]] = []
-        for rows, lane_cps in zip(patched_rows, cps):
-            vals = areas[rows]
-            area = float(np.cumsum(vals)[-1]) if vals.size else 0.0
-            out.append((lane_cps, area))
-        return out
+        return [
+            (lane_cps, _fold(areas[rows]))
+            for rows, lane_cps in zip(patched_rows, cps)
+        ]
 
     # -- reductions ----------------------------------------------------------
 
@@ -1098,18 +1113,33 @@ class SoAKernel:
             return 0.0
         return round(float(worst), 4)
 
-    def committed_area(self) -> float:
-        """Total cell area under the committed bindings.
+    # QoR folds: each is a sequential sum (:func:`_fold`) in netlist
+    # order, so it is bit-identical to a Python loop over the netlist
+    # dicts; const rows hold 0.0 and add exact ``+0.0`` terms where such
+    # a loop skips constants.
 
-        Bit-identical to a Python ``sum`` over the non-constant cells in
-        netlist order: ``cumsum`` is a strict left-to-right float64
-        accumulation, cells appear in insertion order, and const rows
-        carry area 0.0 (adding exact ``+0.0`` terms where the sum skips).
-        """
+    def committed_area(self) -> float:
+        """Total cell area under the committed bindings."""
+        return _fold(self.params[:, _AREA][self.cell_row])
+
+    def committed_leakage(self) -> float:
+        """Total cell leakage (nW) under the committed bindings."""
+        return _fold(self.params[:, _LEAK][self.cell_row])
+
+    def committed_load(self) -> float:
+        """Every net's load (fF) summed in ``netlist.nets`` order."""
+        return _fold(self.loads)
+
+    def area_by_class(self) -> tuple[float, float, float]:
+        """``(combinational, sequential, BUF)`` cell area, each in cell order."""
+        s = self.s
         areas = self.params[:, _AREA][self.cell_row]
-        if not areas.size:
-            return 0.0
-        return float(np.cumsum(areas)[-1])
+        comb = ~(s.cell_is_seq | s.cell_is_const)
+        return (
+            _fold(areas[comb]),
+            _fold(areas[s.cell_is_seq]),
+            _fold(areas[s.cell_kind == _BUF]),
+        )
 
     def endpoint_arrays(self):
         """Endpoint slacks/required, primary outputs then registers.

@@ -37,9 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import obs, perf
-from ..hdl.netlist import Cell, Netlist
+from ..hdl.netlist import Netlist
 from . import soa
-from .library import LibCell, TechLibrary
+from .library import TechLibrary
 from .sdc import Constraints
 from .wireload import WireLoadModel
 
@@ -126,9 +126,6 @@ class TimingEngine:
         self.library = library
         self.wireload = wireload
         self.constraints = constraints
-        # memoized electrical state for the per-cell queries (journal-invalidated)
-        self._loads: dict[str, float] = {}
-        self._bound: dict[str, LibCell] = {}
         # analysis state: the SoA kernel (None until the first full pass)
         # and the endpoint dicts materialized from it for reports
         self._kernel: soa.SoAKernel | None = None
@@ -141,47 +138,6 @@ class TimingEngine:
         # trial evaluations fold resizes into the kernel without
         # materializing the endpoint dicts; analyze() refreshes them lazily
         self._endpoints_stale = False
-
-    # -- electrical model ---------------------------------------------------------
-
-    def _bound_of(self, cell: Cell) -> LibCell:
-        cached = self._bound.get(cell.name)
-        if cached is not None:
-            return cached
-        if cell.lib_cell is not None and cell.lib_cell in self.library:
-            lib = self.library.cell(cell.lib_cell)
-        else:
-            lib = self.library.weakest(cell.gate)
-        self._bound[cell.name] = lib
-        return lib
-
-    def _bound_cell(self, cell: Cell) -> LibCell:
-        self._sync()
-        return self._bound_of(cell)
-
-    def _compute_net_load(self, net_name: str) -> float:
-        net = self.netlist.nets[net_name]
-        pin_cap = 0.0
-        fanout = 0
-        for sink_name in net.sinks:
-            sink = self.netlist.cells[sink_name]
-            lib = self._bound_of(sink)
-            pins = sink.inputs.count(net_name)
-            if sink.attrs.get("clock") == net_name:
-                pins += 1
-            pin_cap += pins * lib.input_cap
-            fanout += pins
-        if net.is_output:
-            fanout += 1
-            pin_cap += 2.0  # assumed external pin load
-        return pin_cap + self.wireload.capacitance(fanout)
-
-    def _load_of(self, net_name: str) -> float:
-        load = self._loads.get(net_name)
-        if load is None:
-            load = self._compute_net_load(net_name)
-            self._loads[net_name] = load
-        return load
 
     # -- journal synchronisation -----------------------------------------------------
 
@@ -203,8 +159,6 @@ class TimingEngine:
         )
 
     def _invalidate(self) -> None:
-        self._loads.clear()
-        self._bound.clear()
         self._kernel = None
         self._ep_slack = {}
         self._ep_required = {}
@@ -237,19 +191,12 @@ class TimingEngine:
                 self._invalidate()
                 return
             resized.append(event[1])
-        for name in resized:
-            cell = self.netlist.cells.get(name)
-            if cell is None:  # resize of a since-removed cell implies structure
-                self._invalidate()
-                return
-            self._bound.pop(name, None)
-            # the cell's pin caps changed: loads of the nets it reads are stale
-            for net_in in cell.inputs:
-                self._loads.pop(net_in, None)
-            clock = cell.attrs.get("clock")
-            if clock is not None:
-                self._loads.pop(clock, None)
-            self._pending_resizes.add(name)
+        cells = self.netlist.cells
+        if not all(name in cells for name in resized):
+            # a resize of a since-removed cell implies a structural edit
+            self._invalidate()
+            return
+        self._pending_resizes.update(resized)
 
     # -- analysis --------------------------------------------------------------------
 
@@ -480,34 +427,29 @@ class TimingEngine:
             endpoint_slacks=dict(endpoint_slacks),
         )
 
-    # -- aggregate metrics used by reports/power -----------------------------------------
+    # -- QoR totals, read from the kernel ---------------------------------------
+
+    def kernel(self) -> soa.SoAKernel:
+        """The SoA kernel with every journalled edit folded in.
+
+        The source of the QoR totals below and of the reports' netlist
+        counts (:mod:`repro.synth.reports`): the kernel's sums fold in
+        netlist order, bit-identical to Python loops over the netlist.
+        """
+        self._fold_pending()
+        return self._kernel
 
     def total_area(self) -> float:
-        self._sync()
-        # Serve from the kernel's binding rows when they are current: one
-        # array gather instead of a Python fold over every cell.  The
-        # kernel fold is bit-identical to the Python sum below.
-        if self._kernel is not None and not self._pending_resizes:
-            return self._kernel.committed_area()
-        return sum(
-            self._bound_of(c).area
-            for c in self.netlist.cells.values()
-            if c.gate not in _CONSTS
-        )
+        """Cell area of the non-constant cells."""
+        return self.kernel().committed_area()
 
     def total_leakage(self) -> float:
         """Leakage power in nW."""
-        self._sync()
-        return sum(
-            self._bound_of(c).leakage
-            for c in self.netlist.cells.values()
-            if c.gate not in _CONSTS
-        )
+        return self.kernel().committed_leakage()
 
     def dynamic_power(self, activity: float = 0.1, voltage: float = 1.1) -> float:
         """Switching power estimate in uW: alpha * C * V^2 * f."""
-        self._sync()
-        total_cap_ff = sum(self._load_of(n) for n in self.netlist.nets)
+        total_cap_ff = self.kernel().committed_load()
         freq_ghz = 1.0 / max(self.constraints.clock_period, 1e-9)
         # fF * V^2 * GHz = uW
         return activity * total_cap_ff * voltage**2 * freq_ghz

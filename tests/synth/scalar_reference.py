@@ -1,9 +1,11 @@
-"""Scalar reference STA and activity-propagation power (test oracle).
+"""Scalar reference STA, QoR and activity-propagation power (test oracle).
 
 A deliberately plain per-cell walk over the netlist dicts: full arrival
 propagation in topological order, endpoint slacks, the critical-path
-trace, and the two-sweep signal-probability / transition-density model
-with power integration.  It has no incremental, trial or vector paths.
+trace, the QoR snapshot's totals and counts (area, leakage, summed net
+load, ``Netlist.stats``), the ``report_area`` text, and the two-sweep
+signal-probability / transition-density model with power integration.
+It has no incremental, trial or vector paths.
 The production engines (:class:`repro.synth.TimingEngine` and
 :class:`repro.synth.PowerAnalyzer`, which run on the structure-of-arrays
 kernels) must agree with it bit for bit: same expressions, same operand
@@ -18,6 +20,7 @@ reference STA, and a trial commits its rebinds, measures and reverts.
 from __future__ import annotations
 
 from repro.synth.power import PowerReport
+from repro.synth.reports import QoRSnapshot
 from repro.synth.timing import PathPoint, TimingPath, TimingReport
 
 _CONSTS = ("CONST0", "CONST1")
@@ -66,12 +69,112 @@ def cell_delay(cell, netlist, library, wireload) -> float:
     return lib.delay(load)
 
 
+def _fold(values) -> float:
+    """A sequential float sum from 0.0 (``sum`` compensates on Python 3.12+)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def total_area(netlist, library) -> float:
-    return sum(
+    return _fold(
         bound_cell(c, library).area
         for c in netlist.cells.values()
         if c.gate not in _CONSTS
     )
+
+
+# -- QoR snapshot ----------------------------------------------------------------
+
+
+def total_leakage(netlist, library) -> float:
+    """Leakage power in nW."""
+    return _fold(
+        bound_cell(c, library).leakage
+        for c in netlist.cells.values()
+        if c.gate not in _CONSTS
+    )
+
+
+def dynamic_power(
+    netlist, library, wireload, constraints,
+    activity: float = 0.1, voltage: float = 1.1,
+) -> float:
+    """Switching power estimate in uW: alpha * C * V^2 * f."""
+    total_cap_ff = _fold(
+        net_load(netlist, library, wireload, name) for name in netlist.nets
+    )
+    freq_ghz = 1.0 / max(constraints.clock_period, 1e-9)
+    return activity * total_cap_ff * voltage**2 * freq_ghz
+
+
+def reference_qor(design, netlist, library, wireload, constraints, report) -> QoRSnapshot:
+    """The :class:`QoRSnapshot` of an analyzed netlist, walked in Python."""
+    stats = netlist.stats()
+    return QoRSnapshot(
+        design=design,
+        wns=report.wns,
+        cps=report.cps,
+        tns=report.tns,
+        area=round(total_area(netlist, library), 2),
+        num_violations=report.num_violations,
+        num_cells=stats["cells"],
+        num_registers=stats["sequential"],
+        max_fanout=stats["max_fanout"],
+        leakage_nw=round(total_leakage(netlist, library), 1),
+        dynamic_uw=round(
+            dynamic_power(netlist, library, wireload, constraints), 1
+        ),
+    )
+
+
+def area_by_class(netlist, library) -> tuple[float, float, float]:
+    """``(combinational, sequential, BUF)`` cell area, each in cell order."""
+    comb_area = 0.0
+    seq_area = 0.0
+    buf_area = 0.0
+    for cell in netlist.cells.values():
+        if cell.gate in _CONSTS:
+            continue
+        area = bound_cell(cell, library).area
+        if cell.is_sequential:
+            seq_area += area
+        else:
+            comb_area += area
+            if cell.gate == "BUF":
+                buf_area += area
+    return comb_area, seq_area, buf_area
+
+
+def reference_area_report(design: str, netlist, library) -> str:
+    """DC ``report_area``-style text, walked in Python."""
+    stats = netlist.stats()
+    comb_area, seq_area, buf_area = area_by_class(netlist, library)
+    lines = [
+        "****************************************",
+        "Report : area",
+        f"Design : {design}",
+        "****************************************",
+        "",
+        f"Number of cells:          {stats['cells']:>12}",
+        f"Number of sequential:     {stats['sequential']:>12}",
+        f"Number of nets:           {stats['nets']:>12}",
+        f"Combinational area:       {comb_area:>12.2f}",
+        f"Buf/Inv area:             {buf_area:>12.2f}",
+        f"Noncombinational area:    {seq_area:>12.2f}",
+        f"Total cell area:          {comb_area + seq_area:>12.2f}",
+    ]
+    return "\n".join(lines)
+
+
+def high_fanout_nets(netlist, count: int = 5) -> list[tuple[str, int]]:
+    """The ``count`` nets of highest ``Netlist.fanout``, ties in net order."""
+    return sorted(
+        ((name, netlist.fanout(name)) for name in netlist.nets),
+        key=lambda kv: kv[1],
+        reverse=True,
+    )[:count]
 
 
 # -- timing ------------------------------------------------------------------

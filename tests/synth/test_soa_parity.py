@@ -233,7 +233,6 @@ class TestVectorMechanics:
         perf.reset()
         engine.analyze(with_paths=False)
         assert perf.counter("sta.incremental") == 1
-        assert perf.counter("sta.vector_incremental") == 1
         assert perf.counter("sta.full") == 0
 
     def test_structure_cache_shared_across_engines(self):
