@@ -1,26 +1,28 @@
-"""Batched GNN engine vs per-graph ``embed_graph``/``backward_graph`` loops.
+"""Batched GNN engine vs the single-graph oracle's per-graph loops.
 
 Acceptance: on the Fig-4 corpus (7 Chipyard designs, one per family) the
-batched forward that ``embed_graphs`` runs on cache misses must beat the
-per-graph loop by >= 3x and stay bit-exact (a cold ``embed_graphs``,
-which also fills the embedding cache, is reported alongside), and one
-multi-similarity training epoch must beat the
-per-graph epoch (per-graph embeds, loop loss, re-forward backwards) by
->= 3x.  Fig-4 training wall-clock is recorded for the report.
+batched forward that ``embed_graphs`` runs on cache misses must beat a
+per-graph loop over the oracle in ``tests/gnn/reference.py`` by >= 3x
+and stay bit-exact (a cold ``embed_graphs``, which also fills the
+embedding cache, is reported alongside), and one multi-similarity
+training epoch must beat the per-graph epoch (per-graph embeds, loop
+loss, re-forward backwards) by >= 3x.  Fig-4 training wall-clock is
+recorded for the report.
 """
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
 
 from repro.designs.chipyard import generate_corpus
-from repro.gnn import GraphBatch, GraphSAGE, embedding_cache, pack_graphs
-from repro.gnn.batch import batched_forward
+from repro.gnn import GraphSAGE, batched_forward, embedding_cache, pack_graphs
 from repro.mentor.circuit_graph import build_circuit_graph
 from repro.mentor.embeddings import CircuitEncoder
 from repro.mentor.metric_learning import MetricTrainer, multi_similarity_loss
+from tests.gnn.reference import ReferenceModel, reference_embed
 from tests.mentor.loss_reference import multi_similarity_loss_loop
 
 # Single-core CI runners are noisy; min-over-many-repeats is the only
@@ -69,36 +71,34 @@ def test_batched_embed_speedup_and_parity(bench_results):
     graphs, _ = _corpus_graphs()
     model = GraphSAGE(in_dim=graphs[0].features.shape[1], hidden_dims=(48, 32), seed=0)
 
-    batch = GraphBatch(graphs)  # warm the adjacency-block memo
     _cold_embed(model, graphs)  # warm the pack memo + workspace pool
 
     # Alternate blocks of repeats so a load burst on a shared runner hits
     # every variant instead of inflating whichever happened to run under
     # it; the min over all blocks is the steady-state time.
-    batched_s = cold_s = scalar_s = float("inf")
+    batched_s = cold_s = reference_s = float("inf")
     for _ in range(6):
         t, batched_emb = _best(lambda: _engine_embed(model, graphs), EMBED_REPEATS)
         batched_s = min(batched_s, t)
         t, cold_emb = _best(lambda: _cold_embed(model, graphs), EMBED_REPEATS)
         cold_s = min(cold_s, t)
-        t, scalar_emb = _best(
-            lambda: np.vstack([model.embed_graph(g) for g in graphs]), EMBED_REPEATS
-        )
-        scalar_s = min(scalar_s, t)
-    np.testing.assert_array_equal(batched_emb, scalar_emb)
-    np.testing.assert_array_equal(cold_emb, scalar_emb)
+        t, reference_emb = _best(lambda: reference_embed(model, graphs), EMBED_REPEATS)
+        reference_s = min(reference_s, t)
+    np.testing.assert_array_equal(batched_emb, reference_emb)
+    np.testing.assert_array_equal(cold_emb, reference_emb)
 
-    speedup = scalar_s / batched_s
+    speedup = reference_s / batched_s
     bench_results.setdefault("gnn_batched", {})["embed_graphs"] = {
+        "cpus": os.cpu_count(),
         "graphs": len(graphs),
-        "total_nodes": batch.total_nodes,
+        "total_nodes": sum(graph.num_nodes for graph in graphs),
         "repeats": 6 * EMBED_REPEATS,
-        "scalar_s": round(scalar_s, 6),
+        "reference_s": round(reference_s, 6),
         "batched_s": round(batched_s, 6),
         "speedup": round(speedup, 2),
         # cold embed_graphs also fills the embedding cache (reported only)
         "cold_cached_s": round(cold_s, 6),
-        "cold_cached_speedup": round(scalar_s / cold_s, 2),
+        "cold_cached_speedup": round(reference_s / cold_s, 2),
     }
     assert speedup >= 3.0, f"batched embed speedup {speedup:.2f}x < 3x"
 
@@ -134,13 +134,14 @@ def test_vectorized_ms_epoch_speedup(bench_results):
         encoder = CircuitEncoder(seed=0)
         trainer = MetricTrainer(encoder, loss="multi_similarity", seed=0)
         model = encoder.model
+        ref = ReferenceModel(model)
         times = []
         for _ in range(warmup + EPOCH_REPEATS):
             start = time.perf_counter()
             idx = trainer.rng.choice(
                 len(graphs), size=min(32, len(graphs)), replace=False
             )
-            embeddings = np.vstack([model.embed_graph(graphs[i]) for i in idx])
+            embeddings = np.vstack([ref.embed_graph(graphs[i]) for i in idx])
             norms = np.linalg.norm(embeddings, axis=1, keepdims=True)
             norms[norms == 0] = 1.0
             normalized = embeddings / norms
@@ -153,8 +154,8 @@ def test_vectorized_ms_epoch_speedup(bench_results):
                 g = grad_norm[row] / norm - (
                     normalized[row] * (grad_norm[row] @ normalized[row]) / norm
                 )
-                model.embed_graph(graphs[i])
-                model.backward_graph(g)
+                ref.embed_graph(graphs[i])
+                ref.backward_graph(g)
             trainer.optimizer.step()
             times.append(time.perf_counter() - start)
         return min(times[warmup:])
@@ -173,6 +174,7 @@ def test_vectorized_ms_epoch_speedup(bench_results):
 
     speedup = baseline_s / batched_s
     bench_results.setdefault("gnn_batched", {})["ms_epoch"] = {
+        "cpus": os.cpu_count(),
         "batch_size": 32,
         "repeats": EPOCH_REPEATS,
         "baseline_s": round(baseline_s, 6),
@@ -196,6 +198,7 @@ def test_fig4_training_wallclock(bench_results):
     trainer.train(graphs, labels, epochs=3)
     batched_s = time.perf_counter() - start
     bench_results.setdefault("gnn_batched", {})["fig4_train"] = {
+        "cpus": os.cpu_count(),
         "epochs": 3,
         "loss": "contrastive",
         "batched_s": round(batched_s, 6),

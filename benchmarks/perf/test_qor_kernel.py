@@ -25,14 +25,19 @@ from repro.gnn import embedding_cache
 from repro.synth import dcshell
 from repro.synth.cache import clear_caches
 
-from tests.synth.scalar_reference import dynamic_power, total_area, total_leakage
+from tests.synth.scalar_reference import (
+    dynamic_power,
+    netlist_stats,
+    total_area,
+    total_leakage,
+)
 
 from .test_gc_pressure import K, _sweep
 
 
 def _oracle(engine) -> tuple:
     netlist, library = engine.netlist, engine.library
-    stats = netlist.stats()
+    stats = netlist_stats(netlist)
     return (
         total_area(netlist, library),
         total_leakage(netlist, library),

@@ -1,36 +1,35 @@
-"""Numpy GNN framework: GraphSAGE layers, models, optimizers.
+"""Numpy GNN framework: GraphSAGE layers, the model, the Adam optimizer.
 
 This is the repository's PyTorch-Geometric substitute: it implements the
 paper's Eq. 3 message passing with mean aggregation, hierarchical mean
-pooling for graph embeddings, and hand-derived backward passes so metric
-learning (paper §IV-A) can train end to end without autograd.
+pooling for graph embeddings, and a hand-derived backward pass so metric
+learning (paper §IV-A) can train end to end without autograd.  One
+engine runs both, batched over many graphs (:mod:`repro.gnn.batch`);
+``tests/gnn/reference.py`` keeps the single-graph path as its oracle.
 """
 
 from .batch import (
     GraphBatch,
-    accumulation_order,
-    embed_graph_groups,
+    batched_backward,
+    batched_forward,
     embedding_cache,
     pack_graphs,
     release_state,
 )
-from .graph import GraphData, mean_adjacency
-from .layers import LayerCache, SAGELayer
+from .graph import GraphData
+from .layers import SAGELayer
 from .model import GraphSAGE
-from .optim import SGD, Adam
+from .optim import Adam
 
 __all__ = [
     "GraphData",
-    "mean_adjacency",
     "SAGELayer",
-    "LayerCache",
     "GraphSAGE",
     "GraphBatch",
-    "accumulation_order",
-    "embed_graph_groups",
+    "batched_backward",
+    "batched_forward",
     "pack_graphs",
     "release_state",
     "embedding_cache",
-    "SGD",
     "Adam",
 ]

@@ -1,26 +1,19 @@
-"""Batched GNN execution engine.
+"""Batched GNN execution engine: the GraphSAGE forward and backward.
 
-The single-graph :class:`~repro.gnn.model.GraphSAGE` path
-(``embed_graph``/``backward_graph``, kept as the parity reference) embeds
-one graph at a time: every call rebuilds the mean adjacency with a Python
-edge loop and issues a handful of small matmuls, and a per-graph training
-loop re-runs forwards just to repopulate layer caches before backward.
-All multi-graph embedding and metric-learning training go through this
-module instead: it packs a list of :class:`~repro.gnn.graph.GraphData` into one
-disjoint-union batch and runs forward *and* the hand-derived backward over
-the whole batch:
+All embedding and metric-learning training go through this module: it
+packs a list of :class:`~repro.gnn.graph.GraphData` into one
+disjoint-union batch and runs forward *and* the hand-derived backward
+over the whole batch:
 
 * **Packing** (:class:`GraphBatch`) — graphs are stored size-sorted so
   that same-size graphs occupy contiguous node rows; node features are
   concatenated into one ``(total_nodes, feat_dim)`` matrix with
-  node-offset bookkeeping (``offsets``/``segment_ids``), and each size
-  group keeps its dense mean-adjacency blocks in one ``(G, n, n)`` stack.
-  The block-diagonal adjacency is also exposed in CSR-style arrays
-  (``indptr``/``indices``/``weights``) for stats and export.  Dense
-  blocks are memoized per ``GraphData`` (weakref-evicted), so training
-  epochs that re-batch the same graphs never rebuild adjacency.
-* **Forward** — per layer, every per-graph matmul of the scalar path
-  (aggregation ``adj @ H``, the weight transforms ``H @ W_self`` and
+  node-offset bookkeeping, and each size group keeps its dense
+  mean-adjacency blocks in one ``(G, n, n)`` stack.  :func:`pack_graphs`
+  memoizes whole batches by graph identity and shape, so training epochs
+  that re-batch the same graph lists never rebuild them.
+* **Forward** — per layer, every per-graph matmul of the single-graph
+  path (aggregation ``adj @ H``, the weight transforms ``H @ W_self`` and
   ``AGG @ W_neigh``) becomes one *stacked* 3-D ``np.matmul`` per size
   group; activations and bias adds run batch-wide.  Readout is a stacked
   segment mean per group.  All intermediate buffers live in a
@@ -30,35 +23,33 @@ the whole batch:
   state allocates nothing per call.  Each forward returns an independent
   :class:`BatchState`, keeping the engine re-entrant.
 * **Backward** — pooled-gradient scatter, stacked per-group reductions,
-  and parameter-gradient accumulation in a caller-chosen graph order:
-  the caller's order by default, an explicit permutation/subset via
-  ``order=``, or the batch's internal slot order via ``order="slots"``
-  (fastest — the per-graph gradient stacks reduce in place with no
-  gather; a scalar loop matches it by iterating in
-  :func:`accumulation_order`).  Layer 0's input gradient is never
-  consumed, so its matmuls are skipped.
+  and parameter-gradient accumulation in the batch's slot order
+  (``GraphBatch.order``): the per-graph gradient stacks reduce in place
+  with no gather, and a single-graph loop matches it by iterating the
+  graphs in that order.  Layer 0's input gradient is never consumed, so
+  its matmuls are skipped.
 
 Parity contract
 ---------------
 
-Batched results are *bit-exact* against the scalar path, by construction:
+Batched results are *bit-exact* against the single-graph path kept as
+the oracle in ``tests/gnn/reference.py``, by construction:
 
-* adjacency blocks run the same expressions as
-  :func:`~repro.gnn.graph.mean_adjacency`, only with vectorized index
-  assignment (set semantics are identical, so duplicate edges collapse
-  the same way);
+* adjacency blocks run the same expressions as the oracle's
+  ``mean_adjacency``, only with vectorized index assignment (set
+  semantics are identical, so duplicate edges collapse the same way);
 * every matrix product is issued as a stacked 3-D ``np.matmul`` whose
-  2-D slices have exactly the scalar path's operand shapes — numpy
+  2-D slices have exactly the single-graph path's operand shapes — numpy
   dispatches each slice to the same GEMM kernel, so slice ``i`` is
   bitwise ``A[i] @ B[i]`` (this holds for transposed stride views and
   for one-node graphs too, and is enforced empirically by the parity
   suite);
 * segment means/sums reduce each ``(n, d)`` slice exactly like the
-  scalar ``mean(axis=0)``/``sum(axis=0)`` calls, and parameter-gradient
-  stacks are reduced with ``np.add.reduce`` over the graph axis, which
-  sums sequentially in the chosen accumulation order — the same order
-  (and therefore the same rounding) as a scalar loop's ``+=``
-  accumulation over those graphs from zeroed gradients.
+  single-graph ``mean(axis=0)``/``sum(axis=0)`` calls, and
+  parameter-gradient stacks are reduced with ``np.add.reduce`` over the
+  graph axis, which sums sequentially in slot order — the same order
+  (and therefore the same rounding) as a single-graph loop's ``+=``
+  accumulation over the graphs in slot order from zeroed gradients.
 
 ``tests/gnn/test_batch_parity.py`` enforces the contract with hypothesis
 over random graphs and over the seven OpenCores designs.
@@ -83,10 +74,8 @@ import numpy as np
 
 from .. import perf
 from .graph import GraphData
-from .layers import LayerCache
 
 __all__ = [
-    "accumulation_order",
     "GraphBatch",
     "pack_graphs",
     "BatchState",
@@ -101,24 +90,18 @@ __all__ = [
 _clock = time.perf_counter
 
 
-# -- adjacency blocks ---------------------------------------------------------
-
-#: id(graph) -> (num_nodes, num_edges, dense mean-adjacency block).
-#: Entries are evicted by a weakref.finalize on the owning GraphData, and
-#: revalidated against (num_nodes, num_edges) — mutating a graph's edge
-#: list *in place* while keeping its length is not supported (build a new
-#: GraphData instead, as every producer in this repo does).
-_adj_blocks: dict[int, tuple[int, int, np.ndarray]] = {}
-_adj_lock = threading.Lock()
+# -- batch packing ------------------------------------------------------------
 
 
 def _dense_mean_block(graph: GraphData) -> np.ndarray:
-    """Vectorized twin of :func:`~repro.gnn.graph.mean_adjacency`.
+    """Dense row-normalized (mean-aggregating) adjacency of one graph.
 
-    Runs the same expressions with array index assignment instead of a
-    Python edge loop; the result is bitwise identical (assignment of 1.0
-    is idempotent under duplicates, and the normalization arithmetic is
-    the same ops on the same operands).
+    Edges are undirected, and a node with no neighbours falls back to
+    itself.  These are the oracle ``mean_adjacency``'s expressions with
+    array index assignment instead of a Python edge loop; the result is
+    bitwise identical (assignment of 1.0 is idempotent under duplicates,
+    and the normalization arithmetic is the same ops on the same
+    operands).
     """
     n = graph.num_nodes
     adj = np.zeros((n, n), dtype=np.float64)
@@ -131,52 +114,6 @@ def _dense_mean_block(graph: GraphData) -> np.ndarray:
     degree = adj.sum(axis=1, keepdims=True)
     degree[degree == 0] = 1.0
     return adj / degree
-
-
-def _adjacency_block(graph: GraphData) -> np.ndarray:
-    key = id(graph)
-    n, m = graph.num_nodes, len(graph.edges)
-    with _adj_lock:
-        hit = _adj_blocks.get(key)
-        if hit is not None and hit[0] == n and hit[1] == m:
-            perf.incr("gnn.adj_cache_hit")
-            return hit[2]
-    perf.incr("gnn.adj_cache_miss")
-    block = _dense_mean_block(graph)
-    try:
-        weakref.finalize(graph, _adj_blocks.pop, key, None)
-    except TypeError:  # pragma: no cover - non-weakref-able subclass
-        return block
-    with _adj_lock:
-        _adj_blocks[key] = (n, m, block)
-    return block
-
-
-def _adjacency_blocks(graphs: list[GraphData]) -> list[np.ndarray]:
-    """Memoized blocks for many graphs with one lock round-trip."""
-    out: list[np.ndarray | None] = [None] * len(graphs)
-    missing: list[int] = []
-    hits = 0
-    with _adj_lock:
-        for pos, graph in enumerate(graphs):
-            hit = _adj_blocks.get(id(graph))
-            if (
-                hit is not None
-                and hit[0] == graph.num_nodes
-                and hit[1] == len(graph.edges)
-            ):
-                out[pos] = hit[2]
-                hits += 1
-            else:
-                missing.append(pos)
-    if hits:
-        perf.incr("gnn.adj_cache_hit", hits)
-    for pos in missing:
-        out[pos] = _adjacency_block(graphs[pos])
-    return out
-
-
-# -- batch packing ------------------------------------------------------------
 
 
 class SizeGroup:
@@ -204,17 +141,6 @@ class SizeGroup:
         self.blocks_t = blocks.transpose(0, 2, 1)  # view, for backward
 
 
-def accumulation_order(sizes) -> np.ndarray:
-    """Internal slot order for graphs of the given node counts.
-
-    This is the one definition of the batch layout's graph order (stable
-    sort by size): :class:`GraphBatch` packs with it, and a scalar loop
-    that iterates graphs in this order accumulates parameter gradients
-    bit-identically to ``batched_backward(..., order="slots")``.
-    """
-    return np.argsort(np.asarray(sizes), kind="stable")
-
-
 class GraphBatch:
     """Disjoint union of graphs: one feature matrix + block-diagonal adjacency.
 
@@ -222,13 +148,15 @@ class GraphBatch:
     caller's relative order): same-size graphs then occupy contiguous node
     rows, and a zero-copy reshape turns each group's rows into the
     ``(G, n, d)`` stacks the kernels consume.  ``order[slot]`` is the
-    caller's index of the graph stored at ``slot``; embeddings returned by
-    :func:`batched_forward` are always in the caller's order.
+    caller's index of the graph stored at ``slot``; this slot order is
+    also the order :func:`batched_backward` accumulates parameter
+    gradients in.  Embeddings returned by :func:`batched_forward` are
+    always in the caller's order.
     """
 
     __slots__ = (
         "graphs", "features", "offsets", "counts", "num_graphs",
-        "total_nodes", "order", "inv", "groups", "_csr", "layout_key",
+        "total_nodes", "order", "inv", "groups", "layout_key",
     )
 
     def __init__(self, graphs: list[GraphData]) -> None:
@@ -239,7 +167,7 @@ class GraphBatch:
             raise ValueError(f"inconsistent feature dims in batch: {sorted(dims)}")
         self.num_graphs = len(self.graphs)
         sizes = np.array([f.shape[0] for f in feats], dtype=np.intp)
-        self.order = accumulation_order(sizes)
+        self.order = np.argsort(sizes, kind="stable")
         self.inv = np.argsort(self.order)  # caller index -> internal slot
         self.counts = sizes[self.order]
         self.offsets = np.zeros(self.num_graphs + 1, dtype=np.intp)
@@ -251,7 +179,6 @@ class GraphBatch:
             if feats
             else np.empty((0, feat_dim), dtype=np.float64)
         )
-        blocks = _adjacency_blocks(self.graphs)
         self.groups: list[SizeGroup] = []
         bounds = np.flatnonzero(np.diff(self.counts)) + 1
         for a, b in zip(
@@ -270,69 +197,24 @@ class GraphBatch:
                     gstart=int(a),
                     gend=int(b),
                     orig=orig,
-                    blocks=np.stack([blocks[i] for i in orig]),
+                    blocks=np.stack(
+                        [_dense_mean_block(self.graphs[i]) for i in orig]
+                    ),
                 )
             )
-        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # Buffer layout is fully determined by the sorted node counts (plus
         # the model's layer shapes); batches over different graphs — or the
         # same graphs in a different order — share pooled workspaces when
         # their layouts match.
         self.layout_key = tuple(map(int, self.counts))
 
-    @property
-    def segment_ids(self) -> np.ndarray:
-        """Caller's graph index of each node row (internal layout)."""
-        return np.repeat(self.order, self.counts)
-
-    def iter_blocks(self):
-        """Yield ``(caller_graph_index, start, end, dense_adjacency_block)``
-        in the batch's internal (size-sorted) storage order."""
-        for group in self.groups:
-            for pos in range(group.size):
-                start = group.start + pos * group.n
-                yield int(group.orig[pos]), start, start + group.n, group.blocks[pos]
-
-    @property
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Block-diagonal adjacency as ``(indptr, indices, weights)``.
-
-        Rows follow the internal (size-sorted) node layout, matching
-        ``iter_blocks``.  Built lazily: the compute kernels consume the
-        dense stacks (which preserve bit-parity with the scalar dense
-        matmuls), while the CSR view is the compact canonical form for
-        stats and export.
-        """
-        if self._csr is None:
-            indices, weights = [], []
-            row_counts = np.zeros(self.total_nodes, dtype=np.intp)
-            for _, start, _end, block in self.iter_blocks():
-                rows, cols = np.nonzero(block)
-                indices.append(cols + start)
-                weights.append(block[rows, cols])
-                row_counts[start:start + block.shape[0]] = np.bincount(
-                    rows, minlength=block.shape[0]
-                )
-            indptr = np.zeros(self.total_nodes + 1, dtype=np.intp)
-            np.cumsum(row_counts, out=indptr[1:])
-            self._csr = (
-                indptr,
-                np.concatenate(indices) if indices else np.empty(0, dtype=np.intp),
-                np.concatenate(weights) if weights else np.empty(0),
-            )
-        return self._csr
-
-    @property
-    def nnz(self) -> int:
-        return int(self.csr[0][-1])
-
 
 #: Memoized batches for recurring graph lists, keyed by the identity of
 #: every graph in order.  Entries hold strong references to their graphs
 #: (via ``GraphBatch.graphs``), so a key's ids cannot be recycled while
 #: its entry is alive; the per-graph (num_nodes, num_edges) signature
-#: additionally guards against in-place edge mutation, like ``_adj_blocks``.
-_batch_memo: OrderedDict[tuple, tuple[tuple, GraphBatch]] = OrderedDict()
+#: additionally guards against in-place edge mutation.
+_batch_memo: OrderedDict[tuple, GraphBatch] = OrderedDict()
 _batch_memo_lock = threading.Lock()
 # Sized for contrastive training, which cycles through O(pairs^2) distinct
 # two-graph lists per corpus — far more keys than the handful of full-corpus
@@ -370,14 +252,14 @@ class _LayerWS:
 
     ``h_in`` aliases the previous layer's ``out`` (activations chain
     through shared buffers); ``pw_self``/``pw_neigh``/``pbias`` stack the
-    per-graph parameter-gradient contributions in internal slot order so
-    the caller-order reduction is a fancy-index away.
+    per-graph parameter-gradient contributions in slot order, the order
+    the backward reduces them in.
     """
 
     __slots__ = (
         "act", "h_in", "agg", "pre", "xn", "out",
         "gout", "gp", "ga", "pw_self", "pw_neigh", "pbias",
-        "gb", "pw_scratch", "pb_scratch", "gw_scratch", "gb_scratch",
+        "gb", "gw_scratch", "gb_scratch",
         "fviews", "bviews",
     )
 
@@ -397,19 +279,17 @@ class _Workspace:
     are dramatically slower).
     """
 
-    __slots__ = ("h0", "layers", "gin", "emb_int", "emb_views", "rep")
+    __slots__ = ("h0", "layers", "emb_int", "emb_views", "rep")
 
     def __init__(self, batch: GraphBatch, key: tuple) -> None:
         total, ng = batch.total_nodes, batch.num_graphs
         # Layer 0's input: a per-forward copy of the packed features —
         # same values, same layout, so the GEMMs it feeds are bit-identical.
-        h = np.zeros((total, key[0][0])) if key else batch.features
-        self.h0 = h if key else None
+        h = self.h0 = np.zeros((total, key[0][0]))
         self.layers: list[_LayerWS] = []
         # Gradient w.r.t. the input of the layer being processed; for
-        # layer 0 this is d(loss)/d(features), computed then discarded.
-        gprev = np.zeros((total, key[0][0])) if key else None
-        self.gin = gprev
+        # layer 0 this is d(loss)/d(features), never computed.
+        gprev = np.zeros((total, key[0][0]))
         for in_dim, out_dim, act in key:
             L = _LayerWS()
             L.act = act
@@ -425,11 +305,8 @@ class _Workspace:
             L.pw_self = np.zeros((ng, in_dim, out_dim))
             L.pw_neigh = np.zeros((ng, in_dim, out_dim))
             L.pbias = np.zeros((ng, out_dim))
-            # Scratch for allocation-free reduction: caller-order ``take``
-            # target, reduce targets, and the relu-mask buffer.
+            # The relu-mask buffer and the reduce targets.
             L.gb = np.zeros((total, out_dim))
-            L.pw_scratch = np.zeros((ng, in_dim, out_dim))
-            L.pb_scratch = np.zeros((ng, out_dim))
             L.gw_scratch = np.zeros((in_dim, out_dim))
             L.gb_scratch = np.zeros(out_dim)
             L.fviews = []
@@ -459,7 +336,7 @@ class _Workspace:
             self.layers.append(L)
             h = L.out
             gprev = L.gout
-        emb_dim = key[-1][1] if key else 0
+        emb_dim = key[-1][1]
         # Graph embeddings in *internal* slot order; ``emb_int[batch.inv]``
         # is the fresh caller-order copy handed back to the caller.
         self.emb_int = np.zeros((ng, emb_dim))
@@ -504,8 +381,6 @@ def _ws_acquire(batch: GraphBatch, model) -> tuple[tuple, _Workspace]:
 
 
 def _ws_release(ck: tuple, ws: _Workspace) -> None:
-    if ws.h0 is None:  # degenerate zero-layer model: not reusable
-        return
     with _ws_pool_lock:
         _ws_pool.setdefault(ck, []).append(ws)
         _ws_pool.move_to_end(ck)
@@ -524,14 +399,14 @@ class BatchState:
     """Per-call forward state: what ``batched_backward`` needs.
 
     Owning the activations here (instead of on the layers) is what makes
-    the layers re-entrant: two in-flight batches never clobber each other.
-    The state exclusively owns a workspace until its backward consumes it
-    (a second backward on the same state raises ``RuntimeError``, like
-    the scalar layers' consumed-cache discipline).
+    the engine re-entrant: two in-flight batches never clobber each other.
+    The state exclusively owns a workspace, holding the forward's
+    activations, until its backward consumes it or :func:`release_state`
+    returns it; a backward on a consumed or released state raises
+    ``RuntimeError`` instead of reading another call's buffers.
     """
 
     batch: GraphBatch
-    caches: list[LayerCache]
     ws: "_Workspace | None" = None
     ws_key: tuple | None = None
 
@@ -545,20 +420,20 @@ def batched_forward(
     """Embed every graph in ``batch``; returns ``(embeddings, state)``.
 
     ``embeddings`` has shape ``(num_graphs, embedding_dim)`` in the
-    caller's graph order and is bit-exact with per-graph
-    ``model.embed_graph`` calls.  With ``keep_state`` the returned
-    :class:`BatchState` feeds :func:`batched_backward`; pass ``False``
-    for inference so the workspace returns to the pool immediately.
+    caller's graph order and is bit-exact with the single-graph path.
+    With ``keep_state`` the returned :class:`BatchState` feeds
+    :func:`batched_backward`; pass ``False`` for inference so the
+    workspace returns to the pool immediately (the state is then
+    ``None``).
     """
     perf.incr("gnn.batch_forward")
     perf.incr("gnn.batch_graphs", batch.num_graphs)
     start = _clock()  # direct timing: contextmanager overhead is visible here
     try:
         ck, ws = _ws_acquire(batch, model)
-        if ws.h0 is not None:
-            # Same values, same layout as the packed features, so the
-            # GEMMs below are bit-identical to consuming them directly.
-            np.copyto(ws.h0, batch.features)
+        # Same values, same layout as the packed features, so the GEMMs
+        # below are bit-identical to consuming them directly.
+        np.copyto(ws.h0, batch.features)
         mm = np.matmul
         for layer, L in zip(model.layers, ws.layers):
             w_self, w_neigh = layer.w_self, layer.w_neigh
@@ -566,17 +441,15 @@ def batched_forward(
                 mm(grp.blocks, hv, out=aggv)
                 mm(hv, w_self, out=xsv)
                 mm(aggv, w_neigh, out=xnv)
-            # pre = (x_self + x_neigh) + bias, in the scalar association.
+            # pre = (x_self + x_neigh) + bias, in the reference association.
             np.add(L.pre, L.xn, out=L.pre)
             np.add(L.pre, layer.bias, out=L.pre)
-            # Same ufunc as layer._act, written into the out buffer (for
-            # "linear", act is the identity and L.out aliases L.pre).
+            # The reference activation's ufunc, written into the out
+            # buffer ("linear" is the identity: L.out aliases L.pre).
             if L.act == "relu":
                 np.maximum(L.pre, 0.0, out=L.out)
             elif L.act == "tanh":
                 np.tanh(L.pre, out=L.out)
-            elif L.out is not L.pre:  # pragma: no cover - defensive
-                np.copyto(L.out, L.pre)
         # Readout: np.mean is sum-then-true_divide; issuing those two
         # ufuncs directly skips the wrapper (bit-identical result).
         for hv, ev, n in ws.emb_views:
@@ -586,40 +459,34 @@ def batched_forward(
     finally:
         perf.add_time("gnn.batch_forward", _clock() - start)
     if keep_state:
-        caches = [
-            LayerCache(h_in=L.h_in, agg=L.agg, pre=L.pre) for L in ws.layers
-        ]
-        return embeddings, BatchState(batch=batch, caches=caches, ws=ws, ws_key=ck)
+        return embeddings, BatchState(batch=batch, ws=ws, ws_key=ck)
     _ws_release(ck, ws)
     return embeddings, None
 
 
 def batched_backward(
-    model, state: BatchState, grad_embeddings: np.ndarray, order=None
+    model, state: BatchState | None, grad_embeddings: np.ndarray
 ) -> None:
     """Backprop pooled-embedding gradients through a batched forward.
 
-    ``grad_embeddings`` rows are in the caller's graph order.  Parameter
-    gradients accumulate exactly like the scalar loop
-    ``for g: embed_graph(g); backward_graph(grad[g])`` run from zeroed
-    gradients — per-graph contributions are stacked per layer and reduced
-    sequentially in the caller's graph order, so the sums are
-    bit-identical.  Consumes the state (its workspace returns to the
-    shared pool); a second backward on the same state raises.
+    ``grad_embeddings`` rows are in the caller's graph order.  Per-graph
+    parameter-gradient contributions are stacked per layer and reduced
+    sequentially in the batch's slot order (``GraphBatch.order``), so
+    the sums are bit-identical to a single-graph forward and backward
+    per graph, run in slot order from zeroed gradients.  Consumes the
+    state (its workspace returns to the shared pool).
 
-    ``order``, if given, is a permutation (or subset) of caller graph
-    indices fixing the accumulation sequence instead: parameter gradients
-    sum the listed graphs' contributions in exactly that order, matching
-    a scalar loop over ``order``.  ``grad_embeddings`` still covers every
-    graph in the batch; graphs outside ``order`` contribute nothing.
-    This lets a trainer reuse one memoized batch across shuffled
-    minibatch epochs — the shuffle moves into the reduction order.
-
-    ``order="slots"`` accumulates in the batch's *internal* slot order
-    (:func:`accumulation_order` of the graph sizes) — the fastest mode,
-    since the per-graph gradient stacks reduce in place with no gather.
-    A scalar loop matches it by iterating graphs in that same order.
+    Raises ``RuntimeError`` for a state that a backward already consumed,
+    that :func:`release_state` returned, or that a ``keep_state=False``
+    forward never produced (``None``).
     """
+    ws = state.ws if state is not None else None
+    if ws is None:
+        raise RuntimeError(
+            "no forward state to backprop: the BatchState was already "
+            "consumed by a backward pass or released (or the forward ran "
+            "with keep_state=False)"
+        )
     batch = state.batch
     grad_embeddings = np.asarray(grad_embeddings, dtype=np.float64)
     if grad_embeddings.shape[0] != batch.num_graphs:
@@ -627,26 +494,12 @@ def batched_backward(
             f"expected {batch.num_graphs} embedding gradients, "
             f"got {grad_embeddings.shape[0]}"
         )
-    ws = state.ws
-    if ws is None:
-        raise RuntimeError(
-            "BatchState already consumed by a backward pass (or produced "
-            "with keep_state=False)"
-        )
     state.ws = None
     perf.incr("gnn.batch_backward")
     start = _clock()
     try:
         mm = np.matmul
-        # Internal slot of each graph whose contribution is accumulated,
-        # in accumulation order; None means internal slot order itself.
-        if isinstance(order, str):
-            if order != "slots":
-                raise ValueError(f"unknown accumulation order {order!r}")
-            inv = None
-        else:
-            inv = batch.inv if order is None else batch.inv[np.asarray(order)]
-        # Scalar path: np.tile(grad_embedding / n, (n, 1)) — divide first,
+        # Reference: np.tile(grad_embedding / n, (n, 1)) — divide first,
         # then replicate; gathering the divided rows through ``rep`` is
         # the same row-repeat, written straight into the gout buffer.
         scaled = grad_embeddings[batch.order] / batch.counts[:, None]
@@ -658,10 +511,10 @@ def batched_backward(
                 # out-buffer produces exactly that without allocating.
                 np.greater(L.pre, 0.0, out=L.gb)
                 np.multiply(L.gout, L.gb, out=L.gp)
-            elif L.act != "linear":
-                np.multiply(L.gout, layer._act_grad(L.pre), out=L.gp)
+            elif L.act == "tanh":
+                np.multiply(L.gout, 1.0 - np.tanh(L.pre) ** 2, out=L.gp)
             # else: act' == 1 exactly and L.gp aliases L.gout.
-            # Transpose *views* of the weights, matching the scalar ``w.T``.
+            # Transpose *views* of the weights, matching the reference ``w.T``.
             w_self_t = layer.w_self.T
             w_neigh_t = layer.w_neigh.T
             # Layer 0's input gradient is d(loss)/d(features): nothing
@@ -679,36 +532,17 @@ def batched_backward(
                     mm(gpv, w_self_t, out=gav)     # grad_h
                     # Same-rounding add in either order: a+b == b+a bitwise.
                     gnv += gav
-            # np.add.reduce sums axis 0 sequentially; gathering the stacks
-            # through ``inv`` puts them in accumulation order, so the sum
-            # has the scalar loop's rounding.  (Accumulating onto
-            # *nonzero* existing gradients would fold the old value in at
-            # a different point than the scalar loop; both trainers
-            # zero_grad before each backward.)
-            if inv is None:
-                # Slot order: the stacks are already in accumulation
-                # order, so they reduce in place with no gather at all.
-                np.add.reduce(L.pw_self, axis=0, out=L.gw_scratch)
-                np.add(layer.grad_w_self, L.gw_scratch, out=layer.grad_w_self)
-                np.add.reduce(L.pw_neigh, axis=0, out=L.gw_scratch)
-                np.add(layer.grad_w_neigh, L.gw_scratch, out=layer.grad_w_neigh)
-                np.add.reduce(L.pbias, axis=0, out=L.gb_scratch)
-                np.add(layer.grad_bias, L.gb_scratch, out=layer.grad_bias)
-            elif len(inv) == batch.num_graphs:
-                # allocation-free: gather into scratch, reduce, accumulate
-                np.take(L.pw_self, inv, axis=0, out=L.pw_scratch)
-                np.add.reduce(L.pw_scratch, axis=0, out=L.gw_scratch)
-                np.add(layer.grad_w_self, L.gw_scratch, out=layer.grad_w_self)
-                np.take(L.pw_neigh, inv, axis=0, out=L.pw_scratch)
-                np.add.reduce(L.pw_scratch, axis=0, out=L.gw_scratch)
-                np.add(layer.grad_w_neigh, L.gw_scratch, out=layer.grad_w_neigh)
-                np.take(L.pbias, inv, axis=0, out=L.pb_scratch)
-                np.add.reduce(L.pb_scratch, axis=0, out=L.gb_scratch)
-                np.add(layer.grad_bias, L.gb_scratch, out=layer.grad_bias)
-            else:  # subset accumulation order: scratch shapes don't fit
-                layer.grad_w_self += np.add.reduce(L.pw_self[inv], axis=0)
-                layer.grad_w_neigh += np.add.reduce(L.pw_neigh[inv], axis=0)
-                layer.grad_bias += np.add.reduce(L.pbias[inv], axis=0)
+            # np.add.reduce sums axis 0 sequentially, and the stacks are in
+            # slot order, so the sum has the slot-order loop's rounding.
+            # (Accumulating onto *nonzero* existing gradients would fold
+            # the old value in at a different point than that loop; both
+            # epochs zero_grad before each backward.)
+            np.add.reduce(L.pw_self, axis=0, out=L.gw_scratch)
+            np.add(layer.grad_w_self, L.gw_scratch, out=layer.grad_w_self)
+            np.add.reduce(L.pw_neigh, axis=0, out=L.gw_scratch)
+            np.add(layer.grad_w_neigh, L.gw_scratch, out=layer.grad_w_neigh)
+            np.add.reduce(L.pbias, axis=0, out=L.gb_scratch)
+            np.add(layer.grad_bias, L.gb_scratch, out=layer.grad_bias)
     finally:
         perf.add_time("gnn.batch_backward", _clock() - start)
     _ws_release(state.ws_key, ws)
@@ -822,8 +656,8 @@ def embed_graphs_cached(model, graphs: list[GraphData]) -> np.ndarray:
     """Embed ``graphs`` through the cache, batching every miss.
 
     Misses (one slot per distinct graph object) run as one batched
-    forward, bit-identical to per-graph ``embed_graph`` calls by the
-    parity contract above.  Callers that need cold embeddings call
+    forward, bit-identical to single-graph embeddings by the parity
+    contract above.  Callers that need cold embeddings call
     ``embedding_cache.clear()`` first.
     """
     if not graphs:
@@ -849,26 +683,4 @@ def embed_graphs_cached(model, graphs: list[GraphData]) -> np.ndarray:
             embedding_cache.put(model, graphs[pos], fresh[row])
     for pos, src in duplicates:
         out[pos] = out[src]
-    return out
-
-
-def embed_graph_groups(model, groups: list[list[GraphData]]) -> list[np.ndarray]:
-    """Embed several graph *groups* in one batched forward.
-
-    This is the heterogeneous-arrival entry the serving layer coalesces
-    on: each group is one logical unit (e.g. the module graphs of one
-    design under analysis), and all groups' graphs are concatenated into
-    a single :func:`embed_graphs_cached` call — one packed batch, one
-    cache sweep — then sliced back per group.  The parity contract makes
-    the grouping immaterial: each returned row is bit-exact with what a
-    per-group (or per-graph) call would produce.
-    """
-    flat: list[GraphData] = [graph for group in groups for graph in group]
-    perf.incr("gnn.group_embeds", len(groups))
-    embeddings = embed_graphs_cached(model, flat)
-    out: list[np.ndarray] = []
-    offset = 0
-    for group in groups:
-        out.append(embeddings[offset:offset + len(group)])
-        offset += len(group)
     return out

@@ -1,4 +1,4 @@
-"""Graph containers and adjacency utilities for the GNN framework."""
+"""Graph container for the GNN framework."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GraphData", "mean_adjacency"]
+__all__ = ["GraphData"]
 
 
 @dataclass
@@ -15,8 +15,7 @@ class GraphData:
 
     Attributes:
         features: node feature matrix, shape (num_nodes, feat_dim).
-        edges: list of (src, dst) index pairs (treated as undirected by
-            :func:`mean_adjacency` unless ``directed`` is set).
+        edges: list of (src, dst) index pairs, treated as undirected.
         label: optional class/family label (used by metric learning).
         meta: free-form metadata (module name, design name, ...).
     """
@@ -35,27 +34,3 @@ class GraphData:
         for src, dst in self.edges:
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(f"edge ({src}, {dst}) out of range for {n} nodes")
-
-
-def mean_adjacency(
-    num_nodes: int,
-    edges: list[tuple[int, int]],
-    directed: bool = False,
-    self_loops: bool = True,
-) -> np.ndarray:
-    """Row-normalized (mean-aggregating) dense adjacency matrix.
-
-    Row v averages the features of N(v); with ``self_loops`` a node with no
-    neighbours falls back to itself, keeping the propagation well-defined.
-    """
-    adj = np.zeros((num_nodes, num_nodes), dtype=np.float64)
-    for src, dst in edges:
-        adj[dst, src] = 1.0
-        if not directed:
-            adj[src, dst] = 1.0
-    if self_loops:
-        isolated = adj.sum(axis=1) == 0
-        adj[isolated, isolated] = 1.0
-    degree = adj.sum(axis=1, keepdims=True)
-    degree[degree == 0] = 1.0
-    return adj / degree

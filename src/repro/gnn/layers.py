@@ -1,6 +1,6 @@
-"""GraphSAGE layers with explicit forward/backward passes.
+"""GraphSAGE layer parameters.
 
-Implements the paper's Eq. 3:
+Implements the parameters of the paper's Eq. 3:
 
     h_v^(k) = sigma( W^(k) . Aggregator({h_u^(k-1), u in N(v)}) )
 
@@ -8,85 +8,28 @@ in the common "self + neighbour" parameterization:
 
     H^(k) = sigma( H^(k-1) W_self + (A_mean H^(k-1)) W_neigh + b )
 
-where ``A_mean`` is a row-normalized adjacency (mean aggregator).  Backward
-passes are hand-derived so no autograd framework is needed.
-
-Layers come in two flavours of statefulness:
-
-* the classic ``forward``/``backward`` pair keeps one activation cache on
-  the layer (consumed by ``backward``) — the single-graph path;
-* the re-entrant ``forward_reentrant``/``backward_reentrant`` pair moves
-  the cache into an explicit :class:`LayerCache` owned by the caller, so
-  the batched engine (:mod:`repro.gnn.batch`) can hold many in-flight
-  activations at once without the layers trampling each other.
+where ``A_mean`` is a row-normalized adjacency (mean aggregator).  A
+layer holds its weights and gradient accumulators only; the forward and
+the hand-derived backward run in the batched engine
+(:mod:`repro.gnn.batch`), and ``tests/gnn/reference.py`` keeps the
+single-graph path they are checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["SAGELayer", "LayerCache", "relu", "relu_grad", "tanh", "tanh_grad"]
+__all__ = ["SAGELayer"]
 
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def relu_grad(x: np.ndarray) -> np.ndarray:
-    return (x > 0).astype(np.float64)
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
-def tanh_grad(x: np.ndarray) -> np.ndarray:
-    return 1.0 - np.tanh(x) ** 2
-
-
-def linear(x: np.ndarray) -> np.ndarray:
-    return x
-
-
-def linear_grad(x: np.ndarray) -> np.ndarray:
-    return np.ones_like(x)
-
-
-# Named functions (not lambdas) so models holding an activation pair stay
-# picklable — the process-backend executor ships encoders to workers.
-_ACTIVATIONS = {
-    "relu": (relu, relu_grad),
-    "tanh": (tanh, tanh_grad),
-    "linear": (linear, linear_grad),
-}
-
-
-@dataclass
-class LayerCache:
-    """Activations one layer needs to run its backward pass.
-
-    ``h_in`` and ``agg`` are the layer inputs (node features and their
-    mean-aggregated neighbourhoods), ``pre`` the pre-activation output.
-    For batched calls these hold whole-batch arrays; ``backward_reentrant``
-    accepts row slices of them.
-    """
-
-    h_in: np.ndarray
-    agg: np.ndarray
-    pre: np.ndarray
+# The nonlinearities the batched engine implements.
+_ACTIVATIONS = ("relu", "tanh", "linear")
 
 
 class SAGELayer:
-    """One GraphSAGE convolution with mean aggregation.
+    """Weights, bias and gradients of one GraphSAGE convolution.
 
-    Parameters are Glorot-initialized.  ``forward`` caches activations for
-    the subsequent ``backward`` call, which consumes them: a second
-    ``backward`` (or one without a preceding ``forward``) raises
-    ``RuntimeError`` instead of silently reusing stale activations.
-    Batched execution uses the re-entrant API and never touches the
-    layer-owned cache.
+    Parameters are Glorot-initialized; ``activation`` names the
+    nonlinearity applied to the layer's output.
     """
 
     def __init__(
@@ -104,11 +47,6 @@ class SAGELayer:
         self.w_neigh = rng.uniform(-scale, scale, size=(in_dim, out_dim))
         self.bias = np.zeros(out_dim)
         self.activation = activation
-        self._act, self._act_grad = _ACTIVATIONS[activation]
-        # single-graph caches (consumed by backward)
-        self._cache: LayerCache | None = None
-        self._adj: np.ndarray | None = None
-        # gradients
         self.grad_w_self = np.zeros_like(self.w_self)
         self.grad_w_neigh = np.zeros_like(self.w_neigh)
         self.grad_bias = np.zeros_like(self.bias)
@@ -125,52 +63,3 @@ class SAGELayer:
         self.grad_w_self[:] = 0.0
         self.grad_w_neigh[:] = 0.0
         self.grad_bias[:] = 0.0
-
-    # -- re-entrant API (explicit caches, used by the batched engine) -------
-
-    def forward_reentrant(
-        self, h: np.ndarray, agg: np.ndarray
-    ) -> tuple[np.ndarray, LayerCache]:
-        """Forward from precomputed aggregation; caller owns the cache."""
-        pre = h @ self.w_self + agg @ self.w_neigh + self.bias
-        return self._act(pre), LayerCache(h_in=h, agg=agg, pre=pre)
-
-    def backward_reentrant(
-        self, grad_out: np.ndarray, cache: LayerCache
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Accumulate parameter grads from an explicit cache.
-
-        Returns ``(grad_h, grad_agg)``: the gradient w.r.t. the direct
-        input rows and w.r.t. the aggregated rows.  The caller applies its
-        own adjacency transpose (``grad_h + adj.T @ grad_agg``), since in
-        batched mode the adjacency is per-graph-block.
-        """
-        grad_pre = grad_out * self._act_grad(cache.pre)
-        self.grad_w_self += cache.h_in.T @ grad_pre
-        self.grad_w_neigh += cache.agg.T @ grad_pre
-        self.grad_bias += grad_pre.sum(axis=0)
-        return grad_pre @ self.w_self.T, grad_pre @ self.w_neigh.T
-
-    # -- single-graph API ---------------------------------------------------
-
-    def forward(self, h: np.ndarray, adj_mean: np.ndarray) -> np.ndarray:
-        """Propagate node features ``h`` through the layer."""
-        out, cache = self.forward_reentrant(h, adj_mean @ h)
-        self._cache = cache
-        self._adj = adj_mean
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Consume the cached activations; return gradient w.r.t. the input."""
-        if self._cache is None:
-            raise RuntimeError(
-                "SAGELayer.backward called without a matching forward "
-                "(no activation cache, or it was already consumed by a "
-                "previous backward)"
-            )
-        cache, adj = self._cache, self._adj
-        self._cache = None
-        self._adj = None
-        grad_h, grad_agg = self.backward_reentrant(grad_out, cache)
-        grad_h = grad_h + adj.T @ grad_agg
-        return grad_h

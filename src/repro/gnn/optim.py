@@ -1,9 +1,9 @@
-"""Optimizers for the numpy GNN framework.
+"""Adam, the optimizer metric learning trains the GNN with.
 
-Both optimizers accept an optional ``on_step`` callback fired after each
-parameter update — :class:`~repro.mentor.metric_learning.MetricTrainer`
-wires it to ``GraphSAGE.bump_version`` so the versioned embedding cache
-is invalidated on every step.
+It accepts an optional ``on_step`` callback fired after each parameter
+update — :class:`~repro.mentor.metric_learning.MetricTrainer` wires it
+to ``GraphSAGE.bump_version`` so the versioned embedding cache is
+invalidated on every step.
 """
 
 from __future__ import annotations
@@ -12,36 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["SGD", "Adam"]
-
-
-class SGD:
-    """Vanilla SGD with optional momentum."""
-
-    def __init__(
-        self,
-        parameters: list[np.ndarray],
-        gradients: list[np.ndarray],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        on_step: Callable[[], None] | None = None,
-    ) -> None:
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        self.parameters = parameters
-        self.gradients = gradients
-        self.lr = lr
-        self.momentum = momentum
-        self.on_step = on_step
-        self._velocity = [np.zeros_like(p) for p in parameters]
-
-    def step(self) -> None:
-        for param, grad, vel in zip(self.parameters, self.gradients, self._velocity):
-            vel *= self.momentum
-            vel -= self.lr * grad
-            param += vel
-        if self.on_step is not None:
-            self.on_step()
+__all__ = ["Adam"]
 
 
 class Adam:

@@ -461,24 +461,6 @@ class Netlist:
                     )
         self.topological_cells()  # raises on combinational cycles
 
-    def stats(self) -> dict:
-        """Summary statistics used by reports and CircuitMentor features."""
-        gate_counts: dict[str, int] = {}
-        for cell in self.cells.values():
-            gate_counts[cell.gate] = gate_counts.get(cell.gate, 0) + 1
-        sequential = gate_counts.get("DFF", 0)
-        max_fanout = max((self.fanout(n) for n in self.nets), default=0)
-        return {
-            "cells": self.num_cells,
-            "sequential": sequential,
-            "combinational": self.num_cells - sequential,
-            "nets": len(self.nets),
-            "inputs": len(self.primary_inputs),
-            "outputs": len(self.primary_outputs),
-            "max_fanout": max_fanout,
-            "gate_counts": gate_counts,
-        }
-
     def fingerprint(self) -> str:
         """Stable content hash over cells, nets and ports.
 

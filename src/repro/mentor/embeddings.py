@@ -5,10 +5,11 @@ graphs; the design embedding is the mean over module embeddings
 (z_global = 1/N sum h_i), which degenerates gracefully to the single
 module's embedding for flattened designs — exactly the paper's fallback.
 
-``embed_modules``/``embed_design`` route every module graph through
+Every ``embed_*`` method routes its module graphs through
 ``GraphSAGE.embed_graphs`` — one batched forward over the whole design
-(plus the version-keyed embedding cache) instead of a per-module Python
-loop.  Results are bit-exact with the per-graph path.
+(or, for ``embed_designs``, over every design's modules), behind the
+version-keyed embedding cache.  Results are bit-exact with the
+single-graph oracle in ``tests/gnn/reference.py``.
 """
 
 from __future__ import annotations
@@ -65,22 +66,23 @@ class CircuitEncoder:
     def embed_designs(self, circuits: list[CircuitGraph]) -> list[np.ndarray]:
         """Design embeddings for many circuits in one batched GNN forward.
 
-        All circuits' module graphs are concatenated into a single
-        :func:`~repro.gnn.batch.embed_graph_groups` call — the coalesced
-        path the serving engine uses when several sessions' analyze steps
-        are pending at once.  Each returned embedding is bit-exact with a
-        standalone :meth:`embed_design` call for that circuit.
+        All circuits' module graphs go through a single ``embed_graphs``
+        call — the coalesced path the serving engine uses when several
+        sessions' analyze steps are pending at once — and the rows are
+        sliced back per circuit.  Each returned embedding is bit-exact with
+        a standalone :meth:`embed_design` call for that circuit.
         """
-        from ..gnn.batch import embed_graph_groups
-
-        groups = [
-            [circuit.module_graphs[name] for name in list(circuit.module_graphs)]
-            for circuit in circuits
+        graphs = [
+            graph for circuit in circuits for graph in circuit.module_graphs.values()
         ]
-        return [
-            self._pool_design(raw)
-            for raw in embed_graph_groups(self.model, groups)
-        ]
+        raw = self.model.embed_graphs(graphs)
+        out: list[np.ndarray] = []
+        offset = 0
+        for circuit in circuits:
+            count = len(circuit.module_graphs)
+            out.append(self._pool_design(raw[offset:offset + count]))
+            offset += count
+        return out
 
     def _pool_design(self, raw: np.ndarray) -> np.ndarray:
         """Mean-pool raw module rows into one normalized design embedding."""

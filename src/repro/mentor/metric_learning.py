@@ -9,10 +9,10 @@ numpy GNN can backprop without autograd.
 The batch losses and :func:`clustering_quality` are full-matrix numpy —
 one pairwise-similarity matmul plus masked reductions, no inner Python
 loops.  :class:`MetricTrainer` epochs run through the batched GNN engine
-(one disjoint-union forward/backward per step instead of per-graph
-re-forwards); ``tests/mentor/test_metric_learning.py`` checks the loss
-trajectory and final weights bit-for-bit against a per-graph
-``embed_graph``/``backward_graph`` training loop.
+(one disjoint-union forward/backward per step);
+``tests/mentor/test_metric_learning.py`` checks the loss trajectory and
+final weights bit-for-bit against a training loop built from the
+single-graph oracle in ``tests/gnn/reference.py``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import numpy as np
 from ..gnn import (
     Adam,
     GraphData,
+    batched_backward,
+    batched_forward,
     pack_graphs,
     release_state,
 )
@@ -160,8 +162,8 @@ class MetricTrainer:
     """Trains a :class:`CircuitEncoder` with metric-learning losses.
 
     Epochs run through the batched GNN engine (one disjoint-union
-    forward + backward per optimizer step).  Gradients accumulate in a
-    fixed graph order, so training is deterministic: same seed, same
+    forward + backward per optimizer step).  Gradients accumulate in the
+    batch's slot order, so training is deterministic: same seed, same
     graphs → bit-identical losses and final weights.
     """
 
@@ -213,14 +215,14 @@ class MetricTrainer:
             model.zero_grad()
             # One two-graph forward; the retained state makes the
             # backward free of re-forwards.
-            embeddings, state = model.forward_batch(
-                pack_graphs([graphs[i], graphs[j]])
+            embeddings, state = batched_forward(
+                model, pack_graphs([graphs[i], graphs[j]])
             )
             loss, grad_i, grad_j = contrastive_loss(
                 embeddings[0], embeddings[1], same, self.margin
             )
             if loss > 0:
-                model.backward_batch(state, np.vstack([grad_i, grad_j]))
+                batched_backward(model, state, np.vstack([grad_i, grad_j]))
                 self.optimizer.step()
             else:
                 release_state(state)  # zero loss: no backward will consume it
@@ -238,7 +240,7 @@ class MetricTrainer:
         # batch-composition-independent (bit-exact parity), so selecting
         # rows by ``idx`` equals forwarding the permuted batch directly.
         base = graphs if full else [graphs[i] for i in idx]
-        all_emb, state = model.forward_batch(pack_graphs(base))
+        all_emb, state = batched_forward(model, pack_graphs(base))
         embeddings = all_emb[idx] if full else all_emb
         norms = np.linalg.norm(embeddings, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
@@ -246,15 +248,15 @@ class MetricTrainer:
         loss, grad_norm = multi_similarity_loss(normalized, labels[idx])
         grad_emb = _normalization_grad(grad_norm, normalized, norms)
         model.zero_grad()
-        # Per-graph parameter gradients accumulate in the batch's internal
-        # slot order (stable size sort of ``base``): the engine reduces its
-        # gradient stacks in place with no gather.
         if full:
+            # The batch holds the corpus in its own order; grad_emb's rows
+            # follow ``idx``.
             grad_all = np.empty_like(grad_emb)
             grad_all[idx] = grad_emb
-            model.backward_batch(state, grad_all, order="slots")
-        else:
-            model.backward_batch(state, grad_emb, order="slots")
+            grad_emb = grad_all
+        # Per-graph parameter gradients accumulate in the batch's slot
+        # order (stable size sort of ``base``).
+        batched_backward(model, state, grad_emb)
         self.optimizer.step()
         return loss
 

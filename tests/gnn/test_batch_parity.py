@@ -2,10 +2,12 @@
 
 The contract (see ``repro.gnn.batch``): batched forward embeddings and
 hand-derived backward parameter gradients are *bit-exact* against the
-per-graph ``embed_graph``/``backward_graph`` reference — hypothesis-
-generated random graphs (including
+single-graph oracle in ``tests/gnn/reference.py``, run graph by graph in
+the batch's slot order — hypothesis-generated random graphs (including
 one-node graphs, which exercise the single-row BLAS fixup), plus the
-seven OpenCores designs' module dataflow graphs.
+seven OpenCores designs' module dataflow graphs.  The engine's gradients
+are also checked against central finite differences, and its
+consumed-state guards are exercised.
 """
 
 import numpy as np
@@ -14,13 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import perf
-from repro.gnn import GraphBatch, GraphData, GraphSAGE, mean_adjacency
+from repro.gnn import GraphBatch, GraphData, GraphSAGE
 from repro.gnn.batch import (
     _dense_mean_block,
     batched_backward,
     batched_forward,
     embed_graphs_cached,
     embedding_cache,
+    release_state,
+)
+
+from .reference import (
+    ReferenceModel,
+    mean_adjacency,
+    reference_backward,
+    reference_embed,
+    slot_order,
 )
 
 FEAT_DIM = 6
@@ -39,15 +50,10 @@ def random_graphs(seed: int, num_graphs: int) -> list[GraphData]:
     return graphs
 
 
-def scalar_embed(model: GraphSAGE, graphs: list[GraphData]) -> np.ndarray:
-    return np.vstack([model.embed_graph(g) for g in graphs])
-
-
-def scalar_backward(model, graphs, grad_embeddings) -> list[np.ndarray]:
+def oracle_gradients(model, graphs, grad_embeddings) -> list[np.ndarray]:
+    """The oracle's parameter gradients from zero, in slot order."""
     model.zero_grad()
-    for graph, grad in zip(graphs, grad_embeddings):
-        model.embed_graph(graph)
-        model.backward_graph(grad)
+    reference_backward(model, graphs, grad_embeddings)
     return [g.copy() for g in model.gradients]
 
 
@@ -81,9 +87,7 @@ class TestBatchPacking:
         assert sorted(batch.order) == list(range(len(graphs)))
         assert [counts[i] for i in batch.order] == list(batch.counts)
         assert list(np.diff(batch.offsets)) == list(batch.counts)
-        assert list(batch.segment_ids) == [
-            int(g) for g, c in zip(batch.order, batch.counts) for _ in range(c)
-        ]
+        assert list(batch.order) == slot_order(graphs)
 
     def test_groups_partition_nodes(self):
         graphs = random_graphs(3, 6)
@@ -100,20 +104,6 @@ class TestBatchPacking:
         sizes = [grp.n for grp in batch.groups]
         assert sizes == sorted(sizes) and len(set(sizes)) == len(sizes)
 
-    def test_csr_matches_dense_blocks(self):
-        graphs = random_graphs(7, 3)
-        batch = GraphBatch(graphs)
-        indptr, indices, weights = batch.csr
-        dense = np.zeros((batch.total_nodes, batch.total_nodes))
-        for row in range(batch.total_nodes):
-            cols = indices[indptr[row]:indptr[row + 1]]
-            dense[row, cols] = weights[indptr[row]:indptr[row + 1]]
-        expected = np.zeros_like(dense)
-        for _g, start, end, block in batch.iter_blocks():
-            expected[start:end, start:end] = block
-        np.testing.assert_array_equal(dense, expected)
-        assert batch.nnz == int(np.count_nonzero(expected))
-
     def test_mismatched_feature_dims_rejected(self):
         graphs = [
             GraphData(features=np.ones((2, 3))),
@@ -129,7 +119,7 @@ class TestForwardParity:
     def test_embeddings_bit_exact(self, seed, num_graphs):
         graphs = random_graphs(seed, num_graphs)
         model = GraphSAGE(in_dim=FEAT_DIM, hidden_dims=(7, 4), seed=seed % 97)
-        expected = scalar_embed(model, graphs)
+        expected = reference_embed(model, graphs)
         batched, _ = batched_forward(model, GraphBatch(graphs), keep_state=False)
         np.testing.assert_array_equal(batched, expected)
 
@@ -141,7 +131,7 @@ class TestForwardParity:
             for i in range(3)
         ] + random_graphs(5, 2)
         model = GraphSAGE(in_dim=FEAT_DIM, hidden_dims=(8, 5), seed=2)
-        expected = scalar_embed(model, graphs)
+        expected = reference_embed(model, graphs)
         batched, _ = batched_forward(model, GraphBatch(graphs), keep_state=False)
         np.testing.assert_array_equal(batched, expected)
 
@@ -150,7 +140,7 @@ class TestForwardParity:
         model = GraphSAGE(
             in_dim=FEAT_DIM, hidden_dims=(6, 6, 3), activation="tanh", seed=4
         )
-        expected = scalar_embed(model, graphs)
+        expected = reference_embed(model, graphs)
         batched, _ = batched_forward(model, GraphBatch(graphs), keep_state=False)
         np.testing.assert_array_equal(batched, expected)
 
@@ -164,7 +154,7 @@ class TestBackwardParity:
         grads_out = np.random.default_rng(seed ^ 0xBEEF).normal(
             size=(num_graphs, model.embedding_dim)
         )
-        expected = scalar_backward(model, graphs, grads_out)
+        expected = oracle_gradients(model, graphs, grads_out)
         model.zero_grad()
         _, state = batched_forward(model, GraphBatch(graphs))
         batched_backward(model, state, grads_out)
@@ -187,8 +177,8 @@ class TestBackwardParity:
         grads_a = rng.normal(size=(2, model.embedding_dim))
         grads_b = rng.normal(size=(3, model.embedding_dim))
 
-        expected_a = scalar_backward(model, graphs_a, grads_a)
-        expected_b = scalar_backward(model, graphs_b, grads_b)
+        expected_a = oracle_gradients(model, graphs_a, grads_a)
+        expected_b = oracle_gradients(model, graphs_b, grads_b)
 
         _, state_a = batched_forward(model, GraphBatch(graphs_a))
         _, state_b = batched_forward(model, GraphBatch(graphs_b))
@@ -201,54 +191,110 @@ class TestBackwardParity:
         for got, want in zip(model.gradients, expected_a):
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("seed", [5, 29])
-    def test_order_override_matches_reordered_scalar_loop(self, seed):
-        """``order=perm`` accumulates like a scalar loop over ``perm``."""
-        graphs = random_graphs(seed, 6)
-        model = GraphSAGE(in_dim=FEAT_DIM, hidden_dims=(7, 4), seed=2)
-        rng = np.random.default_rng(seed)
-        grads_out = rng.normal(size=(6, model.embedding_dim))
-        perm = rng.permutation(6)
-
-        expected = scalar_backward(
-            model, [graphs[i] for i in perm], grads_out[perm]
-        )
-        model.zero_grad()
-        _, state = batched_forward(model, GraphBatch(graphs))
-        batched_backward(model, state, grads_out, order=perm)
-        for got, want in zip(model.gradients, expected):
-            np.testing.assert_array_equal(got, want)
-
     @pytest.mark.parametrize("seed", [7, 31])
     def test_slots_order_matches_size_sorted_scalar_loop(self, seed):
-        """``order="slots"`` accumulates in the batch's internal order."""
-        from repro.gnn import accumulation_order
-
+        """The batch packs in the oracle's slot order and accumulates in it."""
         graphs = random_graphs(seed, 6)
         model = GraphSAGE(in_dim=FEAT_DIM, hidden_dims=(7, 4), seed=3)
         grads_out = np.random.default_rng(seed).normal(
             size=(6, model.embedding_dim)
         )
-        slot = accumulation_order([g.num_nodes for g in graphs])
-        expected = scalar_backward(
-            model, [graphs[i] for i in slot], grads_out[slot]
-        )
+        expected = oracle_gradients(model, graphs, grads_out)
         model.zero_grad()
         batch = GraphBatch(graphs)
-        np.testing.assert_array_equal(batch.order, slot)
+        assert list(batch.order) == slot_order(graphs)
         _, state = batched_forward(model, batch)
-        batched_backward(model, state, grads_out, order="slots")
+        batched_backward(model, state, grads_out)
         for got, want in zip(model.gradients, expected):
             np.testing.assert_array_equal(got, want)
 
-    def test_unknown_order_string_rejected(self):
-        graphs = random_graphs(11, 2)
-        model = GraphSAGE(in_dim=FEAT_DIM, hidden_dims=(4,), seed=0)
-        _, state = batched_forward(model, GraphBatch(graphs))
-        with pytest.raises(ValueError, match="accumulation order"):
-            batched_backward(
-                model, state, np.zeros((2, model.embedding_dim)), order="rows"
-            )
+
+class TestFiniteDifferences:
+    def test_gradients_match_central_differences(self):
+        """The engine's own backward against central differences of its
+        forward: mixed sizes (two graphs share a size group), a one-node
+        graph, duplicate and self edges, tanh hidden layers."""
+        rng = np.random.default_rng(12)
+        graphs = [
+            GraphData(features=rng.normal(size=(1, FEAT_DIM))),
+            GraphData(
+                features=rng.normal(size=(3, FEAT_DIM)),
+                edges=[(0, 1), (0, 1), (1, 0), (2, 2)],
+            ),
+            GraphData(features=rng.normal(size=(3, FEAT_DIM)), edges=[(1, 2)]),
+            GraphData(
+                features=rng.normal(size=(5, FEAT_DIM)),
+                edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 3)],
+            ),
+        ]
+        model = GraphSAGE(
+            in_dim=FEAT_DIM, hidden_dims=(5, 4, 3), activation="tanh", seed=8
+        )
+        batch = GraphBatch(graphs)
+        target = rng.normal(size=(len(graphs), model.embedding_dim))
+
+        def loss():
+            emb, _ = batched_forward(model, batch, keep_state=False)
+            return 0.5 * np.sum((emb - target) ** 2)
+
+        emb, state = batched_forward(model, batch)
+        model.zero_grad()
+        batched_backward(model, state, emb - target)
+
+        eps = 1e-6
+        for param, grad in zip(model.parameters, model.gradients):
+            flat_param = param.reshape(-1)
+            flat_grad = grad.reshape(-1)
+            for idx in range(flat_param.size):
+                original = flat_param[idx]
+                flat_param[idx] = original + eps
+                up = loss()
+                flat_param[idx] = original - eps
+                down = loss()
+                flat_param[idx] = original
+                numeric = (up - down) / (2 * eps)
+                assert flat_grad[idx] == pytest.approx(numeric, rel=1e-5, abs=1e-8)
+
+
+class TestConsumedState:
+    """A backward needs a forward state that still owns its workspace."""
+
+    def setup_method(self):
+        self.graphs = random_graphs(41, 3)
+        self.model = GraphSAGE(in_dim=FEAT_DIM, hidden_dims=(5, 4), seed=0)
+        self.grads = np.ones((3, self.model.embedding_dim))
+
+    def test_second_backward_raises(self):
+        _, state = batched_forward(self.model, GraphBatch(self.graphs))
+        batched_backward(self.model, state, self.grads)
+        with pytest.raises(RuntimeError, match="consumed"):
+            batched_backward(self.model, state, self.grads)
+
+    def test_keep_state_false_forward_raises(self):
+        _, state = batched_forward(
+            self.model, GraphBatch(self.graphs), keep_state=False
+        )
+        with pytest.raises(RuntimeError, match="keep_state=False"):
+            batched_backward(self.model, state, self.grads)
+
+    def test_released_state_raises(self):
+        _, state = batched_forward(self.model, GraphBatch(self.graphs))
+        release_state(state)
+        with pytest.raises(RuntimeError, match="released"):
+            batched_backward(self.model, state, self.grads)
+
+    def test_release_state_is_idempotent(self):
+        batch = GraphBatch(self.graphs)
+        _, state = batched_forward(self.model, batch)
+        release_state(state)
+        release_state(state)
+        # Had the second release pooled the workspace again, these two
+        # in-flight states would share (and clobber) one set of buffers.
+        _, first = batched_forward(self.model, batch)
+        _, second = batched_forward(self.model, batch)
+        assert first.ws is not second.ws
+        release_state(first)
+        release_state(second)
 
 
 class TestModeRouting:
@@ -260,7 +306,7 @@ class TestModeRouting:
         embedding_cache.clear()
         cold = model.embed_graphs(graphs)
         warm = model.embed_graphs(graphs)
-        np.testing.assert_array_equal(cold, scalar_embed(model, graphs))
+        np.testing.assert_array_equal(cold, reference_embed(model, graphs))
         np.testing.assert_array_equal(warm, cold)
 
     def test_duplicate_graph_objects_share_one_forward(self):
@@ -272,7 +318,9 @@ class TestModeRouting:
         assert perf.counter("gnn.batch_graphs") == 1
         np.testing.assert_array_equal(out[0], out[1])
         np.testing.assert_array_equal(out[0], out[2])
-        np.testing.assert_array_equal(out[0], model.embed_graph(graph))
+        np.testing.assert_array_equal(
+            out[0], ReferenceModel(model).embed_graph(graph)
+        )
 
     def test_empty_list(self):
         model = GraphSAGE(in_dim=FEAT_DIM, hidden_dims=(4,), seed=0)
@@ -292,12 +340,12 @@ class TestOpenCoresParity:
         assert graphs
         feat_dim = graphs[0].features.shape[1]
         model = GraphSAGE(in_dim=feat_dim, hidden_dims=(48, 32), seed=0)
-        expected = scalar_embed(model, graphs)
+        expected = reference_embed(model, graphs)
         batched, state = batched_forward(model, GraphBatch(graphs))
         np.testing.assert_array_equal(batched, expected)
 
         grads_out = np.random.default_rng(1).normal(size=batched.shape)
-        expected_grads = scalar_backward(model, graphs, grads_out)
+        expected_grads = oracle_gradients(model, graphs, grads_out)
         model.zero_grad()
         batched_backward(model, state, grads_out)
         for got, want in zip(model.gradients, expected_grads):

@@ -1,11 +1,23 @@
-"""Tests for the numpy GNN framework, including numeric gradient checks."""
+"""Tests for the numpy GNN framework and its single-graph oracle.
+
+The numeric gradient checks here hold the oracle in
+``tests/gnn/reference.py`` to finite differences;
+``tests/gnn/test_batch_parity.py`` holds the batched engine to the oracle
+bit for bit, and to finite differences directly.
+"""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.gnn import SGD, Adam, GraphData, GraphSAGE, SAGELayer, mean_adjacency
+from repro.gnn import Adam, GraphData, GraphSAGE, SAGELayer
+
+from .reference import (
+    ReferenceLayer,
+    ReferenceModel,
+    backward_reentrant,
+    forward_reentrant,
+    mean_adjacency,
+)
 
 
 def chain_graph(n=4, dim=3, seed=0):
@@ -41,7 +53,7 @@ class TestAdjacency:
 
 class TestSAGELayer:
     def test_output_shape(self):
-        layer = SAGELayer(3, 5)
+        layer = ReferenceLayer(SAGELayer(3, 5))
         g = chain_graph()
         adj = mean_adjacency(g.num_nodes, g.edges)
         out = layer.forward(g.features, adj)
@@ -52,14 +64,15 @@ class TestSAGELayer:
             SAGELayer(3, 5, activation="swish")
 
     def test_backward_before_forward_raises(self):
-        layer = SAGELayer(3, 5)
+        layer = ReferenceLayer(SAGELayer(3, 5))
         with pytest.raises(RuntimeError):
             layer.backward(np.zeros((4, 5)))
 
     def test_gradient_check_weights(self):
         """Compare analytic gradients with finite differences."""
         rng = np.random.default_rng(1)
-        layer = SAGELayer(3, 4, activation="tanh", rng=rng)
+        params = SAGELayer(3, 4, activation="tanh", rng=rng)
+        layer = ReferenceLayer(params)
         g = chain_graph(seed=1)
         adj = mean_adjacency(g.num_nodes, g.edges)
         target = rng.normal(size=(4, 4))
@@ -69,15 +82,11 @@ class TestSAGELayer:
             return 0.5 * np.sum((out - target) ** 2)
 
         out = layer.forward(g.features, adj)
-        layer.zero_grad()
+        params.zero_grad()
         layer.backward(out - target)
 
         eps = 1e-6
-        for param, grad in [
-            (layer.w_self, layer.grad_w_self),
-            (layer.w_neigh, layer.grad_w_neigh),
-            (layer.bias, layer.grad_bias),
-        ]:
+        for param, grad in zip(params.parameters, params.gradients):
             flat_param = param.reshape(-1)
             flat_grad = grad.reshape(-1)
             for idx in range(0, flat_param.size, max(1, flat_param.size // 5)):
@@ -92,7 +101,7 @@ class TestSAGELayer:
 
     def test_gradient_check_inputs(self):
         rng = np.random.default_rng(2)
-        layer = SAGELayer(3, 3, activation="tanh", rng=rng)
+        layer = ReferenceLayer(SAGELayer(3, 3, activation="tanh", rng=rng))
         g = chain_graph(seed=2)
         adj = mean_adjacency(g.num_nodes, g.edges)
         target = rng.normal(size=(4, 3))
@@ -116,14 +125,14 @@ class TestSAGELayer:
 class TestGraphSAGE:
     def test_embedding_shape(self):
         model = GraphSAGE(in_dim=3, hidden_dims=(8, 6))
-        emb = model.embed_graph(chain_graph())
+        emb = model.embed_graphs([chain_graph()])[0]
         assert emb.shape == (6,)
         assert model.embedding_dim == 6
 
     def test_single_node_graph(self):
         model = GraphSAGE(in_dim=3, hidden_dims=(4,))
         g = GraphData(features=np.ones((1, 3)), edges=[])
-        emb = model.embed_graph(g)
+        emb = model.embed_graphs([g])[0]
         assert emb.shape == (4,)
         assert np.all(np.isfinite(emb))
 
@@ -131,7 +140,7 @@ class TestGraphSAGE:
         a = GraphSAGE(in_dim=3, hidden_dims=(4,), seed=7)
         b = GraphSAGE(in_dim=3, hidden_dims=(4,), seed=7)
         g = chain_graph()
-        np.testing.assert_allclose(a.embed_graph(g), b.embed_graph(g))
+        np.testing.assert_allclose(a.embed_graphs([g]), b.embed_graphs([g]))
 
     def test_permutation_invariance_of_pooling(self):
         """Relabeling nodes must not change the pooled embedding."""
@@ -144,21 +153,22 @@ class TestGraphSAGE:
             edges=[(int(inverse[a]), int(inverse[b])) for a, b in g.edges],
         )
         np.testing.assert_allclose(
-            model.embed_graph(g), model.embed_graph(g_perm), atol=1e-10
+            model.embed_graphs([g]), model.embed_graphs([g_perm]), atol=1e-10
         )
 
     def test_model_gradient_check(self):
         rng = np.random.default_rng(5)
         model = GraphSAGE(in_dim=3, hidden_dims=(4, 3), activation="tanh", seed=5)
+        ref = ReferenceModel(model)
         g = chain_graph(seed=5)
         target = rng.normal(size=3)
 
         def loss():
-            return 0.5 * np.sum((model.embed_graph(g) - target) ** 2)
+            return 0.5 * np.sum((ref.embed_graph(g) - target) ** 2)
 
-        emb = model.embed_graph(g)
+        emb = ref.embed_graph(g)
         model.zero_grad()
-        model.backward_graph(emb - target)
+        ref.backward_graph(emb - target)
         grads = [g_.copy() for g_ in model.gradients]
 
         eps = 1e-6
@@ -180,15 +190,15 @@ class TestGraphSAGE:
         model = GraphSAGE(in_dim=3, hidden_dims=(4,), seed=0)
         state = model.state_dict()
         g = chain_graph()
-        before = model.embed_graph(g)
+        before = model.embed_graphs([g])[0]
         model.parameters[0][:] += 1.0
         model.load_state_dict(state)
-        np.testing.assert_allclose(model.embed_graph(g), before)
+        np.testing.assert_array_equal(model.embed_graphs([g])[0], before)
 
     def test_backward_before_forward_raises(self):
-        model = GraphSAGE(in_dim=3, hidden_dims=(4,))
+        ref = ReferenceModel(GraphSAGE(in_dim=3, hidden_dims=(4,)))
         with pytest.raises(RuntimeError):
-            model.backward_graph(np.zeros(4))
+            ref.backward_graph(np.zeros(4))
 
     def test_empty_hidden_dims_rejected(self):
         with pytest.raises(ValueError):
@@ -201,26 +211,6 @@ class TestOptimizers:
         grad = np.zeros_like(param)
         return param, grad
 
-    def test_sgd_converges_on_quadratic(self):
-        param, grad = self.quadratic_setup()
-        opt = SGD([param], [grad], lr=0.1)
-        for _ in range(200):
-            grad[:] = param  # d/dx (x^2/2)
-            opt.step()
-        assert np.linalg.norm(param) < 1e-4
-
-    def test_sgd_momentum_accelerates(self):
-        param1, grad1 = self.quadratic_setup()
-        param2, grad2 = self.quadratic_setup()
-        plain = SGD([param1], [grad1], lr=0.01)
-        momentum = SGD([param2], [grad2], lr=0.01, momentum=0.9)
-        for _ in range(50):
-            grad1[:] = param1
-            plain.step()
-            grad2[:] = param2
-            momentum.step()
-        assert np.linalg.norm(param2) < np.linalg.norm(param1)
-
     def test_adam_converges_on_quadratic(self):
         param, grad = self.quadratic_setup()
         opt = Adam([param], [grad], lr=0.1)
@@ -232,25 +222,16 @@ class TestOptimizers:
     def test_invalid_lr_rejected(self):
         param, grad = self.quadratic_setup()
         with pytest.raises(ValueError):
-            SGD([param], [grad], lr=0.0)
+            Adam([param], [grad], lr=0.0)
         with pytest.raises(ValueError):
             Adam([param], [grad], lr=-1.0)
 
-    @given(st.floats(0.01, 0.3))
-    @settings(max_examples=10, deadline=None)
-    def test_sgd_step_direction_decreases_loss(self, lr):
-        param = np.array([2.0])
-        grad = np.array([2.0])  # gradient of x^2 at x=2 is 4, but any +grad works
-        before = param[0] ** 2
-        SGD([param], [grad], lr=lr).step()
-        assert param[0] ** 2 < before
-
 
 class TestSAGELayerCacheDiscipline:
-    """Satellite: clear errors when backward is called without a cache."""
+    """The oracle fails loudly when backward is called without a cache."""
 
     def test_backward_twice_after_one_forward_raises(self):
-        layer = SAGELayer(3, 5)
+        layer = ReferenceLayer(SAGELayer(3, 5))
         g = chain_graph()
         adj = mean_adjacency(g.num_nodes, g.edges)
         layer.forward(g.features, adj)
@@ -260,7 +241,7 @@ class TestSAGELayerCacheDiscipline:
 
     def test_forward_forward_backward_uses_latest_cache(self):
         rng = np.random.default_rng(3)
-        layer = SAGELayer(3, 5, rng=rng)
+        layer = ReferenceLayer(SAGELayer(3, 5, rng=rng))
         g1 = chain_graph(n=4, seed=1)
         g2 = chain_graph(n=6, seed=2)
         adj2 = mean_adjacency(g2.num_nodes, g2.edges)
@@ -270,20 +251,20 @@ class TestSAGELayerCacheDiscipline:
         assert grad_in.shape == g2.features.shape
 
     def test_model_backward_twice_raises(self):
-        model = GraphSAGE(in_dim=3, hidden_dims=(4,), seed=0)
-        model.embed_graph(chain_graph())
-        model.backward_graph(np.zeros(4))
+        ref = ReferenceModel(GraphSAGE(in_dim=3, hidden_dims=(4,), seed=0))
+        ref.embed_graph(chain_graph())
+        ref.backward_graph(np.zeros(4))
         with pytest.raises(RuntimeError):
-            model.backward_graph(np.zeros(4))
+            ref.backward_graph(np.zeros(4))
 
     def test_reentrant_api_keeps_layer_cache_intact(self):
         """forward_reentrant/backward_reentrant never touch layer state."""
-        layer = SAGELayer(3, 5)
+        layer = ReferenceLayer(SAGELayer(3, 5))
         g = chain_graph()
         adj = mean_adjacency(g.num_nodes, g.edges)
         layer.forward(g.features, adj)  # arm the stateful cache
-        out, cache = layer.forward_reentrant(g.features, adj @ g.features)
-        layer.backward_reentrant(np.ones_like(out), cache)
+        out, cache = forward_reentrant(layer.layer, g.features, adj @ g.features)
+        backward_reentrant(layer.layer, np.ones_like(out), cache)
         # Stateful backward still works: the re-entrant calls above must
         # not have consumed or clobbered the layer's own cache.
         layer.backward(np.zeros((g.num_nodes, 5)))
@@ -319,16 +300,17 @@ class TestEmbeddingCache:
 
     def test_optimizer_step_invalidates(self):
         model = self.fresh_model(seed=4)
+        ref = ReferenceModel(model)
         opt = Adam(model.parameters, model.gradients, on_step=model.bump_version)
         graph = chain_graph(seed=4)
         before = model.embed_graphs([graph])[0]
-        model.embed_graph(graph)
-        model.backward_graph(np.ones(model.embedding_dim))
+        ref.embed_graph(graph)
+        ref.backward_graph(np.ones(model.embedding_dim))
         opt.step()
         after = model.embed_graphs([graph])[0]
         # Version bumped, so the cache may not serve the pre-step embedding.
         assert not np.array_equal(before, after)
-        np.testing.assert_array_equal(after, model.embed_graph(graph))
+        np.testing.assert_array_equal(after, ref.embed_graph(graph))
 
     def test_stats_provider_registered(self):
         from repro import perf
@@ -343,4 +325,6 @@ class TestEmbeddingCache:
         first = model.embed_graphs([graph])
         first[0, 0] = 1e9  # mutate the returned row
         second = model.embed_graphs([graph])[0]
-        np.testing.assert_array_equal(second, model.embed_graph(graph))
+        np.testing.assert_array_equal(
+            second, ReferenceModel(model).embed_graph(graph)
+        )

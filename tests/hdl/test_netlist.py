@@ -4,6 +4,8 @@ import pytest
 
 from repro.hdl.netlist import Netlist, NetlistError
 
+from ..synth.scalar_reference import netlist_stats
+
 
 def make_inverter():
     nl = Netlist("inv")
@@ -116,7 +118,7 @@ class TestQueries:
         nl.validate()
 
     def test_stats_shape(self):
-        stats = make_inverter().stats()
+        stats = netlist_stats(make_inverter())
         assert stats["cells"] == 1
         assert stats["gate_counts"] == {"NOT": 1}
         assert stats["inputs"] == 1

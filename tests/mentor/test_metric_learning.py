@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gnn import GraphData, accumulation_order
+from repro.gnn import GraphData
 from repro.mentor import CircuitEncoder
 from repro.mentor.metric_learning import (
     MetricTrainer,
@@ -16,6 +16,7 @@ from repro.mentor.metric_learning import (
     n_pair_loss,
 )
 
+from ..gnn.reference import reference_backward, reference_embed
 from .loss_reference import multi_similarity_loss_loop
 
 
@@ -148,7 +149,7 @@ class TestTrainer:
         encoder = CircuitEncoder(embedding_dim=8, seed=1)
 
         def quality():
-            emb = np.vstack([encoder.model.embed_graph(g) for g in graphs])
+            emb = reference_embed(encoder.model, graphs)
             emb /= np.maximum(np.linalg.norm(emb, axis=1, keepdims=True), 1e-12)
             return clustering_quality(emb, np.array(labels))["ratio"]
 
@@ -212,8 +213,9 @@ class TestVectorizedLossOracle:
 
 
 class PerGraphTrainer(MetricTrainer):
-    """The trainer's epochs as a per-graph ``embed_graph``/``backward_graph``
-    loop: same RNG draws, same gradient accumulation order, no batching."""
+    """The trainer's epochs on the single-graph oracle: same RNG draws,
+    parameter gradients accumulated graph by graph in the batch's slot
+    order, no batching."""
 
     def _contrastive_epoch(self, graphs, labels, num_pairs) -> float:
         model = self.encoder.model
@@ -221,18 +223,12 @@ class PerGraphTrainer(MetricTrainer):
         for _ in range(num_pairs):
             i, j = self._sample_pair(labels)
             model.zero_grad()
-            emb_i = model.embed_graph(graphs[i])
-            emb_j = model.embed_graph(graphs[j])
+            emb_i, emb_j = reference_embed(model, [graphs[i], graphs[j]])
             loss, grad_i, grad_j = contrastive_loss(
                 emb_i, emb_j, labels[i] == labels[j], self.margin
             )
             if loss > 0:
-                # Layer caches hold the last forward: re-forward each graph
-                # right before its backward.
-                model.embed_graph(graphs[i])
-                model.backward_graph(grad_i)
-                model.embed_graph(graphs[j])
-                model.backward_graph(grad_j)
+                reference_backward(model, [graphs[i], graphs[j]], [grad_i, grad_j])
                 self.optimizer.step()
             total += loss
         return total / num_pairs
@@ -240,7 +236,7 @@ class PerGraphTrainer(MetricTrainer):
     def _ms_epoch(self, graphs, labels, batch_size) -> float:
         model = self.encoder.model
         idx = self.rng.choice(len(graphs), size=min(batch_size, len(graphs)), replace=False)
-        embeddings = np.vstack([model.embed_graph(graphs[i]) for i in idx])
+        embeddings = reference_embed(model, [graphs[i] for i in idx])
         norms = np.linalg.norm(embeddings, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         normalized = embeddings / norms
@@ -249,14 +245,13 @@ class PerGraphTrainer(MetricTrainer):
         model.zero_grad()
         # The batched trainer packs the whole corpus when the minibatch
         # covers it, else the minibatch, and accumulates in that batch's
-        # stable size-sorted slot order.
+        # slot order.
         if len(idx) == len(graphs):
-            base, rows = list(range(len(graphs))), np.argsort(idx)
+            grad_all = np.empty_like(grad_emb)
+            grad_all[idx] = grad_emb
+            reference_backward(model, graphs, grad_all)
         else:
-            base, rows = list(idx), np.arange(len(idx))
-        for c in accumulation_order([graphs[base[k]].num_nodes for k in range(len(base))]):
-            model.embed_graph(graphs[base[c]])
-            model.backward_graph(grad_emb[rows[c]])
+            reference_backward(model, [graphs[i] for i in idx], grad_emb)
         self.optimizer.step()
         return loss
 
@@ -288,7 +283,7 @@ class TestCrossModeDeterminism:
         stats = trainer_cls(encoder, loss=loss, seed=seed).train(
             graphs, labels, epochs=4, pairs_per_epoch=pairs
         )
-        final = np.vstack([encoder.model.embed_graph(g) for g in graphs])
+        final = reference_embed(encoder.model, graphs)
         return stats, final, encoder.model.state_dict()
 
     @pytest.mark.parametrize("loss", ["contrastive", "multi_similarity"])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import perf
 from repro.designs.chipyard import generate_family_variant
 from repro.llm import chatls_core
 from repro.mentor import build_circuit_graph
@@ -124,19 +125,33 @@ class TestSynthRAGBatch:
         assert rag_b.manual_retriever is shared
 
 
+def _three_circuits():
+    circuits = []
+    for family, variant in (("rocket", 7), ("sha3", 8), ("gemmini", 9)):
+        design = generate_family_variant(family, variant)
+        circuits.append(
+            build_circuit_graph(design.verilog, design.name, top=design.top)
+        )
+    return circuits
+
+
 class TestGroupedEmbeddings:
     def test_embed_designs_bit_exact_vs_loop(self, tiny_database):
         encoder = tiny_database.encoder
-        circuits = []
-        for family, variant in (("rocket", 7), ("sha3", 8), ("gemmini", 9)):
-            design = generate_family_variant(family, variant)
-            circuits.append(
-                build_circuit_graph(design.verilog, design.name, top=design.top)
-            )
+        circuits = _three_circuits()
         grouped = encoder.embed_designs(circuits)
         for index, (circuit, embedding) in enumerate(zip(circuits, grouped)):
             single = encoder.embed_design(circuit)
             assert np.array_equal(embedding, single), f"circuit {index}"
+
+    def test_embed_designs_records_one_gnn_embed_span(self, tiny_database):
+        """Serve's coalesced analyze-stage forward is timed untraced, like
+        every other GNN embedding."""
+        circuits = _three_circuits()
+        perf.reset()
+        tiny_database.encoder.embed_designs(circuits)
+        timer = perf.snapshot()["timers"].get("gnn.embed")
+        assert timer is not None and timer["calls"] == 1
 
     def test_database_search_designs_batch_matches_loop(self, tiny_database):
         queries = np.stack(

@@ -27,6 +27,7 @@ from .scalar_reference import (
     area_by_class,
     dynamic_power,
     high_fanout_nets,
+    netlist_stats,
     reference_area_report,
     reference_qor,
     reference_sta,
@@ -204,7 +205,7 @@ class TestAnalyzeDesign:
 
 def _assert_analysis_matches(analysis):
     netlist = analysis.netlist
-    stats = netlist.stats()
+    stats = netlist_stats(netlist)
     assert analysis.num_cells == stats["cells"]
     assert analysis.num_registers == stats["sequential"]
     assert analysis.max_fanout == stats["max_fanout"]
