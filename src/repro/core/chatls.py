@@ -26,6 +26,8 @@ from ..parallel import parallel_map
 from ..llm.base import LLMClient
 from ..llm.baselines import chatls_core
 from ..mentor.analyzer import DesignAnalysis, analyze_design
+from ..rag.rerank import LLMReranker
+from ..rag.retrievers import ManualRetriever
 from ..rag.synthrag import SynthRAG
 from ..synth.cache import synthesize_batch, synthesize_cached
 from ..synth.library import TechLibrary, nangate45
@@ -68,6 +70,11 @@ class ChatLS:
         self.library = library or nangate45()
         self.use_synthexpert = use_synthexpert
         self.use_rag = use_rag
+        #: The tool-manual index (an IDF fit and one embedding per manual
+        #: page), built once: it depends only on the manual and ``llm``
+        #: and is read-only, so every customization and a
+        #: :class:`~repro.serve.ServeEngine` over this pipeline share it.
+        self.manual_retriever = ManualRetriever(reranker=LLMReranker(self.llm))
 
     # -- single customization -----------------------------------------------------
 
@@ -97,6 +104,7 @@ class ChatLS:
                 circuit=analysis.circuit,
                 library=self.library,
                 llm=self.llm,
+                manual_retriever=self.manual_retriever,
             )
             if self.use_rag:
                 rag.embedding_retriever.characteristic = requirement.rerank_characteristic

@@ -279,7 +279,7 @@ class _Workspace:
     are dramatically slower).
     """
 
-    __slots__ = ("h0", "layers", "emb_int", "emb_views", "rep")
+    __slots__ = ("h0", "layers", "emb_int", "emb_views", "rep", "nbytes")
 
     def __init__(self, batch: GraphBatch, key: tuple) -> None:
         total, ng = batch.total_nodes, batch.num_graphs
@@ -290,6 +290,7 @@ class _Workspace:
         # Gradient w.r.t. the input of the layer being processed; for
         # layer 0 this is d(loss)/d(features), never computed.
         gprev = np.zeros((total, key[0][0]))
+        owned = [h, gprev]
         for in_dim, out_dim, act in key:
             L = _LayerWS()
             L.act = act
@@ -309,6 +310,8 @@ class _Workspace:
             L.gb = np.zeros((total, out_dim))
             L.gw_scratch = np.zeros((in_dim, out_dim))
             L.gb_scratch = np.zeros(out_dim)
+            owned += (L.agg, L.pre, L.xn, L.out, L.gout, L.gp, L.ga, L.pw_self,
+                      L.pw_neigh, L.pbias, L.gb, L.gw_scratch, L.gb_scratch)
             L.fviews = []
             L.bviews = []
             for grp in batch.groups:
@@ -349,20 +352,31 @@ class _Workspace:
         # Internal graph slot of every node row, for the pooled-gradient
         # scatter (layout-determined, like everything else here).
         self.rep = np.repeat(np.arange(ng), batch.counts)
+        owned += (self.emb_int, self.rep)
+        # Bytes of the arrays allocated above (``out``/``gp`` may alias
+        # ``pre``/``gout``): what the workspace costs the pool.
+        self.nbytes = sum({id(a): a.nbytes for a in owned}.values())
 
 
 #: Pooled workspaces keyed by ``(model layer signature, batch layout)``.
 #: An in-flight workspace is owned exclusively by its caller (it is *out*
 #: of the pool), so concurrent batched calls and two retained
-#: :class:`BatchState` objects never share buffers; LRU-bounded so odd
-#: one-off layouts age out.
+#: :class:`BatchState` objects never share buffers.  The pool is LRU-
+#: bounded by the bytes its idle workspaces hold, so one-off layouts
+#: (every serve burst packs new graphs) age out and large batches cost
+#: it what they weigh, not one slot each.
 _ws_pool: OrderedDict[tuple, list[_Workspace]] = OrderedDict()
 _ws_pool_lock = threading.Lock()
-_WS_POOL_CAPACITY = 96  # total pooled workspaces across all layouts
+_ws_pool_bytes = 0
+#: Budget of idle workspace bytes: Fig. 4's contrastive training reuses
+#: about 5 MB of two-graph layouts, a multi-similarity epoch one 1.5 MB
+#: workspace.  A workspace larger than the whole budget is not pooled.
+_WS_POOL_BYTES = 8 << 20
 
 
 def _ws_acquire(batch: GraphBatch, model) -> tuple[tuple, _Workspace]:
     """Check a forward/backward workspace out of the pool (or build one)."""
+    global _ws_pool_bytes
     key = tuple(
         (l.w_self.shape[0], l.w_self.shape[1], l.activation)
         for l in model.layers
@@ -372,6 +386,7 @@ def _ws_acquire(batch: GraphBatch, model) -> tuple[tuple, _Workspace]:
         stack = _ws_pool.get(ck)
         if stack:
             ws = stack.pop()
+            _ws_pool_bytes -= ws.nbytes
             if stack:
                 _ws_pool.move_to_end(ck)
             else:
@@ -381,17 +396,19 @@ def _ws_acquire(batch: GraphBatch, model) -> tuple[tuple, _Workspace]:
 
 
 def _ws_release(ck: tuple, ws: _Workspace) -> None:
+    global _ws_pool_bytes
+    if ws.nbytes > _WS_POOL_BYTES:
+        return
     with _ws_pool_lock:
         _ws_pool.setdefault(ck, []).append(ws)
         _ws_pool.move_to_end(ck)
-        total = sum(len(stack) for stack in _ws_pool.values())
-        while total > _WS_POOL_CAPACITY:
+        _ws_pool_bytes += ws.nbytes
+        while _ws_pool_bytes > _WS_POOL_BYTES:
             oldest = next(iter(_ws_pool))
             stack = _ws_pool[oldest]
-            stack.pop()
+            _ws_pool_bytes -= stack.pop().nbytes
             if not stack:
                 del _ws_pool[oldest]
-            total -= 1
 
 
 @dataclass

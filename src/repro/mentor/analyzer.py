@@ -6,6 +6,13 @@ that determine which synthesis commands are appropriate — high-fanout
 nets (buffer balancing), register imbalance (retiming), long unbalanced
 gate chains (restructuring), hierarchy boundaries (ungroup/flatten),
 standalone wide adders (arithmetic resynthesis).
+
+A :class:`DesignAnalysis` holds facts, not the design: every field is
+computed before :func:`analyze_design` returns, and the mapped netlist
+is not kept.  It dies with the call, together with the SoA lowering
+cached on it, so a finished customization (its result, a serve
+session's checkpoint, a pass@k context shipped to a worker) retains no
+netlist, and memory follows the sessions in flight.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ class DesignAnalysis:
 
     design_name: str
     circuit: CircuitGraph
-    netlist: Netlist
     timing: TimingReport
     area: float
     num_cells: int
@@ -159,8 +165,10 @@ def analyze_design(
     The RTL is parsed once; the circuit graph and the elaborated netlist
     (on a frontend-cache miss) are both built from that parse.  The
     netlist counts and high-fanout nets come from the timing engine's
-    SoA kernel.  The analysis builds no reference cycle, so it runs with
-    the cyclic collector paused.
+    SoA kernel.  The mapped netlist is a private copy that the result
+    does not keep: it is freed when the call returns.  The analysis
+    builds no reference cycle, so it runs with the cyclic collector
+    paused.
     """
     library = library or nangate45()
     wireload = wireload or get_wireload("5K_heavy_1k")
@@ -211,7 +219,6 @@ def analyze_design(
     return DesignAnalysis(
         design_name=design_name,
         circuit=circuit,
-        netlist=netlist,
         timing=report,
         area=engine.total_area(),
         num_cells=s.num_cells,

@@ -207,13 +207,15 @@ class ServeEngine:
         self.jobs = jobs
         self.backend = backend
         #: Shared, read-only retrieval stack for every session: the
-        #: manual index, reranker and library graph are deterministic
-        #: functions of (corpus, llm, library), so sharing them cannot
-        #: change any session's result — it only deletes per-request
-        #: rebuild cost.  The customize pipeline never touches the
-        #: per-design circuit store, so ``circuit=None`` is safe.
+        #: manual index (the pipeline's own), reranker and library graph
+        #: are deterministic functions of (corpus, llm, library), so
+        #: sharing them cannot change any session's result — it only
+        #: deletes per-request rebuild cost.  The customize pipeline never
+        #: touches the per-design circuit store, so ``circuit=None`` is
+        #: safe.
         self.rag = SynthRAG.build(
-            chatls.database, circuit=None, library=chatls.library, llm=chatls.llm
+            chatls.database, circuit=None, library=chatls.library, llm=chatls.llm,
+            manual_retriever=chatls.manual_retriever,
         )
         self.inflight = 0
         self.batchers: dict[str, MicroBatcher] = {}

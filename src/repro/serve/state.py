@@ -10,6 +10,11 @@ embedding, retrieval bundle, draft, refined script/trace, QoR) as a
 picklable field.  The engine checkpoints the state after each completed
 stage (atomic ``tmp + os.replace`` write), so a killed server resumes a
 session by running only the stages that have not completed yet.
+
+A checkpoint holds the session's facts, not its design: the analysis
+keeps no netlist (the analyze stage frees its mapped netlist before the
+stage ends), so a checkpoint is tens of kilobytes rather than megabytes,
+and a finished session keeps no netlist alive.
 """
 
 from __future__ import annotations
@@ -36,9 +41,11 @@ STAGES: tuple[str, ...] = ("analyze", "retrieve", "draft", "revise", "synthesize
 DONE = "done"
 
 #: Version of the checkpoint file format.  Bump it whenever a field of
-#: :class:`ChainState` or :class:`ServeRequest` is added, removed or
-#: changes meaning, so older checkpoints are rejected instead of misread.
-CHECKPOINT_FORMAT = 1
+#: :class:`ChainState`, :class:`ServeRequest` or the checkpointed
+#: :class:`DesignAnalysis` is added, removed or changes meaning, so older
+#: checkpoints are rejected instead of misread.  Format 2: the
+#: checkpointed analysis holds no netlist.
+CHECKPOINT_FORMAT = 2
 
 
 class CheckpointError(ValueError):

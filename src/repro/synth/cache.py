@@ -22,9 +22,14 @@ looks each up in input order and runs the misses as one prefix tree
 Both caches are process-global, LRU-bounded, thread-safe (the parallel
 evaluation executor hits them from worker threads) and in memory only:
 keys hash the inputs, not the code, so no entry may outlive the process,
-and with it the code, that computed it.  Set ``REPRO_SYNTH_CACHE=0`` to
-disable both without touching call sites; a batch then runs every
-script alone in a fresh shell.
+and with it the code, that computed it.  The synthesis cache keeps up to
+512 results.  The frontend cache keeps netlists up to
+:data:`FRONTEND_CELLS` cells in all, so the memory it holds is set by a
+cell budget, not by how large the designs it has seen are; its newest
+netlist is kept even when that one alone is larger.  Its entries are the
+only netlists a finished customization leaves alive.  Set
+``REPRO_SYNTH_CACHE=0`` to disable both without touching call sites; a
+batch then runs every script alone in a fresh shell.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .library import TechLibrary, nangate45
 __all__ = [
     "SynthesisCache",
     "FrontendCache",
+    "FRONTEND_CELLS",
     "default_cache",
     "frontend_cache",
     "cache_enabled",
@@ -109,43 +115,64 @@ def frontend_key(source: str, top: str | None, params: dict | None = None) -> st
 
 class _LRUCache:
     """Thread-safe LRU map copying values in on put and out on get, so no
-    caller can mutate an entry; lookups count as ``<counter>.hit|miss``."""
+    caller can mutate an entry; lookups count as ``<counter>.hit|miss``.
 
-    def __init__(self, max_entries: int, copy: Callable[[Any], Any], counter: str) -> None:
-        self.max_entries = max_entries
+    The bound is on the summed weight of the entries (:meth:`_weigh`,
+    one per entry unless a subclass says otherwise): a put evicts
+    least-recently-used entries until the total fits ``capacity``, but
+    never the entry it stores, so a value heavier than the whole budget
+    is still kept until the next put.
+    """
+
+    #: ``stats()`` key of the summed weight, for a cache whose entries
+    #: do not all weigh one (otherwise ``entries`` already counts it).
+    unit: str | None = None
+
+    def __init__(self, capacity: int, copy: Callable[[Any], Any], counter: str) -> None:
+        self.capacity = capacity
         self._copy = copy
         self._counter = counter
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, Any] = OrderedDict()
+        self._entries: OrderedDict[str, tuple[Any, int]] = OrderedDict()
+        self._weight = 0
         self.hits = 0
         self.misses = 0
+
+    def _weigh(self, value) -> int:
+        return 1
 
     def get(self, key: str):
         """A private copy of the cached value, or None on a miss."""
         with self._lock:
-            value = self._entries.get(key)
-            if value is None:
+            entry = self._entries.get(key)
+            if entry is None:
                 self.misses += 1
             else:
                 self._entries.move_to_end(key)
                 self.hits += 1
-        if value is None:
+        if entry is None:
             perf.incr(f"{self._counter}.miss")
             return None
         perf.incr(f"{self._counter}.hit")
-        return self._copy(value)
+        return self._copy(entry[0])
 
     def put(self, key: str, value) -> None:
         value = self._copy(value)
+        weight = self._weigh(value)
         with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._weight -= old[1]
+            self._entries[key] = (value, weight)
+            self._weight += weight
+            while self._weight > self.capacity and len(self._entries) > 1:
+                _, (_, evicted) = self._entries.popitem(last=False)
+                self._weight -= evicted
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._weight = 0
             self.hits = 0
             self.misses = 0
 
@@ -156,23 +183,42 @@ class _LRUCache:
     def stats(self) -> dict:
         with self._lock:
             lookups = self.hits + self.misses
-            return {
+            stats = {
                 "entries": len(self._entries),
-                "capacity": self.max_entries,
+                "capacity": self.capacity,
                 "hits": self.hits,
                 "misses": self.misses,
                 "hit_ratio": round(self.hits / lookups, 6) if lookups else 0.0,
             }
+            if self.unit is not None:
+                stats[self.unit] = self._weight
+            return stats
 
 
 class SynthesisCache(_LRUCache):
+    """Synthesis results, at most ``max_entries`` of them."""
+
     def __init__(self, max_entries: int = 512) -> None:
         super().__init__(max_entries, copy.deepcopy, "synthcache")
 
 
+#: Cells of elaborated (generic, unmapped) netlists the frontend cache
+#: holds.  The Table III corpus and the default expert database come to
+#: about 34k; a netlist costs about half a kilobyte per cell.
+FRONTEND_CELLS = 40_000
+
+
 class FrontendCache(_LRUCache):
-    def __init__(self, max_entries: int = 64) -> None:
-        super().__init__(max_entries, Netlist.clone, "netcache")
+    """Elaborated netlists, bounded by their summed cell count, so the
+    memory it holds does not grow with the size of the designs served."""
+
+    unit = "cells"
+
+    def __init__(self, max_cells: int = FRONTEND_CELLS) -> None:
+        super().__init__(max_cells, Netlist.clone, "netcache")
+
+    def _weigh(self, netlist: Netlist) -> int:
+        return len(netlist.cells)
 
 
 _DEFAULT = SynthesisCache()

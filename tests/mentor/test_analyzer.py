@@ -11,6 +11,8 @@ from repro.hdl.parser import parse_source
 from repro.mentor import analyze_design
 from repro.mentor.circuit_graph import build_circuit_graph
 from repro.synth import clear_caches
+from repro.synth.cache import frontend_cache
+from tests.retention import live_netlists, netlists_since
 
 
 def _design(name):
@@ -151,3 +153,30 @@ class TestSharedParse:
         assert len(parses) == 1
         assert perf.snapshot()["timers"]["hdl.parse"]["calls"] == 1
 
+
+class TestRetention:
+    """A finished analysis keeps facts, not the design's netlist."""
+
+    def _analyze(self):
+        bench = get_benchmark("dynamic_node")
+        return analyze_design(
+            bench.verilog, bench.name, top=bench.top, clock_period=bench.clock_period
+        )
+
+    def test_only_the_frontend_entry_stays_alive(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SYNTH_CACHE", "1")
+        clear_caches()
+        before = live_netlists()
+        analysis = self._analyze()
+        (kept,) = netlists_since(before)
+        stats = frontend_cache().stats()
+        assert (stats["entries"], stats["cells"]) == (1, len(kept.cells))
+        assert not hasattr(analysis, "netlist")
+
+    def test_none_stays_alive_without_the_cache(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SYNTH_CACHE", "0")
+        clear_caches()
+        before = live_netlists()
+        analysis = self._analyze()
+        assert netlists_since(before) == []
+        assert analysis.num_cells > 0

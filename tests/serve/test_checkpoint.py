@@ -10,6 +10,7 @@ import pickle
 import pytest
 
 from repro import perf
+from repro.mentor.analyzer import DesignAnalysis
 from repro.serve import (
     CHECKPOINT_FORMAT,
     STAGES,
@@ -132,18 +133,20 @@ class TestCheckpointFormat:
         _assert_rejected(path, "unversioned checkpoint")
 
     def test_other_format_is_rejected(self, tmp_path):
+        """Format 1 checkpoints carried the analysis's mapped netlist."""
         path = tmp_path / "s.ckpt"
-        path.write_bytes(pickle.dumps(("ChainState", 2, _state())))
-        _assert_rejected(path, "checkpoint format 2, expected 1")
+        path.write_bytes(pickle.dumps(("ChainState", 1, _state())))
+        _assert_rejected(path, "checkpoint format 1, expected 2")
 
     def test_format_pins_the_fields(self):
         """Changing a checkpointed field means bumping CHECKPOINT_FORMAT."""
         fields = (
             tuple(f.name for f in dataclasses.fields(ChainState)),
             tuple(f.name for f in dataclasses.fields(ServeRequest)),
+            tuple(f.name for f in dataclasses.fields(DesignAnalysis)),
         )
         assert (CHECKPOINT_FORMAT, fields) == (
-            1,
+            2,
             (
                 ("request", "stage", "completed", "requirement", "analysis",
                  "design_embedding", "retrieval", "draft", "script", "trace",
@@ -151,6 +154,11 @@ class TestCheckpointFormat:
                 ("verilog", "design_name", "baseline_script", "requirement",
                  "tool_report", "top", "clock_period", "seed", "evaluate",
                  "session_id"),
+                ("design_name", "circuit", "timing", "area", "num_cells",
+                 "num_registers", "max_fanout", "high_fanout_nets",
+                 "critical_modules", "pathologies", "category_mix",
+                 "register_stage_imbalance", "longest_chain",
+                 "hierarchy_buffers", "tagged_adders"),
             ),
         )
 

@@ -11,6 +11,8 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.ledger import load_manifest
 from repro.serve import BatchPolicy, ServeEngine, ServeRequest
 from repro.serve.engine import _serve_metric_families
+from repro.synth.cache import clear_caches, frontend_cache
+from tests.retention import burst_requests, live_netlists, netlists_since
 
 
 class TestBatchPolicy:
@@ -153,3 +155,20 @@ class TestServeObservability:
         assert serve["stages"]["retrieve"]["sessions"] == 3
         assert any(name.startswith("serve.") for name in manifest["stages"])
         json.dumps(manifest)  # manifest stays JSON-serializable
+
+
+class TestServeRetention:
+    def test_finished_sessions_keep_no_netlist(self, chatls):
+        """Served results, analyses included, hold no netlist: after two
+        7-session bursts the live netlists are the frontend cache's."""
+        clear_caches()
+        before = live_netlists()
+        requests = burst_requests(8) + burst_requests(9)
+        engine = ServeEngine(chatls, policy=BatchPolicy(batch_max=8, batch_wait_ms=5))
+        results = engine.run(requests, arrival_delays=[0.0] * 7 + [0.05] * 7)
+        assert len(results) == 14 and all(result.executable for result in results)
+        kept = netlists_since(before)
+        stats = frontend_cache().stats()
+        assert (len(kept), sum(len(netlist.cells) for netlist in kept)) == (
+            stats["entries"], stats["cells"]
+        )

@@ -14,6 +14,7 @@ import pytest
 from repro import perf
 from repro.hdl import elaborate
 from repro.synth.cache import (
+    FRONTEND_CELLS,
     FrontendCache,
     clear_caches,
     elaborate_cached,
@@ -104,8 +105,9 @@ class TestMemoryLayer:
         assert len(eight.nets) > len(four.nets)
 
     def test_lru_eviction_bounds_entries(self):
-        cache = FrontendCache(max_entries=2)
+        """The bound is in cells: a budget of two adders keeps two of them."""
         nl = elaborate(ADDER, "adder")
+        cache = FrontendCache(max_cells=2 * len(nl.cells))
         for i in range(4):
             cache.put(f"k{i}", nl)
         assert len(cache) == 2
@@ -117,7 +119,8 @@ class TestMemoryLayer:
         elaborate_cached(ADDER, "adder")
         stats = frontend_cache().stats()
         assert stats == {
-            "entries": 1, "capacity": 64, "hits": 1, "misses": 1, "hit_ratio": 0.5,
+            "entries": 1, "cells": len(elaborate(ADDER, "adder").cells),
+            "capacity": FRONTEND_CELLS, "hits": 1, "misses": 1, "hit_ratio": 0.5,
         }
         assert perf.snapshot()["caches"]["frontend"] == stats
 
@@ -132,6 +135,55 @@ class TestMemoryLayer:
         warm.add_cell("BUF", [next(iter(warm.primary_inputs))], net.name)
         assert warm.version > before
         warm.validate()
+
+
+class TestCellBudget:
+    """``FrontendCache`` bounds the summed cell count of its netlists."""
+
+    def test_evicts_least_recently_used_by_cells(self):
+        adder, counter = elaborate(ADDER, "adder"), elaborate(COUNTER, "counter")
+        a, c = len(adder.cells), len(counter.cells)
+        assert c > 2 * a
+        cache = FrontendCache(max_cells=c + 2 * a)
+        cache.put("counter", counter)
+        cache.put("a0", adder)
+        cache.put("a1", adder)
+        assert cache.get("counter") is not None  # a0 is now least recent
+        cache.put("a2", adder)
+        assert cache.get("a0") is None
+        assert cache.stats()["cells"] == c + 2 * a
+        # A heavier entry evicts as many of the oldest as it takes.
+        cache.put("counter2", counter)
+        assert [key for key in ("counter", "a1", "a2", "counter2")
+                if cache.get(key) is not None] == ["a2", "counter2"]
+        assert cache.stats()["entries"] == 2
+        assert cache.stats()["cells"] == a + c
+
+    def test_keeps_a_newest_entry_over_the_whole_budget(self):
+        adder, counter = elaborate(ADDER, "adder"), elaborate(COUNTER, "counter")
+        cache = FrontendCache(max_cells=len(counter.cells) - 1)
+        cache.put("adder", adder)
+        cache.put("counter", counter)
+        assert len(cache) == 1
+        assert cache.get("counter").fingerprint() == counter.fingerprint()
+        assert cache.stats()["cells"] == len(counter.cells)
+        cache.put("adder", adder)  # the next put evicts it
+        assert cache.get("counter") is None
+        assert cache.stats()["cells"] == len(adder.cells)
+
+    def test_stats_report_the_cells_held(self):
+        adder, counter = elaborate(ADDER, "adder"), elaborate(COUNTER, "counter")
+        cache = FrontendCache()
+        assert cache.stats()["capacity"] == FRONTEND_CELLS
+        cache.put("adder", adder)
+        cache.put("counter", counter)
+        cache.put("adder", adder)  # a re-put replaces, never double counts
+        stats = cache.stats()
+        assert (stats["entries"], stats["cells"]) == (
+            2, len(adder.cells) + len(counter.cells)
+        )
+        cache.clear()
+        assert (cache.stats()["entries"], cache.stats()["cells"]) == (0, 0)
 
 
 class TestEnvGates:
