@@ -9,6 +9,13 @@ the coalescing wins cannot compound), but equivalence is asserted and
 the measured numbers are recorded in the ``serve`` section of
 BENCH_perf.json everywhere.
 
+It also records when each session completes (its ``ChainState.result()``
+call), in seconds from the start of the served run: the median and the
+last.  Each session leaves the synthesize stage when its own synthesis
+finishes, so the median session completes well before the last one,
+by more than a twentieth of the synthesize stage's wall time; a batch
+barrier would release them all within a millisecond of each other.
+
 ``REPRO_BENCH_SERVE_SESSIONS`` shrinks the session count for CI smoke.
 """
 
@@ -16,10 +23,12 @@ from __future__ import annotations
 
 import os
 import pickle
+import statistics
 import time
 
 import pytest
 
+from repro import perf
 from repro.designs.chipyard import FAMILIES, generate_family_variant
 from repro.designs.database import ExpertDatabase
 from repro.core import ChatLS
@@ -27,7 +36,7 @@ from repro.gnn import embedding_cache
 from repro.llm import chatls_core
 from repro.mentor import CircuitEncoder
 from repro.parallel import shutdown_pools
-from repro.serve import BatchPolicy, ServeEngine, ServeRequest
+from repro.serve import BatchPolicy, ChainState, ServeEngine, ServeRequest
 from repro.synth.cache import clear_caches
 
 SESSIONS = int(os.environ.get("REPRO_BENCH_SERVE_SESSIONS", "32") or "32")
@@ -116,13 +125,25 @@ def test_serve_throughput_vs_sequential(bench_results, small_database, monkeypat
         backend=backend,
         jobs=workers,
     )
+    completed: list[float] = []
+    result = ChainState.result
+
+    def timed_result(state):
+        completed.append(time.perf_counter() - start)
+        return result(state)
+
+    monkeypatch.setattr(ChainState, "result", timed_result)
     _reset_caches()
+    synthesize_before = _synthesize_stage_s()
     start = time.perf_counter()
     try:
         served = engine.run(requests)
     finally:
         shutdown_pools()
     serve_s = time.perf_counter() - start
+    synthesize_s = _synthesize_stage_s() - synthesize_before
+    median_session_s = statistics.median(completed)
+    last_session_s = max(completed)
 
     for index, (got, want) in enumerate(zip(served, sequential)):
         assert got.script == want.script, f"session {index}: script differs"
@@ -150,6 +171,9 @@ def test_serve_throughput_vs_sequential(bench_results, small_database, monkeypat
         "throughput_sessions_per_s": round(SESSIONS / serve_s, 4)
         if serve_s > 0
         else None,
+        "median_session_s": round(median_session_s, 6),
+        "last_session_s": round(last_session_s, 6),
+        "synthesize_stage_s": round(synthesize_s, 6),
         "bit_identical": True,
         "stage_batches": {
             name: batcher.batch_count for name, batcher in engine.batchers.items()
@@ -159,8 +183,18 @@ def test_serve_throughput_vs_sequential(bench_results, small_database, monkeypat
         },
         "speedup_asserted": cpus >= MIN_CPUS,
     }
+    assert len(completed) == SESSIONS
+    assert last_session_s - median_session_s > 0.05 * synthesize_s, (
+        f"median session at {median_session_s:.3f} s, last at "
+        f"{last_session_s:.3f} s, synthesize stage {synthesize_s:.3f} s"
+    )
     if cpus >= MIN_CPUS:
         assert speedup >= SPEEDUP_FLOOR, (
             f"serve speedup {speedup:.2f}x < {SPEEDUP_FLOOR}x at "
             f"{SESSIONS} sessions on {cpus} cores"
         )
+
+
+def _synthesize_stage_s() -> float:
+    """Wall seconds the serve synthesize stage has run in this process."""
+    return perf.snapshot()["timers"].get("serve.synthesize", {}).get("total_s", 0.0)

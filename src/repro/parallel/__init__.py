@@ -33,6 +33,15 @@ the ``REPRO_PARALLEL_BACKEND`` environment variable, then ``thread``.
   index raises; under the process backend the raised object is the
   unpickled equivalent of the worker's exception, and a worker that
   dies raises :class:`~repro.parallel.pool.WorkerDiedError`);
+* ``on_result(index, result)``, when given, is called once per item
+  that succeeds, as soon as its result exists and before the map
+  returns: after each item in the serial loop; under the thread
+  backend as a done-callback of the item's future (on the pool thread
+  that finished it, or on the caller's if it finished before the
+  callback was attached), while the caller keeps waiting in
+  ``Future.result``; under the process backend from the dispatch loop,
+  on each worker's reply.  A failing item is not reported.  The hook is
+  a notification and must not raise;
 * ``jobs=1`` (or ``REPRO_JOBS=1``) forces fully serial execution;
 * inside a process-pool worker, nested ``parallel_map`` calls default
   to serial (no pools-within-pools) unless ``jobs=`` is explicit.
@@ -51,6 +60,7 @@ merge on the way out).
 from __future__ import annotations
 
 import contextvars
+import functools
 import os
 import sys
 import threading
@@ -170,8 +180,32 @@ def _run_traced(fn: Callable[[T], R], item: T, index: int, label: str) -> R:
         return fn(item)
 
 
+def _serial_map(
+    fn: Callable[[T], R],
+    work: Sequence[T],
+    on_result: Callable[[int, R], None] | None,
+) -> list[R]:
+    results = []
+    for index, item in enumerate(work):
+        result = fn(item)
+        if on_result is not None:
+            on_result(index, result)
+        results.append(result)
+    return results
+
+
+def _report_done(on_result: Callable[[int, R], None], index: int, future) -> None:
+    """Done-callback: hand a successful future's result to ``on_result``."""
+    if future.exception() is None:
+        on_result(index, future.result())
+
+
 def _thread_map(
-    fn: Callable[[T], R], work: Sequence[T], workers: int, label: str
+    fn: Callable[[T], R],
+    work: Sequence[T],
+    workers: int,
+    label: str,
+    on_result: Callable[[int, R], None] | None,
 ) -> list[R]:
     with ThreadPoolExecutor(max_workers=workers, thread_name_prefix=label) as pool:
         # One context copy per task, taken here in the caller's thread:
@@ -189,6 +223,13 @@ def _thread_map(
             )
             for index, item in enumerate(work)
         ]
+        if on_result is not None:
+            # Leaving the pool joins every worker thread, so each hook
+            # has run before the map returns or raises.
+            for index, future in enumerate(futures):
+                future.add_done_callback(
+                    functools.partial(_report_done, on_result, index)
+                )
         return [future.result() for future in futures]
 
 
@@ -198,6 +239,7 @@ def _process_map(
     workers: int,
     label: str,
     cost: Callable[[T], float] | None,
+    on_result: Callable[[int, R], None] | None,
 ) -> list[R]:
     from .pool import get_pool
 
@@ -206,7 +248,7 @@ def _process_map(
         "eval.parallel_map",
         backend="process", workers=workers, tasks=len(work), label=label,
     ):
-        return pool.map(fn, work, label=label, cost=cost)
+        return pool.map(fn, work, label=label, cost=cost, on_result=on_result)
 
 
 def parallel_map(
@@ -216,6 +258,7 @@ def parallel_map(
     label: str = "repro-eval",
     backend: str | None = None,
     cost: Callable[[T], float] | None = None,
+    on_result: Callable[[int, R], None] | None = None,
 ) -> list[R]:
     """Apply ``fn`` to every item, possibly concurrently.
 
@@ -225,7 +268,10 @@ def parallel_map(
     one worker is resolved or there is at most one item.  ``cost`` is an
     optional cheap per-item cost estimate (e.g. gate count): the process
     backend dispatches the costliest items first.  It never affects
-    results.
+    results.  ``on_result(index, result)`` is called once per successful
+    item as soon as its result exists, before the map returns, so a
+    caller can act on each item without waiting for the slowest (see
+    the module docstring for the thread it runs on).
     """
     work: Sequence[T] = list(items)
     resolved = resolve_backend(backend)
@@ -236,12 +282,12 @@ def parallel_map(
         tasks=len(work),
     )
     if workers <= 1 or len(work) <= 1:
-        return [fn(item) for item in work]
+        return _serial_map(fn, work, on_result)
     perf.incr("eval.parallel_batches")
     perf.incr("eval.parallel_tasks", len(work))
     if resolved == "process":
-        return _process_map(fn, work, workers, label, cost)
-    return _thread_map(fn, work, workers, label)
+        return _process_map(fn, work, workers, label, cost, on_result)
+    return _thread_map(fn, work, workers, label, on_result)
 
 
 async def parallel_map_async(
@@ -251,6 +297,7 @@ async def parallel_map_async(
     label: str = "repro-eval",
     backend: str | None = None,
     cost: Callable[[T], float] | None = None,
+    on_result: Callable[[int, R], None] | None = None,
     executor=None,
 ) -> list[R]:
     """Async bridge onto :func:`parallel_map` for event-loop callers.
@@ -258,10 +305,11 @@ async def parallel_map_async(
     The blocking map runs in ``executor`` (or the loop's default) so the
     serving engine's other stage coroutines keep draining their queues
     while a fan-out is in flight.  Same contract as :func:`parallel_map`:
-    input order preserved, lowest-index exception propagates.
+    input order preserved, lowest-index exception propagates, and
+    ``on_result`` runs off the event loop's thread (hand its work to the
+    loop with ``call_soon_threadsafe``).
     """
     import asyncio
-    import functools
 
     loop = asyncio.get_running_loop()
     return await loop.run_in_executor(
@@ -269,6 +317,7 @@ async def parallel_map_async(
         functools.partial(
             parallel_map, fn, list(items),
             jobs=jobs, label=label, backend=backend, cost=cost,
+            on_result=on_result,
         ),
     )
 

@@ -21,7 +21,9 @@ estimate (ties by input index).  Results return over the pipe keyed by
 input index, so output order and exception semantics match a serial
 loop exactly: every task runs, then the exception of the lowest failing
 input index is raised (the unpickled instance of the worker's
-exception).  A worker that dies mid-map raises :class:`WorkerDiedError`
+exception).  A map's ``on_result(index, result)`` hook runs in the
+dispatch loop on each successful reply, after that worker has its next
+task.  A worker that dies mid-map raises :class:`WorkerDiedError`
 and retires the pool; the next map warms a fresh one.
 
 Between maps the parent can drain every worker's :mod:`repro.perf`
@@ -165,15 +167,17 @@ class ProcessPool:
 
     # -- mapping --------------------------------------------------------------
 
-    def map(self, fn, items, label: str = "repro-eval", cost=None) -> list:
+    def map(
+        self, fn, items, label: str = "repro-eval", cost=None, on_result=None
+    ) -> list:
         """Order-preserving map with serial-equivalent exception semantics.
 
         Thread-safe: concurrent callers serialize on the pool's map lock.
         """
         with self._map_lock:
-            return self._map_locked(fn, items, label, cost)
+            return self._map_locked(fn, items, label, cost, on_result)
 
-    def _map_locked(self, fn, items, label: str, cost) -> list:
+    def _map_locked(self, fn, items, label: str, cost, on_result) -> list:
         if self.closed:
             raise RuntimeError("pool is shut down")
         work = list(items)
@@ -239,6 +243,8 @@ class ProcessPool:
                         raise RuntimeError(f"unexpected worker message {kind!r}")
                     busy.pop(worker.id, None)
                     dispatch(worker)
+                    if kind == "ok" and on_result is not None:
+                        on_result(index, result)
         finally:
             self.active = None
             if busy:

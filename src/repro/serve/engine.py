@@ -21,8 +21,17 @@ processes them as **one** kernel call:
   every step query across the whole batch goes through one batched
   manual retrieval before the per-step revisions are applied.
 * ``synthesize``— scripts fan out over the process pool (or thread
-  executor) via ``parallel_map_async``, costliest RTL first.
+  executor) via ``parallel_map_async``, and each session leaves the
+  stage as soon as its own synthesis finishes (the map's ``on_result``
+  hook releases it), not when its slowest batch-mate's does.
 
+The first four stages resolve a batch's sessions together when the
+kernel returns (analyze's grouped GNN forward needs the whole batch).
+A kernel exception fails the sessions of its batch that the kernel has
+not released.  In the synthesize stage, under the thread and process
+backends, those are only the sessions whose own synthesis raised (each
+gets the batch's lowest-index exception); the serial loop (one job)
+stops at the first failure, so the sessions queued behind it fail too.
 Stage kernels are synchronous; they run in a small per-engine thread
 executor so different stages overlap in wall clock while the event loop
 keeps coalescing arrivals.  Results are field-for-field identical to a
@@ -87,20 +96,28 @@ class BatchPolicy:
             raise ValueError("batch_wait_ms must be >= 0")
 
 
+#: A stage kernel's hook for handing one session on early:
+#: ``release(position, state)``, callable from any thread.
+Release = Callable[[int, ChainState], None]
+
+
 class MicroBatcher:
     """One stage's coalescing queue + worker coroutine.
 
     Sessions ``submit`` their state and await the result; the worker
     forms batches under the :class:`BatchPolicy` and hands each batch to
-    the stage's async ``process`` callable.  A processor exception
-    propagates to every session in that batch (serial-equivalent: each
-    of those sessions would have hit the same error alone).
+    the stage's async ``process(states, release)`` callable.  A kernel
+    may call ``release(position, state)``, from any thread, to resolve
+    the session at ``position`` in the batch as soon as its state is
+    ready; the sessions it has not released resolve with the states it
+    returns.  A kernel exception fails every session of the batch that
+    it has not released; released sessions keep their results.
     """
 
     def __init__(
         self,
         name: str,
-        process: Callable[[list[ChainState]], Awaitable[list[ChainState]]],
+        process: Callable[[list[ChainState], Release], Awaitable[list[ChainState]]],
         policy: BatchPolicy,
     ) -> None:
         self.name = name
@@ -166,12 +183,25 @@ class MicroBatcher:
     ) -> None:
         from ..obs import metrics as obs_metrics
 
+        loop = asyncio.get_running_loop()
+        futures = [future for _, future in batch]
+
+        def resolve(position: int, state: ChainState) -> None:
+            if not futures[position].done():
+                futures[position].set_result(state)
+
+        def release(position: int, state: ChainState) -> None:
+            # The loop runs callbacks in the order they were scheduled, so
+            # every release made before the kernel returns resolves before
+            # this coroutine resumes below.
+            loop.call_soon_threadsafe(resolve, position, state)
+
         states = [state for state, _ in batch]
         started = time.perf_counter()
         try:
-            results = await self.process(states)
+            results = await self.process(states, release)
         except BaseException as exc:
-            for _, future in batch:
+            for future in futures:
                 if not future.done():
                     future.set_exception(exc)
             return
@@ -185,9 +215,8 @@ class MicroBatcher:
             "Sessions coalesced per serve-stage kernel call.",
             buckets=_BATCH_BUCKETS,
         ).observe(len(batch), stage=self.name)
-        for (_, future), result in zip(batch, results):
-            if not future.done():
-                future.set_result(result)
+        for position, result in enumerate(results):
+            resolve(position, result)
 
 
 class ServeEngine:
@@ -369,7 +398,9 @@ class ServeEngine:
 
     # -- stage kernels ---------------------------------------------------------
 
-    async def _analyze_batch(self, states: list[ChainState]) -> list[ChainState]:
+    async def _analyze_batch(
+        self, states: list[ChainState], release: Release
+    ) -> list[ChainState]:
         chatls = self.chatls
         for state in states:
             if state.requirement is None:
@@ -408,7 +439,9 @@ class ServeEngine:
             state.advance()
         return states
 
-    async def _retrieve_batch(self, states: list[ChainState]) -> list[ChainState]:
+    async def _retrieve_batch(
+        self, states: list[ChainState], release: Release
+    ) -> list[ChainState]:
         chatls = self.chatls
 
         def kernel():
@@ -435,7 +468,9 @@ class ServeEngine:
             state.advance()
         return states
 
-    async def _draft_batch(self, states: list[ChainState]) -> list[ChainState]:
+    async def _draft_batch(
+        self, states: list[ChainState], release: Release
+    ) -> list[ChainState]:
         chatls = self.chatls
 
         def kernel():
@@ -465,7 +500,9 @@ class ServeEngine:
             state.advance()
         return states
 
-    async def _revise_batch(self, states: list[ChainState]) -> list[ChainState]:
+    async def _revise_batch(
+        self, states: list[ChainState], release: Release
+    ) -> list[ChainState]:
         chatls = self.chatls
 
         def kernel():
@@ -511,8 +548,20 @@ class ServeEngine:
             state.advance()
         return states
 
-    async def _synthesize_batch(self, states: list[ChainState]) -> list[ChainState]:
-        runs = await parallel_map_async(
+    async def _synthesize_batch(
+        self, states: list[ChainState], release: Release
+    ) -> list[ChainState]:
+        def finish(position: int, run) -> None:
+            # Runs as each synthesis finishes (off the event loop), so the
+            # session leaves without waiting for its batch-mates.
+            state = states[position]
+            state.executable = run.success
+            state.error = run.error
+            state.qor = run.qor
+            state.advance()
+            release(position, state)
+
+        await parallel_map_async(
             _synthesize_task,
             [
                 (
@@ -528,13 +577,9 @@ class ServeEngine:
             backend=self.backend,
             label="serve-synthesize",
             cost=lambda task: len(task[2]),
+            on_result=finish,
             executor=self._executor,
         )
-        for state, run in zip(states, runs):
-            state.executable = run.success
-            state.error = run.error
-            state.qor = run.qor
-            state.advance()
         return states
 
 

@@ -78,6 +78,12 @@ def _stamp_start(x: int) -> tuple[int, float]:
     return x, started
 
 
+def _sleep_then_return(task: tuple[int, float]) -> int:
+    item, delay = task
+    time.sleep(delay)
+    return item
+
+
 def _die_on_two(x: int) -> int:
     if x == 2:
         os._exit(3)
@@ -263,6 +269,54 @@ class TestProcessBackendContract:
         assert any(key in timers for key in per_worker) or any(
             key.startswith("parallel.tasks.w") for key in counters
         )
+
+
+BACKENDS = pytest.mark.parametrize(
+    ("jobs", "backend"),
+    [(1, "thread"), (2, "thread"), (2, "process")],
+    ids=["serial", "thread", "process"],
+)
+
+
+class TestOnResult:
+    """``on_result`` reports each successful item as soon as it exists."""
+
+    @BACKENDS
+    def test_each_success_reported_once_before_return(self, jobs, backend):
+        seen = []
+        out = parallel_map(
+            _square, range(8), jobs=jobs, backend=backend,
+            on_result=lambda index, result: seen.append((index, result)),
+        )
+        assert out == [x * x for x in range(8)]
+        assert sorted(seen) == [(x, x * x) for x in range(8)]
+
+    @BACKENDS
+    def test_failure_not_reported_and_lowest_index_raises(self, jobs, backend):
+        seen = []
+        with pytest.raises(Boom, match="bad input 3"):
+            parallel_map(
+                _boom_on_multiples_of_three, range(10), jobs=jobs,
+                backend=backend,
+                on_result=lambda index, result: seen.append(index),
+            )
+        # The serial loop stops at the failure; pools run every item.
+        expected = [0, 1, 2] if jobs == 1 else [0, 1, 2, 4, 5, 7, 8]
+        assert sorted(seen) == expected
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_fast_item_reported_while_slow_one_runs(self, backend):
+        reported = {}
+        out = parallel_map(
+            _sleep_then_return, [(0, 2.0), (1, 0.0)], jobs=2, backend=backend,
+            on_result=lambda index, result: reported.setdefault(
+                index, time.monotonic()
+            ),
+        )
+        returned = time.monotonic()
+        assert out == [0, 1]
+        assert set(reported) == {0, 1}
+        assert returned - reported[1] >= 1.0, returned - reported[1]
 
 
 class TestTransport:

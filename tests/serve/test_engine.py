@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
 from repro.core import ChatLS
 from repro.obs import metrics as obs_metrics
 from repro.obs.ledger import load_manifest
-from repro.serve import BatchPolicy, ServeEngine, ServeRequest
+from repro.serve import BatchPolicy, ChainState, ServeEngine, ServeRequest
+from repro.serve import engine as engine_module
 from repro.serve.engine import _serve_metric_families
 from repro.synth.cache import clear_caches, frontend_cache
 from tests.retention import burst_requests, live_netlists, netlists_since
@@ -88,6 +90,116 @@ class TestServeParity:
         finally:
             shutdown_pools()
         assert_identical(served, expected_results)
+
+
+#: The synthesize stage's fan-out with the backend pinned, so that a
+#: monkeypatched stage task runs in this process under any
+#: ``REPRO_PARALLEL_BACKEND``: one job is the serial loop.
+SYNTH_FANOUT = pytest.mark.parametrize("jobs", [1, 3], ids=["serial", "thread"])
+
+
+def _record_results(monkeypatch, on_result=None) -> dict:
+    """Patch ``ChainState.result``, the moment a session leaves the engine."""
+    left: dict = {}
+    original = ChainState.result
+
+    def result(state):
+        outcome = original(state)
+        left[state.request.session_id] = outcome
+        if on_result is not None:
+            on_result(state)
+        return outcome
+
+    monkeypatch.setattr(ChainState, "result", result)
+    return left
+
+
+class TestPerSessionRelease:
+    """A session leaves the synthesize stage when its own synthesis ends."""
+
+    @SYNTH_FANOUT
+    def test_fast_sessions_leave_before_slow_synthesis_ends(
+        self, chatls, make_requests, expected_results, assert_identical,
+        monkeypatch, jobs,
+    ):
+        requests = make_requests()
+        slow_design = requests[-1].design_name  # last in the batch
+        fast_left = threading.Event()
+        slow_done = threading.Event()
+        order: list[tuple[str, bool]] = []  # (session, slow synthesis over)
+
+        def on_result(state):
+            order.append((state.request.session_id, slow_done.is_set()))
+            if len(order) == 2:
+                fast_left.set()
+
+        left = _record_results(monkeypatch, on_result)
+        synthesize = engine_module._synthesize_task
+
+        def slow_synthesize(task):
+            if task[1] != slow_design:
+                return synthesize(task)
+            # Without per-session release nobody leaves first: the wait
+            # times out instead of hanging, and the asserts below fail.
+            fast_left.wait(timeout=10)
+            try:
+                return synthesize(task)
+            finally:
+                slow_done.set()
+
+        monkeypatch.setattr(engine_module, "_synthesize_task", slow_synthesize)
+        engine = ServeEngine(
+            chatls, policy=BatchPolicy(batch_max=8, batch_wait_ms=50),
+            jobs=jobs, backend="thread",
+        )
+        served = engine.run(requests)
+        synth = engine.batchers["synthesize"]
+        assert (synth.batch_count, synth.max_batch) == (1, 3)
+        assert sorted(order[:2]) == [("s0000", False), ("s0001", False)]
+        assert order[2] == ("s0002", True)
+        assert_identical(served, expected_results)
+        assert_identical([left[f"s{i:04d}"] for i in range(3)], expected_results)
+
+    @pytest.mark.parametrize(
+        ("jobs", "finished"),
+        [(1, ["s0000"]), (3, ["s0000", "s0002"])],
+        ids=["serial", "thread"],
+    )
+    def test_failing_synthesis_fails_only_its_session(
+        self, chatls, make_requests, expected_results, assert_identical,
+        monkeypatch, jobs, finished,
+    ):
+        """Batch-mates released before or beside a failing synthesis keep
+        their results; the serial loop never runs the sessions queued
+        behind the failure, so they fail with it."""
+        requests = make_requests()
+        bad_design = requests[1].design_name
+        left = _record_results(monkeypatch)
+        synthesize = engine_module._synthesize_task
+
+        def failing_synthesize(task):
+            if task[1] == bad_design:
+                raise _SynthesisCrash(task[1])
+            return synthesize(task)
+
+        monkeypatch.setattr(
+            engine_module, "_synthesize_task", failing_synthesize
+        )
+        engine = ServeEngine(
+            chatls, policy=BatchPolicy(batch_max=8, batch_wait_ms=50),
+            jobs=jobs, backend="thread",
+        )
+        with pytest.raises(_SynthesisCrash, match=bad_design):
+            engine.run(requests)
+        assert sorted(left) == finished
+        assert_identical(
+            [left[session] for session in finished],
+            [expected_results[int(session[1:])] for session in finished],
+        )
+
+
+class _SynthesisCrash(RuntimeError):
+    pass
 
 
 class TestAblationParity:
