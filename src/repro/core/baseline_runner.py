@@ -16,6 +16,7 @@ from ..llm.prompts import build_prompt, extract_script
 from ..synth.cache import synthesize_batch
 from ..synth.library import TechLibrary, nangate45
 from ..synth.reports import QoRSnapshot
+from .chatls import pass_at_k_winner
 
 __all__ = ["BaselineRun", "BaselineRunner"]
 
@@ -79,11 +80,10 @@ class BaselineRunner:
         Seeds draft independently through the parallel executor, then the
         k scripts synthesize as one batch: seeds frequently draft
         identical scripts or shared prefixes, which the cache and the
-        prefix tree make free.  The winner is selected in seed order, so
-        the result is identical to a serial sweep.
+        prefix tree make free.  The winner is selected in seed order
+        (:func:`~repro.core.chatls.pass_at_k_winner`), so the result is
+        identical to a serial sweep.
         """
-        from .chatls import _better_timing
-
         scripts = parallel_map(
             partial(self.draft, verilog, baseline_script, requirement, tool_report),
             range(k),
@@ -93,7 +93,7 @@ class BaselineRunner:
         results = synthesize_batch(
             self.library, design_name, verilog, scripts, top=top
         )
-        runs = [
+        return pass_at_k_winner([
             BaselineRun(
                 script=script,
                 executable=result.success,
@@ -102,14 +102,4 @@ class BaselineRunner:
                 seed=seed,
             )
             for seed, (script, result) in enumerate(zip(scripts, results))
-        ]
-        best: BaselineRun | None = None
-        for run in runs:
-            if not run.executable or run.qor is None:
-                if best is None:
-                    best = run
-                continue
-            if best is None or best.qor is None or _better_timing(run.qor, best.qor):
-                best = run
-        assert best is not None
-        return best
+        ])

@@ -1,24 +1,34 @@
 """ChatLS: the top-level framework (paper Fig. 1/Fig. 2).
 
-``ChatLS.customize`` runs the full pipeline for one design:
+A customization is one chain of five stages, each a :class:`ChatLS`
+method over a batch of :class:`ChainState` sessions:
 
-1. **CircuitMentor** analyzes the design (graph, GNN embedding, pathology
-   detection) at the target clock period.
-2. **SynthRAG** is assembled over the expert database, the design's
-   property graph and the target library.
-3. The **Generator** drafts a customized script from the grounded prompt.
-4. **SynthExpert** revises each thought step with per-step retrieval,
-   repairing hallucinated commands against the manual (Eq. 6).
+1. ``analyze`` — **CircuitMentor** parses each requirement and analyzes
+   each design (graph, pathology detection) at its target clock period;
+   every design embedding comes out of one grouped GNN forward.
+2. ``retrieve`` — **SynthRAG** looks up strategies (one stacked kNN with
+   the Eq. 5 rerank characteristic per row) and manual pages for every
+   requirement.
+3. ``draft`` — the **Generator** drafts a script from the grounded prompt.
+4. ``revise`` — **SynthExpert** revises each thought step against the
+   manual (Eq. 6); every session's step queries go through one batched
+   manual search.
+5. ``synthesize`` — each script runs through the synthesis tool.
 
-``customize_pass_at_k`` evaluates Pass@k (Table III): k seeded drafts,
-run through the synthesis tool as one batch; the best executable result
-wins.
+``customize`` and ``customize_and_evaluate`` run one session through the
+stages; :class:`~repro.serve.ServeEngine` runs coalesced batches of many.
+``customize_pass_at_k`` evaluates Pass@k (Table III): one analysis and
+retrieval, k seeded drafts and revisions, synthesized as one batch; the
+best executable result wins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
 from functools import partial
+from typing import Callable
+
+import numpy as np
 
 from .. import obs
 from ..designs.database import ExpertDatabase
@@ -26,32 +36,17 @@ from ..parallel import parallel_map
 from ..llm.base import LLMClient
 from ..llm.baselines import chatls_core
 from ..mentor.analyzer import DesignAnalysis, analyze_design
-from ..rag.rerank import LLMReranker
-from ..rag.retrievers import ManualRetriever
 from ..rag.synthrag import SynthRAG
 from ..synth.cache import synthesize_batch, synthesize_cached
 from ..synth.library import TechLibrary, nangate45
 from ..synth.reports import QoRSnapshot
-from .generator import Generator
+from .generator import DraftRetrieval, Generator
 from .requirements import Requirement, parse_requirement
+from .session import ChainState, CustomizationResult, ServeRequest
 from .synthexpert import SynthExpert
 from .thoughts import CoTTrace
 
-__all__ = ["ChatLS", "CustomizationResult"]
-
-
-@dataclass
-class CustomizationResult:
-    """Output of one ChatLS customization."""
-
-    script: str
-    analysis: DesignAnalysis
-    trace: CoTTrace
-    prompt: str
-    qor: QoRSnapshot | None = None
-    executable: bool = True
-    error: str | None = None
-    seed: int = 0
+__all__ = ["ChatLS", "CustomizationResult", "pass_at_k_winner"]
 
 
 class ChatLS:
@@ -70,85 +65,177 @@ class ChatLS:
         self.library = library or nangate45()
         self.use_synthexpert = use_synthexpert
         self.use_rag = use_rag
-        #: The tool-manual index (an IDF fit and one embedding per manual
-        #: page), built once: it depends only on the manual and ``llm``
-        #: and is read-only, so every customization and a
+        #: The retrieval stack (manual index, reranker, library graph),
+        #: built once: it depends only on the corpus, ``llm`` and the
+        #: library, and no stage mutates it, so every customization and a
         #: :class:`~repro.serve.ServeEngine` over this pipeline share it.
-        self.manual_retriever = ManualRetriever(reranker=LLMReranker(self.llm))
+        #: It holds no circuit store: no stage queries a design's
+        #: property graph.
+        self.rag = SynthRAG.build(database, library=self.library, llm=self.llm)
 
-    # -- single customization -----------------------------------------------------
+    # -- the five stages -------------------------------------------------------
 
-    def _prepare(
+    def analyze(
         self,
-        verilog: str,
-        design_name: str,
-        requirement: str | Requirement,
-        top: str | None,
-        clock_period: float,
-    ) -> tuple[Requirement, DesignAnalysis, SynthRAG]:
-        """Analysis + retrieval context, shared by every seed of a design."""
-        with obs.span(
-            "chatls.prepare", design=design_name, clock_period=clock_period
-        ) as sp:
-            if isinstance(requirement, str):
-                requirement = parse_requirement(requirement)
-            analysis = analyze_design(
-                verilog,
-                design_name,
-                top=top,
-                clock_period=clock_period,
-                library=self.library,
-            )
-            rag = SynthRAG.build(
-                self.database,
-                circuit=analysis.circuit,
-                library=self.library,
-                llm=self.llm,
-                manual_retriever=self.manual_retriever,
-            )
-            if self.use_rag:
-                rag.embedding_retriever.characteristic = requirement.rerank_characteristic
-            sp.set_attribute("pathologies", len(analysis.pathologies))
-            return requirement, analysis, rag
+        states: list[ChainState],
+        jobs: int | None = None,
+        backend: str | None = None,
+    ) -> list[ChainState]:
+        """Parse each requirement, analyze each design, embed all designs.
 
-    def _draft_and_refine(
-        self,
-        requirement: Requirement,
-        analysis: DesignAnalysis,
-        rag: SynthRAG,
-        baseline_script: str,
-        tool_report: str,
-        seed: int,
-    ) -> CustomizationResult:
-        """One seeded draft + SynthExpert refinement over a shared context.
-
-        Drafting and refinement only *read* the analysis and retrievers,
-        so pass@k seeds can share one context across worker threads.
+        The analyses fan out through :func:`parallel_map` (``jobs`` and
+        ``backend`` as there); every session's module graphs then go
+        through one grouped GNN forward.
         """
-        with obs.span("chatls.sample", seed=seed) as sp:
-            generator = Generator(self.llm, rag)
-            draft = generator.draft(
-                requirement,
-                baseline_script,
-                tool_report,
-                analysis if self.use_rag else _blank_analysis(analysis),
-                seed=seed,
+        with obs.span("chatls.analyze", sessions=len(states)) as sp:
+            for state in states:
+                raw = state.request.requirement
+                state.requirement = parse_requirement(raw) if isinstance(raw, str) else raw
+            analyses = parallel_map(
+                _analyze_task,
+                [
+                    (
+                        state.request.verilog,
+                        state.request.design_name,
+                        state.request.top,
+                        state.request.clock_period,
+                        self.library,
+                    )
+                    for state in states
+                ],
+                jobs=jobs,
+                backend=backend,
+                label="chatls-analyze",
+                cost=lambda task: len(task[0]),
             )
-            if self.use_synthexpert:
-                refined = SynthExpert(self.llm, rag).refine(draft.script, analysis)
-                script, trace = refined.script, refined.trace
-                sp.set_attributes(
-                    steps=len(trace.steps), repaired=trace.num_repaired
+            embeddings = self.database.encoder.embed_designs(
+                [analysis.circuit for analysis in analyses]
+            )
+            for state, analysis, embedding in zip(states, analyses, embeddings):
+                state.analysis = analysis
+                state.design_embedding = embedding
+                state.advance()
+            sp.set_attribute(
+                "pathologies", sum(len(analysis.pathologies) for analysis in analyses)
+            )
+        return states
+
+    def retrieve(self, states: list[ChainState]) -> list[ChainState]:
+        """Strategy and manual grounding for every session, two batched searches.
+
+        The Eq. 5 rerank follows each requirement's characteristic when
+        ``use_rag`` is on (the retriever's default otherwise); it travels
+        as a per-row argument, so the shared retriever is never mutated.
+        """
+        with obs.span("chatls.retrieve", sessions=len(states)):
+            characteristics = (
+                [state.requirement.rerank_characteristic for state in states]
+                if self.use_rag
+                else None
+            )
+            strategy_rows = self.rag.retrieve_strategies_batch(
+                np.stack([state.design_embedding for state in states]),
+                k=2,
+                characteristics=characteristics,
+            )
+            manual_rows = self.rag.manual_batch(
+                [state.requirement.text for state in states], k=2
+            )
+            for state, strategies, manual in zip(states, strategy_rows, manual_rows):
+                state.retrieval = DraftRetrieval(
+                    strategy_hits=strategies, manual_hits=manual
                 )
-            else:
-                script, trace = draft.script, CoTTrace()
-        return CustomizationResult(
-            script=script,
-            analysis=analysis,
-            trace=trace,
-            prompt=draft.prompt,
-            seed=seed,
+                state.advance()
+        return states
+
+    def draft(self, states: list[ChainState]) -> list[ChainState]:
+        """One seeded LLM draft per session from its retrieved grounding."""
+        generator = Generator(self.llm, self.rag)
+        for state in states:
+            state.draft = generator.draft_from_retrieval(
+                state.requirement,
+                state.request.baseline_script,
+                state.request.tool_report,
+                state.analysis if self.use_rag else _blank_analysis(state.analysis),
+                state.retrieval,
+                seed=state.request.seed,
+            )
+            state.advance()
+        return states
+
+    def revise(self, states: list[ChainState]) -> list[ChainState]:
+        """SynthExpert's step revision (Eq. 6) of every session's draft.
+
+        Every step query of every session goes through one stacked manual
+        search; with ``use_synthexpert`` off the draft stands as is.
+        """
+        with obs.span("chatls.revise", sessions=len(states)) as sp:
+            expert = SynthExpert(self.llm, self.rag)
+            plans = [
+                expert.plan(state.draft.script) if self.use_synthexpert else None
+                for state in states
+            ]
+            queries = [q for plan in plans if plan is not None for q in plan.queries()]
+            rows = iter(self.rag.manual_batch(queries, k=2) if queries else [])
+            for state, plan in zip(states, plans):
+                if plan is None:
+                    state.script, state.trace = state.draft.script, CoTTrace()
+                else:
+                    refined = expert.apply(
+                        plan, [next(rows) for _ in plan.queries()], state.analysis
+                    )
+                    state.script, state.trace = refined.script, refined.trace
+                state.advance()
+            sp.set_attributes(
+                steps=sum(len(state.trace.steps) for state in states),
+                repaired=sum(state.trace.num_repaired for state in states),
+            )
+        return states
+
+    def synthesize(
+        self,
+        states: list[ChainState],
+        jobs: int | None = None,
+        backend: str | None = None,
+        on_result: Callable[[int, ChainState], None] | None = None,
+    ) -> list[ChainState]:
+        """Run every session's script through the synthesis tool.
+
+        The runs fan out through :func:`parallel_map` (``jobs`` and
+        ``backend`` as there), and ``on_result(position, state)``, when
+        given, hands each session on as soon as its own synthesis ends.
+        The process pool dispatches the costliest first by the analysis's
+        cell count, which tracks synthesis time (RTL length does not).
+        """
+
+        def finish(position: int, run) -> None:
+            _record_run(states[position], run)
+            if on_result is not None:
+                on_result(position, states[position])
+
+        tasks = [
+            (
+                self.library,
+                state.request.design_name,
+                state.request.verilog,
+                state.script,
+                state.request.top,
+            )
+            for state in states
+        ]
+        cells = {id(task): state.analysis.num_cells for task, state in zip(tasks, states)}
+        parallel_map(
+            _synthesize_task,
+            tasks,
+            jobs=jobs,
+            backend=backend,
+            label="chatls-synthesize",
+            cost=lambda task: cells[id(task)],
+            on_result=finish,
         )
+        return states
+
+    # -- customization entry points ----------------------------------------------
 
     def customize(
         self,
@@ -162,47 +249,38 @@ class ChatLS:
         seed: int = 0,
     ) -> CustomizationResult:
         """Produce one customized synthesis script (no evaluation)."""
-        with obs.span(
-            "chatls.customize", design=design_name, mode="single", seed=seed
-        ):
-            requirement, analysis, rag = self._prepare(
-                verilog, design_name, requirement, top, clock_period
-            )
-            return self._draft_and_refine(
-                requirement, analysis, rag, baseline_script, tool_report, seed
-            )
-
-    # -- evaluated customization -----------------------------------------------------
+        return self._run(ServeRequest(
+            verilog, design_name, baseline_script, requirement, tool_report, top,
+            clock_period, seed, evaluate=False,
+        ))
 
     def customize_and_evaluate(
         self,
         verilog: str,
         design_name: str,
         baseline_script: str,
-        requirement: str,
+        requirement: str | Requirement,
         tool_report: str = "",
         top: str | None = None,
         clock_period: float = 1.0,
         seed: int = 0,
     ) -> CustomizationResult:
         """Customize, then run the script through the synthesis tool."""
-        result = self.customize(
-            verilog,
-            design_name,
-            baseline_script,
-            requirement,
-            tool_report=tool_report,
-            top=top,
-            clock_period=clock_period,
-            seed=seed,
-        )
-        run = synthesize_cached(
-            self.library, design_name, verilog, result.script, top=top
-        )
-        result.executable = run.success
-        result.error = run.error
-        result.qor = run.qor
-        return result
+        return self._run(ServeRequest(
+            verilog, design_name, baseline_script, requirement, tool_report, top,
+            clock_period, seed,
+        ))
+
+    def _run(self, request: ServeRequest) -> CustomizationResult:
+        """One session through every stage it runs, in this thread."""
+        with obs.span(
+            "chatls.customize", design=request.design_name, mode="single",
+            seed=request.seed,
+        ):
+            state = ChainState(request=request)
+            for stage in state.stages():
+                getattr(self, stage)([state])
+            return state.result()
 
     def customize_iteratively(
         self,
@@ -285,7 +363,7 @@ class ChatLS:
         verilog: str,
         design_name: str,
         baseline_script: str,
-        requirement: str,
+        requirement: str | Requirement,
         k: int = 5,
         tool_report: str = "",
         top: str | None = None,
@@ -294,46 +372,34 @@ class ChatLS:
     ) -> CustomizationResult:
         """Pass@k: best executable result over k seeded samples (Table III).
 
-        The design analysis and retrieval context are built once and
-        shared; the seeded draft/refine work fans out through the
-        parallel executor, then the k scripts synthesize as one batch
-        (:func:`synthesize_batch`), so a command prefix several drafts
-        share runs once.  The winner is picked in seed order, matching
-        the serial sweep exactly.
+        The design is analyzed and its grounding retrieved once; the k
+        seeds' drafts and revisions fan out through the parallel executor
+        over copies of that state, then the k scripts synthesize as one
+        batch (:func:`synthesize_batch`), so a command prefix several
+        drafts share runs once.  The winner is picked in seed order
+        (:func:`pass_at_k_winner`), matching the serial sweep exactly.
         """
         with obs.span(
             "chatls.customize", design=design_name, mode="pass_at_k", k=k
         ) as root:
-            prepared, analysis, rag = self._prepare(
-                verilog, design_name, requirement, top, clock_period
+            request = ServeRequest(
+                verilog, design_name, baseline_script, requirement, tool_report,
+                top, clock_period,
             )
-            # The per-seed context (pipeline + analysis + retrieval) is
-            # identical across samples: bind it once, so the process
-            # backend ships it to each worker once per map, not per seed.
-            context = (self, prepared, analysis, rag, baseline_script, tool_report)
-            results = parallel_map(
-                partial(_pass_at_k_sample, context), range(k),
+            grounded = self.retrieve(self.analyze([ChainState(request=request)]))[0]
+            # Bound once, so the process backend ships the shared state to
+            # each worker once per map, not once per seed.
+            states = parallel_map(
+                partial(_draft_and_revise, self, grounded), range(k),
                 jobs=jobs, label="pass-at-k",
             )
             runs = synthesize_batch(
                 self.library, design_name, verilog,
-                [result.script for result in results], top=top,
+                [state.script for state in states], top=top,
             )
-            for result, run in zip(results, runs):
-                result.executable = run.success
-                result.error = run.error
-                result.qor = run.qor
-            best: CustomizationResult | None = None
-            for result in results:
-                if not result.executable or result.qor is None:
-                    if best is None:
-                        best = result
-                    continue
-                if best is None or best.qor is None:
-                    best = result
-                elif _better_timing(result.qor, best.qor):
-                    best = result
-            assert best is not None
+            for state, run in zip(states, runs):
+                _record_run(state, run)
+            best = pass_at_k_winner([state.result() for state in states])
             root.set_attributes(winner_seed=best.seed, executable=best.executable)
             obs.info(
                 "chatls.pass_at_k.done",
@@ -345,16 +411,57 @@ class ChatLS:
             return best
 
 
-def _pass_at_k_sample(context: tuple, seed: int) -> CustomizationResult:
-    """One seeded pass@k draft (module-level so it crosses processes).
+# -- module-level stage tasks (picklable for the process backend) --------------
 
-    ``context`` is the full per-design context built once by
-    :meth:`ChatLS.customize_pass_at_k`; only the seed varies per task.
-    """
-    chatls, prepared, analysis, rag, baseline_script, tool_report = context
-    return chatls._draft_and_refine(
-        prepared, analysis, rag, baseline_script, tool_report, seed
+
+def _analyze_task(task) -> DesignAnalysis:
+    """One session's design analysis."""
+    verilog, design_name, top, clock_period, library = task
+    return analyze_design(
+        verilog, design_name, top=top, clock_period=clock_period, library=library
     )
+
+
+def _synthesize_task(task):
+    """One session's synthesis run."""
+    library, design_name, verilog, script, top = task
+    return synthesize_cached(library, design_name, verilog, script, top=top)
+
+
+def _draft_and_revise(chatls: ChatLS, grounded: ChainState, seed: int) -> ChainState:
+    """One pass@k seed: draft and revise a copy of the retrieved state.
+
+    The copy shares the analysis and retrieval, which drafting and
+    revision only read, so seeds can run side by side.
+    """
+    request = dataclasses.replace(grounded.request, seed=seed)
+    state = dataclasses.replace(grounded, request=request)
+    chatls.draft([state])
+    chatls.revise([state])
+    return state
+
+
+def _record_run(state: ChainState, run) -> None:
+    """Fill in a session's synthesis outcome and complete its chain."""
+    state.executable = run.success
+    state.error = run.error
+    state.qor = run.qor
+    state.advance()
+
+
+def pass_at_k_winner(runs: list):
+    """The pass@k winner: the first best executable run, or else the first run.
+
+    ``runs`` are in seed order and each has ``executable`` and ``qor``;
+    "best" is :func:`_better_timing`, so of equally good runs the earliest
+    seed wins.
+    """
+    best = None
+    for run in runs:
+        if run.executable and run.qor is not None:
+            if best is None or _better_timing(run.qor, best.qor):
+                best = run
+    return best if best is not None else runs[0]
 
 
 def _extend_script(script: str) -> str:

@@ -34,10 +34,10 @@ class DraftResult:
 class DraftRetrieval:
     """The retrieved grounding for one draft (the pipeline's retrieve stage).
 
-    Splitting retrieval out of :meth:`Generator.draft` lets the serving
-    engine coalesce many sessions' strategy/manual lookups into batched
-    kNN calls, then finish each draft independently with
-    :meth:`Generator.draft_from_retrieval`.
+    Splitting retrieval out of :meth:`Generator.draft` lets
+    :meth:`ChatLS.retrieve` coalesce many sessions' strategy/manual
+    lookups into batched kNN calls, then :meth:`ChatLS.draft` finish each
+    draft independently with :meth:`Generator.draft_from_retrieval`.
     """
 
     strategy_hits: list
@@ -92,8 +92,8 @@ class Generator:
     ) -> DraftResult:
         """Compose the prompt and draft from already-retrieved grounding.
 
-        Touches only the LLM — no retriever state — so the serving engine
-        can run it per-session after a coalesced retrieve stage.
+        Touches only the LLM — no retriever state — so the draft stage
+        runs it per session after a coalesced retrieve stage.
         """
         with obs.span("chatls.draft", seed=seed) as sp:
             hits = retrieval.strategy_hits

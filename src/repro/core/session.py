@@ -1,15 +1,18 @@
-"""Typed, checkpointable per-session state for the serving engine.
+"""The customization session record: typed, checkpointable chain state.
 
-``ChainState`` is the explicit form of what :meth:`ChatLS.customize`
-keeps implicit on the call stack: the staged pipeline
+ChatLS customizes a script through one chain (paper Fig. 2, Eq. 6):
 
     analyze -> retrieve -> draft -> revise -> synthesize
 
-with every intermediate artifact (requirement, analysis, design
-embedding, retrieval bundle, draft, refined script/trace, QoR) as a
-picklable field.  The engine checkpoints the state after each completed
-stage (atomic ``tmp + os.replace`` write), so a killed server resumes a
-session by running only the stages that have not completed yet.
+:class:`ChainState` carries one session through it, with every
+intermediate artifact (requirement, analysis, design embedding,
+retrieval bundle, draft, refined script/trace, QoR) as a picklable
+field.  :class:`~repro.core.chatls.ChatLS` runs each stage as a method
+over a batch of states (one state for ``customize``, a coalesced batch
+in :class:`~repro.serve.ServeEngine`); the serving engine checkpoints
+the state after each completed stage (atomic ``tmp + os.replace``
+write), so a killed server resumes a session by running only the
+stages that have not completed yet.
 
 A checkpoint holds the session's facts, not its design: the analysis
 keeps no netlist (the analyze stage frees its mapped netlist before the
@@ -25,16 +28,16 @@ from dataclasses import dataclass
 from typing import Any
 
 from .. import perf
-from ..core.chatls import CustomizationResult
-from ..core.generator import DraftRetrieval, DraftResult
-from ..core.requirements import Requirement
-from ..core.thoughts import CoTTrace
 from ..mentor.analyzer import DesignAnalysis
+from ..synth.reports import QoRSnapshot
+from .generator import DraftResult, DraftRetrieval
+from .requirements import Requirement
+from .thoughts import CoTTrace
 
 __all__ = ["STAGES", "DONE", "CHECKPOINT_FORMAT", "CheckpointError", "ServeRequest",
-           "ChainState"]
+           "ChainState", "CustomizationResult"]
 
-#: The staged decomposition of ``ChatLS.customize_and_evaluate``.
+#: The stages of one customization, each a :class:`ChatLS` method.
 STAGES: tuple[str, ...] = ("analyze", "retrieve", "draft", "revise", "synthesize")
 
 #: Terminal stage marker: every stage of the chain has completed.
@@ -42,10 +45,11 @@ DONE = "done"
 
 #: Version of the checkpoint file format.  Bump it whenever a field of
 #: :class:`ChainState`, :class:`ServeRequest` or the checkpointed
-#: :class:`DesignAnalysis` is added, removed or changes meaning, so older
-#: checkpoints are rejected instead of misread.  Format 2: the
-#: checkpointed analysis holds no netlist.
-CHECKPOINT_FORMAT = 2
+#: :class:`DesignAnalysis` is added, removed or changes meaning, or a
+#: checkpointed class moves, so older checkpoints are rejected instead of
+#: misread.  Format 2: the checkpointed analysis holds no netlist.
+#: Format 3: the session record lives in ``repro.core.session``.
+CHECKPOINT_FORMAT = 3
 
 
 class CheckpointError(ValueError):
@@ -58,8 +62,22 @@ def _rejected(path: str, reason: str) -> CheckpointError:
 
 
 @dataclass
+class CustomizationResult:
+    """Output of one ChatLS customization."""
+
+    script: str
+    analysis: DesignAnalysis
+    trace: CoTTrace
+    prompt: str
+    qor: QoRSnapshot | None = None
+    executable: bool = True
+    error: str | None = None
+    seed: int = 0
+
+
+@dataclass
 class ServeRequest:
-    """One customization request submitted to the serving engine.
+    """One customization request.
 
     Mirrors the :meth:`ChatLS.customize_and_evaluate` signature;
     ``evaluate=False`` stops after revision (the :meth:`ChatLS.customize`
@@ -125,11 +143,7 @@ class ChainState:
         self.stage = stages[index + 1] if index + 1 < len(stages) else DONE
 
     def result(self) -> CustomizationResult:
-        """The finished session as a :class:`CustomizationResult`.
-
-        Field-for-field what the sequential ``customize`` /
-        ``customize_and_evaluate`` call would have returned.
-        """
+        """The finished session as a :class:`CustomizationResult`."""
         if self.stage != DONE:
             raise ValueError(f"chain not finished (next stage: {self.stage})")
         return CustomizationResult(
@@ -169,9 +183,10 @@ class ChainState:
     def load(cls, path: str) -> "ChainState":
         """Read a checkpoint written by :meth:`save`.
 
-        A truncated or corrupt file, an unversioned state, another
-        :data:`CHECKPOINT_FORMAT` or any other payload raises
-        :class:`CheckpointError`, counted as ``serve.checkpoint_rejected``.
+        A truncated or corrupt file, one naming a class this version does
+        not have, an unversioned state, another :data:`CHECKPOINT_FORMAT`
+        or any other payload raises :class:`CheckpointError`, counted as
+        ``serve.checkpoint_rejected``.
         """
         with open(path, "rb") as fh:
             try:

@@ -72,9 +72,8 @@ class StepPlan:
     """The decomposed draft: thought steps plus their retrieval queries.
 
     Produced by :meth:`SynthExpert.plan`; the per-step manual retrieval
-    can then run as one batched lookup (within a session, or coalesced
-    across sessions by the serving engine) before
-    :meth:`SynthExpert.apply` revises each step.
+    can then run as one batched lookup (:meth:`ChatLS.revise` coalesces
+    every session's) before :meth:`SynthExpert.apply` revises each step.
     """
 
     steps: list[ThoughtStep]

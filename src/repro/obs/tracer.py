@@ -29,9 +29,12 @@ I/O.  Programmatic configuration (tests, embedding) goes through
 
 Span naming convention (see DESIGN.md):
 
-* ``chatls.*`` — framework stages (prepare, draft, sample, customize);
+* ``chatls.*`` — the pipeline's stages (analyze, retrieve, draft,
+  revise; synthesis is ``synth.synthesize``) and its entry points
+  (customize, customize_iteratively, round);
 * ``rag.*`` — the three SynthRAG retrieval modes;
-* ``expert.*`` — SynthExpert CoT refinement;
+* ``expert.*`` — SynthExpert CoT refinement (one ``expert.step`` per
+  revised thought step);
 * ``synth.*`` — synthesis engine phases (elaborate, techmap, sta);
 * ``hdl.*``, ``sta.*``, ``pass.*``, ``explore.*`` — front end, STA
   lowering and kernels, optimizer passes, the sizing explorer;

@@ -1,8 +1,9 @@
-"""Parallel execution for the evaluation harness.
+"""Parallel execution for the evaluation harness and the ChatLS stages.
 
-The Table III/IV harnesses fan out over independent units of work —
-designs, models, pass@k seeds — that share no mutable state.  This
-package provides the one primitive they need, an order-preserving
+The Table III/IV harnesses, pass@k and ChatLS's analyze and synthesize
+stages fan out over independent units of work — designs, models, pass@k
+seeds, the sessions of a serve batch — that share no mutable state.
+This package provides the one primitive they need, an order-preserving
 :func:`parallel_map`, behind two interchangeable backends:
 
 * ``thread`` (the default) — a :mod:`concurrent.futures` thread pool.
@@ -43,6 +44,9 @@ the ``REPRO_PARALLEL_BACKEND`` environment variable, then ``thread``.
   on each worker's reply.  A failing item is not reported.  The hook is
   a notification and must not raise;
 * ``jobs=1`` (or ``REPRO_JOBS=1``) forces fully serial execution;
+* the map blocks its caller: the serving engine calls it from a stage
+  thread of its executor, never on the event loop, and hands
+  ``on_result`` work back to the loop with ``call_soon_threadsafe``;
 * inside a process-pool worker, nested ``parallel_map`` calls default
   to serial (no pools-within-pools) unless ``jobs=`` is explicit.
 
@@ -77,7 +81,6 @@ __all__ = [
     "resolve_jobs",
     "in_worker",
     "parallel_map",
-    "parallel_map_async",
     "shutdown_pools",
     "sync_worker_perf",
     "clear_worker_caches",
@@ -288,38 +291,6 @@ def parallel_map(
     if resolved == "process":
         return _process_map(fn, work, workers, label, cost, on_result)
     return _thread_map(fn, work, workers, label, on_result)
-
-
-async def parallel_map_async(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    jobs: int | None = None,
-    label: str = "repro-eval",
-    backend: str | None = None,
-    cost: Callable[[T], float] | None = None,
-    on_result: Callable[[int, R], None] | None = None,
-    executor=None,
-) -> list[R]:
-    """Async bridge onto :func:`parallel_map` for event-loop callers.
-
-    The blocking map runs in ``executor`` (or the loop's default) so the
-    serving engine's other stage coroutines keep draining their queues
-    while a fan-out is in flight.  Same contract as :func:`parallel_map`:
-    input order preserved, lowest-index exception propagates, and
-    ``on_result`` runs off the event loop's thread (hand its work to the
-    loop with ``call_soon_threadsafe``).
-    """
-    import asyncio
-
-    loop = asyncio.get_running_loop()
-    return await loop.run_in_executor(
-        executor,
-        functools.partial(
-            parallel_map, fn, list(items),
-            jobs=jobs, label=label, backend=backend, cost=cost,
-            on_result=on_result,
-        ),
-    )
 
 
 def _pool_module():

@@ -82,19 +82,17 @@ class SynthRAG:
         alpha: float = 0.7,
         beta: float = 0.3,
         manual_retriever: ManualRetriever | None = None,
-        library_store: GraphStore | None = None,
     ) -> "SynthRAG":
-        """Assemble SynthRAG for one design under customization.
+        """Assemble the retrieval stack over the database and target library.
 
-        ``manual_retriever``/``library_store`` let a serving engine share
-        the (deterministically constructed, read-only) manual index and
-        library graph across all live sessions instead of rebuilding them
-        per request.
+        ``circuit`` adds one design's property graph for structure
+        queries; none of ChatLS's stages runs one, so a
+        :class:`~repro.core.ChatLS` builds its one shared stack without.
+        ``manual_retriever`` reuses an already fitted manual index.
         """
         library = library or nangate45()
         circuit_store = circuit.store if circuit is not None else GraphStore()
-        if library_store is None:
-            library_store = load_library_graph(library)
+        library_store = load_library_graph(library)
         reranker = LLMReranker(llm) if llm is not None else None
         if manual_retriever is None:
             manual_retriever = ManualRetriever(reranker=reranker)

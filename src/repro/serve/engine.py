@@ -1,42 +1,28 @@
 """Async micro-batched serving engine for ChatLS customization.
 
-``ServeEngine`` decomposes :meth:`ChatLS.customize_and_evaluate` into the
-explicit staged pipeline of :mod:`repro.serve.state` and runs many
-sessions concurrently on one event loop.  Each stage owns a
+``ServeEngine`` runs many :class:`ChainState` sessions concurrently on
+one event loop through the five stages of :class:`ChatLS` (``analyze``,
+``retrieve``, ``draft``, ``revise``, ``synthesize``).  Each stage owns a
 :class:`MicroBatcher` — a coalescing queue whose worker collects every
 session that arrives within the batching window (:class:`BatchPolicy`:
-``batch_max`` items or ``batch_wait_ms`` of waiting, whichever first) and
-processes them as **one** kernel call:
+``batch_max`` items or ``batch_wait_ms`` of waiting, whichever first)
+and hands them to the stage's ``ChatLS`` method as **one** batch.  The
+engine only schedules: what a stage does with a batch (the grouped GNN
+forward, the stacked retrievals, the synthesis fan-out) is the stage
+method's, the same code a single ``customize`` call runs.
 
-* ``analyze``   — per-session design analysis fans out over
-  :func:`repro.parallel.parallel_map_async`; the GNN design embeddings
-  for the whole batch run as a single grouped forward
-  (:meth:`CircuitEncoder.embed_designs`).
-* ``retrieve``  — all sessions' strategy lookups become one stacked
-  ``search_batch`` kNN (per-session rerank characteristic preserved),
-  and all requirement-text manual lookups another.
-* ``draft``     — per-session prompt composition + LLM drafting from the
-  already-retrieved grounding (no retriever state touched).
-* ``revise``    — SynthExpert plans every session's thought steps, then
-  every step query across the whole batch goes through one batched
-  manual retrieval before the per-step revisions are applied.
-* ``synthesize``— scripts fan out over the process pool (or thread
-  executor) via ``parallel_map_async``, and each session leaves the
-  stage as soon as its own synthesis finishes (the map's ``on_result``
-  hook releases it), not when its slowest batch-mate's does.
-
-The first four stages resolve a batch's sessions together when the
-kernel returns (analyze's grouped GNN forward needs the whole batch).
-A kernel exception fails the sessions of its batch that the kernel has
-not released.  In the synthesize stage, under the thread and process
-backends, those are only the sessions whose own synthesis raised (each
-gets the batch's lowest-index exception); the serial loop (one job)
-stops at the first failure, so the sessions queued behind it fail too.
-Stage kernels are synchronous; they run in a small per-engine thread
-executor so different stages overlap in wall clock while the event loop
-keeps coalescing arrivals.  Results are field-for-field identical to a
-sequential ``customize_and_evaluate`` loop over the same requests — the
-engine changes the *schedule*, never the computation.
+The synthesize stage passes the batcher's ``release`` as the stage's
+``on_result``, so each session leaves as soon as its own synthesis
+finishes, not when its slowest batch-mate's does; the other four stages
+resolve a batch's sessions together when the stage returns.  A stage
+exception fails the sessions of its batch that have not been released.
+In the synthesize stage, under the thread and process backends, those
+are only the sessions whose own synthesis raised (each gets the batch's
+lowest-index exception); the serial loop (one job) stops at the first
+failure, so the sessions queued behind it fail too.  Stages are
+synchronous; they run in a small per-engine thread executor so
+different stages overlap in wall clock while the event loop keeps
+coalescing arrivals.
 
 After every completed stage the session's :class:`ChainState` is
 checkpointed (when ``checkpoint_dir`` is set); :meth:`ServeEngine.resume`
@@ -51,21 +37,12 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Awaitable, Callable, Iterable, Sequence
 
-import numpy as np
-
 from .. import obs, perf
-from ..core.chatls import ChatLS, CustomizationResult, _blank_analysis
-from ..core.generator import DraftRetrieval, Generator
-from ..core.requirements import parse_requirement
-from ..core.synthexpert import SynthExpert
-from ..core.thoughts import CoTTrace
-from ..mentor.analyzer import analyze_design
-from ..parallel import parallel_map_async
-from ..rag.synthrag import SynthRAG
-from ..synth.cache import synthesize_cached
-from .state import DONE, STAGES, ChainState, ServeRequest
+from ..core.chatls import ChatLS
+from ..core.session import DONE, STAGES, ChainState, CustomizationResult, ServeRequest
 
 __all__ = ["BatchPolicy", "MicroBatcher", "ServeEngine"]
 
@@ -196,6 +173,16 @@ class MicroBatcher:
             # this coroutine resumes below.
             loop.call_soon_threadsafe(resolve, position, state)
 
+        # Counted when the kernel is called: a session the kernel releases
+        # is served even if a batch-mate then makes the kernel raise.
+        self.batch_count += 1
+        self.item_count += len(batch)
+        self.max_batch = max(self.max_batch, len(batch))
+        obs_metrics.histogram(
+            "repro_serve_batch_size",
+            "Sessions coalesced per serve-stage kernel call.",
+            buckets=_BATCH_BUCKETS,
+        ).observe(len(batch), stage=self.name)
         states = [state for state, _ in batch]
         started = time.perf_counter()
         try:
@@ -207,14 +194,6 @@ class MicroBatcher:
             return
         finally:
             perf.add_time(f"serve.{self.name}", time.perf_counter() - started)
-        self.batch_count += 1
-        self.item_count += len(batch)
-        self.max_batch = max(self.max_batch, len(batch))
-        obs_metrics.histogram(
-            "repro_serve_batch_size",
-            "Sessions coalesced per serve-stage kernel call.",
-            buckets=_BATCH_BUCKETS,
-        ).observe(len(batch), stage=self.name)
         for position, result in enumerate(results):
             resolve(position, result)
 
@@ -235,17 +214,6 @@ class ServeEngine:
         self.checkpoint_dir = checkpoint_dir
         self.jobs = jobs
         self.backend = backend
-        #: Shared, read-only retrieval stack for every session: the
-        #: manual index (the pipeline's own), reranker and library graph
-        #: are deterministic functions of (corpus, llm, library), so
-        #: sharing them cannot change any session's result — it only
-        #: deletes per-request rebuild cost.  The customize pipeline never
-        #: touches the per-design circuit store, so ``circuit=None`` is
-        #: safe.
-        self.rag = SynthRAG.build(
-            chatls.database, circuit=None, library=chatls.library, llm=chatls.llm,
-            manual_retriever=chatls.manual_retriever,
-        )
         self.inflight = 0
         self.batchers: dict[str, MicroBatcher] = {}
         #: Test hook: called as ``fn(state, stage)`` after each stage's
@@ -327,13 +295,11 @@ class ServeEngine:
 
     async def _serve(self, states, arrival_delays):
         self.batchers = {
-            "analyze": MicroBatcher("analyze", self._analyze_batch, self.policy),
-            "retrieve": MicroBatcher("retrieve", self._retrieve_batch, self.policy),
-            "draft": MicroBatcher("draft", self._draft_batch, self.policy),
-            "revise": MicroBatcher("revise", self._revise_batch, self.policy),
-            "synthesize": MicroBatcher(
-                "synthesize", self._synthesize_batch, self.policy
-            ),
+            "analyze": MicroBatcher("analyze", self._analyze, self.policy),
+            "retrieve": MicroBatcher("retrieve", self._retrieve, self.policy),
+            "draft": MicroBatcher("draft", self._draft, self.policy),
+            "revise": MicroBatcher("revise", self._revise, self.policy),
+            "synthesize": MicroBatcher("synthesize", self._synthesize, self.policy),
         }
         # One executor thread per stage: blocking kernels from different
         # stages overlap; batches within one stage serialize naturally.
@@ -396,208 +362,26 @@ class ServeEngine:
     def _run_blocking(self, fn):
         return asyncio.get_running_loop().run_in_executor(self._executor, fn)
 
-    # -- stage kernels ---------------------------------------------------------
+    # -- stage kernels: ChatLS's stages, run off the event loop ----------------
 
-    async def _analyze_batch(
-        self, states: list[ChainState], release: Release
-    ) -> list[ChainState]:
-        chatls = self.chatls
-        for state in states:
-            if state.requirement is None:
-                raw = state.request.requirement
-                state.requirement = (
-                    parse_requirement(raw) if isinstance(raw, str) else raw
-                )
-        analyses = await parallel_map_async(
-            _analyze_task,
-            [
-                (
-                    state.request.verilog,
-                    state.request.design_name,
-                    state.request.top,
-                    state.request.clock_period,
-                    chatls.library,
-                )
-                for state in states
-            ],
-            jobs=self.jobs,
-            backend=self.backend,
-            label="serve-analyze",
-            cost=lambda task: len(task[0]),
-            executor=self._executor,
+    async def _analyze(self, states: list[ChainState], release: Release):
+        return await self._run_blocking(
+            partial(self.chatls.analyze, states, self.jobs, self.backend)
         )
-        # Cross-session coalescing point: every pending session's module
-        # graphs go through ONE grouped GNN forward.
-        embeddings = await self._run_blocking(
-            lambda: chatls.database.encoder.embed_designs(
-                [analysis.circuit for analysis in analyses]
-            )
+
+    async def _retrieve(self, states: list[ChainState], release: Release):
+        return await self._run_blocking(partial(self.chatls.retrieve, states))
+
+    async def _draft(self, states: list[ChainState], release: Release):
+        return await self._run_blocking(partial(self.chatls.draft, states))
+
+    async def _revise(self, states: list[ChainState], release: Release):
+        return await self._run_blocking(partial(self.chatls.revise, states))
+
+    async def _synthesize(self, states: list[ChainState], release: Release):
+        return await self._run_blocking(
+            partial(self.chatls.synthesize, states, self.jobs, self.backend, release)
         )
-        for state, analysis, embedding in zip(states, analyses, embeddings):
-            state.analysis = analysis
-            state.design_embedding = embedding
-            state.advance()
-        return states
-
-    async def _retrieve_batch(
-        self, states: list[ChainState], release: Release
-    ) -> list[ChainState]:
-        chatls = self.chatls
-
-        def kernel():
-            stacked = np.stack([state.design_embedding for state in states])
-            # Sequential parity: _prepare only points the Eq. 5 rerank at
-            # the requirement's characteristic when use_rag is on.
-            characteristics = [
-                state.requirement.rerank_characteristic if chatls.use_rag else "cps"
-                for state in states
-            ]
-            strategy_rows = self.rag.retrieve_strategies_batch(
-                stacked, k=2, characteristics=characteristics
-            )
-            manual_rows = self.rag.manual_batch(
-                [state.requirement.text for state in states], k=2
-            )
-            return strategy_rows, manual_rows
-
-        strategy_rows, manual_rows = await self._run_blocking(kernel)
-        for state, strategies, manual in zip(states, strategy_rows, manual_rows):
-            state.retrieval = DraftRetrieval(
-                strategy_hits=strategies, manual_hits=manual
-            )
-            state.advance()
-        return states
-
-    async def _draft_batch(
-        self, states: list[ChainState], release: Release
-    ) -> list[ChainState]:
-        chatls = self.chatls
-
-        def kernel():
-            generator = Generator(chatls.llm, self.rag)
-            drafts = []
-            for state in states:
-                analysis = (
-                    state.analysis
-                    if chatls.use_rag
-                    else _blank_analysis(state.analysis)
-                )
-                drafts.append(
-                    generator.draft_from_retrieval(
-                        state.requirement,
-                        state.request.baseline_script,
-                        state.request.tool_report,
-                        analysis,
-                        state.retrieval,
-                        seed=state.request.seed,
-                    )
-                )
-            return drafts
-
-        drafts = await self._run_blocking(kernel)
-        for state, draft in zip(states, drafts):
-            state.draft = draft
-            state.advance()
-        return states
-
-    async def _revise_batch(
-        self, states: list[ChainState], release: Release
-    ) -> list[ChainState]:
-        chatls = self.chatls
-
-        def kernel():
-            expert = SynthExpert(chatls.llm, self.rag)
-            plans: list = []
-            query_counts: list[int] = []
-            all_queries: list[str] = []
-            for state in states:
-                if not chatls.use_synthexpert:
-                    plans.append(None)
-                    query_counts.append(0)
-                    continue
-                plan = expert.plan(state.draft.script)
-                queries = plan.queries()
-                plans.append(plan)
-                query_counts.append(len(queries))
-                all_queries.extend(queries)
-            # Cross-session coalescing point: every step query from every
-            # session in the batch goes through ONE stacked manual search.
-            if len(all_queries) > 1:
-                hit_rows = self.rag.manual_batch(all_queries, k=2)
-            elif all_queries:
-                hit_rows = [self.rag.manual(all_queries[0], k=2)]
-            else:
-                hit_rows = []
-            out = []
-            offset = 0
-            for state, plan, count in zip(states, plans, query_counts):
-                if plan is None:
-                    out.append((state.draft.script, CoTTrace()))
-                else:
-                    refined = expert.apply(
-                        plan, hit_rows[offset:offset + count], state.analysis
-                    )
-                    out.append((refined.script, refined.trace))
-                offset += count
-            return out
-
-        revised = await self._run_blocking(kernel)
-        for state, (script, trace) in zip(states, revised):
-            state.script = script
-            state.trace = trace
-            state.advance()
-        return states
-
-    async def _synthesize_batch(
-        self, states: list[ChainState], release: Release
-    ) -> list[ChainState]:
-        def finish(position: int, run) -> None:
-            # Runs as each synthesis finishes (off the event loop), so the
-            # session leaves without waiting for its batch-mates.
-            state = states[position]
-            state.executable = run.success
-            state.error = run.error
-            state.qor = run.qor
-            state.advance()
-            release(position, state)
-
-        await parallel_map_async(
-            _synthesize_task,
-            [
-                (
-                    self.chatls.library,
-                    state.request.design_name,
-                    state.request.verilog,
-                    state.script,
-                    state.request.top,
-                )
-                for state in states
-            ],
-            jobs=self.jobs,
-            backend=self.backend,
-            label="serve-synthesize",
-            cost=lambda task: len(task[2]),
-            on_result=finish,
-            executor=self._executor,
-        )
-        return states
-
-
-# -- module-level stage tasks (picklable for the process backend) --------------
-
-
-def _analyze_task(task):
-    """One session's design analysis (module-level so it crosses processes)."""
-    verilog, design_name, top, clock_period, library = task
-    return analyze_design(
-        verilog, design_name, top=top, clock_period=clock_period, library=library
-    )
-
-
-def _synthesize_task(task):
-    """One session's synthesis run (module-level so it crosses processes)."""
-    library, design_name, verilog, script, top = task
-    return synthesize_cached(library, design_name, verilog, script, top=top)
 
 
 # -- live gauges ---------------------------------------------------------------

@@ -2,18 +2,21 @@
 
 import pytest
 
+from repro import perf
 from repro.core import (
+    BaselineRun,
     ChatLS,
     Requirement,
     SynthExpert,
     parse_requirement,
 )
-from repro.core.chatls import _better_timing
+from repro.core.chatls import _better_timing, pass_at_k_winner
 from repro.designs.chipyard import generate_family_variant
 from repro.designs.database import ExpertDatabase
 from repro.llm import chatls_core
 from repro.mentor import CircuitEncoder, build_circuit_graph
 from repro.rag import SynthRAG
+from repro.synth.cache import clear_caches
 from repro.synth.reports import QoRSnapshot
 
 
@@ -135,6 +138,36 @@ class TestBetterTiming:
         assert _better_timing(self.snap(0, 0, 2.0, 10), self.snap(0, 0, 0.2, 10))
 
 
+class TestPassAtKWinner:
+    """The seed-order winner rule of ChatLS's and the baselines' pass@k."""
+
+    @staticmethod
+    def run(seed: int, wns: float | None) -> BaselineRun:
+        """An executable run at ``wns``, or a failed one (``wns=None``)."""
+        qor = None if wns is None else TestBetterTiming().snap(wns, wns, wns, 10.0)
+        return BaselineRun(
+            script=f"seed {seed}", executable=qor is not None, error=None,
+            qor=qor, seed=seed,
+        )
+
+    def test_best_executable_run_wins(self):
+        runs = [self.run(0, None), self.run(1, -0.3), self.run(2, -0.1), self.run(3, -0.2)]
+        assert pass_at_k_winner(runs).seed == 2
+
+    def test_ties_keep_the_earlier_seed(self):
+        runs = [self.run(0, -0.3), self.run(1, -0.1), self.run(2, -0.1)]
+        assert pass_at_k_winner(runs).seed == 1
+
+    def test_failed_run_wins_only_when_no_run_executes(self):
+        failed = [self.run(0, None), self.run(1, None)]
+        assert pass_at_k_winner(failed).seed == 0
+        assert pass_at_k_winner(failed + [self.run(2, -0.5)]).seed == 2
+        # A failed run's QoR, if it has one, never competes.
+        failed_with_qor = self.run(0, 0.5)
+        failed_with_qor.executable = False
+        assert pass_at_k_winner([failed_with_qor, self.run(1, -0.5)]).seed == 1
+
+
 class TestChatLSFacade:
     DESIGN = """
     module tiny(input clk, input [7:0] a, b, output reg [7:0] y);
@@ -180,6 +213,27 @@ class TestChatLSFacade:
         )
         if best.qor and single.qor:
             assert best.qor.wns >= single.qor.wns - 1e-9
+
+    def test_pass_at_k_analyzes_and_retrieves_once(self, tiny_database):
+        """One GNN embedding and one strategy retrieval per design; one
+        manual lookup for the requirement, then one per seed's revision."""
+        chatls = ChatLS(tiny_database)
+        clear_caches()
+        names = ("gnn.embed", "rag.embedding", "rag.manual")
+
+        def calls() -> dict[str, int]:
+            timers = perf.snapshot()["timers"]
+            return {name: timers.get(name, {}).get("calls", 0) for name in names}
+
+        before = calls()
+        chatls.customize_pass_at_k(
+            self.DESIGN, "tiny", self.SCRIPT, "optimize timing",
+            k=5, clock_period=1.2, jobs=1,
+        )
+        after = calls()
+        assert {name: after[name] - before[name] for name in names} == {
+            "gnn.embed": 1, "rag.embedding": 1, "rag.manual": 1 + 5,
+        }
 
     def test_requirement_object_accepted(self, tiny_database):
         chatls = ChatLS(tiny_database)

@@ -108,10 +108,10 @@ class TestTracedCustomization:
         names = {s["name"] for s in spans}
         for expected in (
             "chatls.customize",
-            "chatls.prepare",
-            "chatls.sample",
+            "chatls.analyze",
+            "chatls.retrieve",
             "chatls.draft",
-            "expert.refine",
+            "chatls.revise",
             "expert.step",
             "rag.embedding",
             "rag.manual",

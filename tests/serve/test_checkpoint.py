@@ -6,6 +6,8 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
+import sys
+import types
 
 import pytest
 
@@ -74,7 +76,7 @@ class TestChainState:
         first.save(path)
 
         second = ChainState(request=ServeRequest("v2", "d2", "b2", "reduce area"))
-        import repro.serve.state as state_mod
+        import repro.core.session as state_mod
 
         def explode(obj, fh):
             fh.write(b"partial garbage")
@@ -136,7 +138,19 @@ class TestCheckpointFormat:
         """Format 1 checkpoints carried the analysis's mapped netlist."""
         path = tmp_path / "s.ckpt"
         path.write_bytes(pickle.dumps(("ChainState", 1, _state())))
-        _assert_rejected(path, "checkpoint format 1, expected 2")
+        _assert_rejected(path, "checkpoint format 1, expected 3")
+
+    def test_format_2_checkpoint_is_rejected(self, tmp_path, monkeypatch):
+        """A format 2 checkpoint pickled ``repro.serve.state.ChainState``,
+        a module that no longer exists."""
+        module = types.ModuleType("repro.serve.state")
+        module.ChainState = type("ChainState", (), {"__module__": module.__name__})
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        data = pickle.dumps(("ChainState", 2, module.ChainState()))
+        monkeypatch.delitem(sys.modules, module.__name__)
+        path = tmp_path / "s.ckpt"
+        path.write_bytes(data)
+        _assert_rejected(path, "No module named 'repro.serve.state'")
 
     def test_format_pins_the_fields(self):
         """Changing a checkpointed field means bumping CHECKPOINT_FORMAT."""
@@ -146,7 +160,7 @@ class TestCheckpointFormat:
             tuple(f.name for f in dataclasses.fields(DesignAnalysis)),
         )
         assert (CHECKPOINT_FORMAT, fields) == (
-            2,
+            3,
             (
                 ("request", "stage", "completed", "requirement", "analysis",
                  "design_embedding", "retrieval", "draft", "script", "trace",

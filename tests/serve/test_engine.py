@@ -8,10 +8,10 @@ import threading
 import pytest
 
 from repro.core import ChatLS
+from repro.core import chatls as chatls_module
 from repro.obs import metrics as obs_metrics
 from repro.obs.ledger import load_manifest
 from repro.serve import BatchPolicy, ChainState, ServeEngine, ServeRequest
-from repro.serve import engine as engine_module
 from repro.serve.engine import _serve_metric_families
 from repro.synth.cache import clear_caches, frontend_cache
 from tests.retention import burst_requests, live_netlists, netlists_since
@@ -134,7 +134,7 @@ class TestPerSessionRelease:
                 fast_left.set()
 
         left = _record_results(monkeypatch, on_result)
-        synthesize = engine_module._synthesize_task
+        synthesize = chatls_module._synthesize_task
 
         def slow_synthesize(task):
             if task[1] != slow_design:
@@ -147,7 +147,7 @@ class TestPerSessionRelease:
             finally:
                 slow_done.set()
 
-        monkeypatch.setattr(engine_module, "_synthesize_task", slow_synthesize)
+        monkeypatch.setattr(chatls_module, "_synthesize_task", slow_synthesize)
         engine = ServeEngine(
             chatls, policy=BatchPolicy(batch_max=8, batch_wait_ms=50),
             jobs=jobs, backend="thread",
@@ -175,7 +175,7 @@ class TestPerSessionRelease:
         requests = make_requests()
         bad_design = requests[1].design_name
         left = _record_results(monkeypatch)
-        synthesize = engine_module._synthesize_task
+        synthesize = chatls_module._synthesize_task
 
         def failing_synthesize(task):
             if task[1] == bad_design:
@@ -183,7 +183,7 @@ class TestPerSessionRelease:
             return synthesize(task)
 
         monkeypatch.setattr(
-            engine_module, "_synthesize_task", failing_synthesize
+            chatls_module, "_synthesize_task", failing_synthesize
         )
         engine = ServeEngine(
             chatls, policy=BatchPolicy(batch_max=8, batch_wait_ms=50),
@@ -191,6 +191,9 @@ class TestPerSessionRelease:
         )
         with pytest.raises(_SynthesisCrash, match=bad_design):
             engine.run(requests)
+        # The batch is counted although its kernel raised.
+        synth = engine.batchers["synthesize"]
+        assert (synth.batch_count, synth.item_count, synth.max_batch) == (1, 3, 3)
         assert sorted(left) == finished
         assert_identical(
             [left[session] for session in finished],
@@ -200,6 +203,30 @@ class TestPerSessionRelease:
 
 class _SynthesisCrash(RuntimeError):
     pass
+
+
+def test_synthesis_cost_hint_is_the_cell_count(
+    chatls, make_requests, expected_results, monkeypatch
+):
+    """The process pool dispatches synthesis costliest first by the
+    analysis's cell count, which tracks synthesis time."""
+    hints: dict[str, float] = {}
+    parallel_map = chatls_module.parallel_map
+
+    def recording(fn, items, **kwargs):
+        items = list(items)
+        if kwargs.get("label") == "chatls-synthesize":
+            hints.update((task[1], kwargs["cost"](task)) for task in items)
+        return parallel_map(fn, items, **kwargs)
+
+    monkeypatch.setattr(chatls_module, "parallel_map", recording)
+    requests = make_requests()
+    engine = ServeEngine(chatls, policy=BatchPolicy(batch_max=8, batch_wait_ms=50))
+    engine.run(requests)
+    assert hints == {
+        request.design_name: expected.analysis.num_cells
+        for request, expected in zip(requests, expected_results)
+    }
 
 
 class TestAblationParity:

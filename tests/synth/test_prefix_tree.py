@@ -16,8 +16,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro import perf
-from repro.core import ChatLS
+from repro.core import ChainState, ChatLS, ServeRequest
 from repro.core.baseline_runner import BaselineRunner
+from repro.core.chatls import _draft_and_revise
 from repro.designs import benchmark_names, build_default_database, get_benchmark
 from repro.designs.chipyard import FAMILIES, generate_family_variant
 from repro.eval import TIMING_REQUIREMENT, baseline_script, run_table4_baseline
@@ -117,14 +118,12 @@ def drafts():
         if report is None:
             run = synthesize_cached(None, design.name, design.verilog, base, top=design.top)
             report = next(out for line, out in run.transcript if line == "report_qor")
-        prepared, analysis, rag = chatls._prepare(
-            design.verilog, design.name, TIMING_REQUIREMENT, design.top,
-            design.clock_period,
+        request = ServeRequest(
+            design.verilog, design.name, base, TIMING_REQUIREMENT, report,
+            design.top, design.clock_period,
         )
-        scripts = [
-            chatls._draft_and_refine(prepared, analysis, rag, base, report, seed).script
-            for seed in range(5)
-        ]
+        grounded = chatls.retrieve(chatls.analyze([ChainState(request=request)]))[0]
+        scripts = [_draft_and_revise(chatls, grounded, seed).script for seed in range(5)]
         for runner in runners:
             scripts += [
                 runner.draft(design.verilog, base, TIMING_REQUIREMENT, report, seed)
