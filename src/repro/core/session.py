@@ -15,9 +15,10 @@ write), so a killed server resumes a session by running only the
 stages that have not completed yet.
 
 A checkpoint holds the session's facts, not its design: the analysis
-keeps no netlist (the analyze stage frees its mapped netlist before the
-stage ends), so a checkpoint is tens of kilobytes rather than megabytes,
-and a finished session keeps no netlist alive.
+keeps no netlist (the analyze stage hands the netlist it timed to the
+frontend cache, where the session's synthesis takes it), so a
+checkpoint is tens of kilobytes rather than megabytes, and a finished
+session keeps no netlist alive.
 """
 
 from __future__ import annotations

@@ -576,6 +576,21 @@ class Netlist:
         other._uid = itertools.count(following)
         return other
 
+    def renew(self) -> None:
+        """Make this netlist, in place, what its :meth:`clone` would be.
+
+        For a netlist its owner hands on instead of copying.  The journal
+        is trimmed empty, so an observer whose cursor is older sees a
+        trimmed journal and rebuilds; the cached topological order is
+        dropped; and the uid counter resumes past the highest uid present,
+        as a clone's does, so the same edits give the same names.
+        """
+        journal = self._journal
+        journal.base += len(journal.events)
+        journal.events.clear()
+        self._topo_cache = None
+        self._uid = itertools.count(self._max_uid() + 1)
+
 
 class EditUndo:
     """Exact undo record for an edit that removes cells and appends others.

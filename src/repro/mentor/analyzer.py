@@ -7,12 +7,18 @@ nets (buffer balancing), register imbalance (retiming), long unbalanced
 gate chains (restructuring), hierarchy boundaries (ungroup/flatten),
 standalone wide adders (arithmetic resynthesis).
 
-A :class:`DesignAnalysis` holds facts, not the design: every field is
-computed before :func:`analyze_design` returns, and the mapped netlist
-is not kept.  It dies with the call, together with the SoA lowering
-cached on it, so a finished customization (its result, a serve
-session's checkpoint, a pass@k context shipped to a worker) retains no
-netlist, and memory follows the sessions in flight.
+Analysis times the generic elaborated netlist in place: the SoA kernel
+binds an unmapped gate to ``library.weakest(gate)``, the cell
+``map_to_library`` would bind, so no mapping pass or private copy is
+needed and every field is what the mapped netlist gives.  A
+:class:`DesignAnalysis` holds facts, not the design: every field is
+computed before the netlist is let go.  The untouched netlist then
+becomes the frontend cache's hand-over entry
+(:func:`~repro.synth.cache.elaborate_to_hand_over`), which the
+session's synthesis takes at ``read_verilog`` without a copy, so a
+finished customization (its result, a serve session's checkpoint, a
+pass@k context shipped to a worker) retains no netlist, and memory
+follows the sessions in flight.
 """
 
 from __future__ import annotations
@@ -164,24 +170,40 @@ def analyze_design(
 
     The RTL is parsed once; the circuit graph and the elaborated netlist
     (on a frontend-cache miss) are both built from that parse.  The
-    netlist counts and high-fanout nets come from the timing engine's
-    SoA kernel.  The mapped netlist is a private copy that the result
-    does not keep: it is freed when the call returns.  The analysis
-    builds no reference cycle, so it runs with the cyclic collector
-    paused.
+    generic netlist is timed in place, unmapped; the netlist counts and
+    high-fanout nets come from the timing engine's SoA kernel.  The
+    result keeps no netlist: once every field is computed, the netlist
+    is handed over for the next ``read_verilog`` of this RTL to take (on
+    a frontend hit the analysis reads a clone and takes nothing).  The
+    analysis builds no reference cycle, so it runs with the cyclic
+    collector paused.
     """
     library = library or nangate45()
     wireload = wireload or get_wireload("5K_heavy_1k")
     with obs.span("hdl.parse"):
         source = parse_source(verilog)
     circuit = build_circuit_graph(source, design_name, top=top)
-    top_name = top or design_name
-    from ..synth.cache import elaborate_cached
-    from ..synth.techmap import map_to_library
+    from ..synth.cache import elaborate_to_hand_over
 
-    netlist = elaborate_cached(source, top_name)
+    with elaborate_to_hand_over(source, top or design_name) as netlist:
+        return _analyze_netlist(
+            netlist, circuit, design_name, clock_period, library, wireload
+        )
 
-    map_to_library(netlist, library)
+
+def _analyze_netlist(
+    netlist: Netlist,
+    circuit: CircuitGraph,
+    design_name: str,
+    clock_period: float,
+    library: TechLibrary,
+    wireload: WireLoadModel,
+) -> DesignAnalysis:
+    """Every :class:`DesignAnalysis` field, read from the generic netlist.
+
+    The netlist is only read.  The timing engine dies when this returns,
+    so nothing reads the netlist once the caller hands it over.
+    """
     constraints = Constraints(clock_period=clock_period)
     engine = TimingEngine(netlist, library, wireload, constraints)
     report = engine.analyze()

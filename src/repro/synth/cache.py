@@ -12,8 +12,15 @@ script text); the digest (:meth:`TechLibrary.digest`) covers every cell
 value, so two same-named libraries with different cells never share a
 result.  Values are deep copies of :class:`ScriptResult`, so cached
 transcripts/QoR can never be mutated by one caller into another.  The
-frontend cache likewise keys elaborated netlists on (RTL, top, params)
-and hands out clones.
+frontend cache likewise keys elaborated netlists on (RTL, top, params).
+Its entries are *shared* or *hand-overs*.  A shared entry
+(:func:`elaborate_cached` on a miss, which is how
+``ExpertDatabase.add_design`` fills it) is copied in and out.  A
+hand-over is the netlist a design analysis elaborated and only read
+(:func:`elaborate_to_hand_over`): the next ``read_verilog`` of that RTL,
+normally the same session's synthesis, takes it as it is, without a copy,
+and it leaves the cache.  Nothing of that RTL stays cached after the
+take, so RTL served again in a later session elaborates again.
 
 :func:`synthesize_batch` serves the scripts of one design together: it
 looks each up in input order and runs the misses as one prefix tree
@@ -24,12 +31,12 @@ evaluation executor hits them from worker threads) and in memory only:
 keys hash the inputs, not the code, so no entry may outlive the process,
 and with it the code, that computed it.  The synthesis cache keeps up to
 512 results.  The frontend cache keeps netlists up to
-:data:`FRONTEND_CELLS` cells in all, so the memory it holds is set by a
-cell budget, not by how large the designs it has seen are; its newest
-netlist is kept even when that one alone is larger.  Its entries are the
-only netlists a finished customization leaves alive.  Set
-``REPRO_SYNTH_CACHE=0`` to disable both without touching call sites; a
-batch then runs every script alone in a fresh shell.
+:data:`FRONTEND_CELLS` cells in all, hand-overs included, so the memory
+it holds is set by a cell budget, not by how large the designs it has
+seen are; its newest netlist is kept even when that one alone is
+larger.  Set ``REPRO_SYNTH_CACHE=0`` to disable both without touching
+call sites; a batch then runs every script alone in a fresh shell, and
+an analysis and its synthesis each elaborate.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ import hashlib
 import os
 import threading
 from collections import OrderedDict
+from collections.abc import Iterator
+from contextlib import contextmanager
 from typing import Any, Callable
 
 from .. import obs, perf
@@ -49,6 +58,7 @@ from ..hdl.netlist import Netlist
 from ..parallel import clear_worker_caches
 from .dcshell import DCShell, ScriptResult
 from .library import TechLibrary, nangate45
+from .soa import drop_structure
 
 __all__ = [
     "SynthesisCache",
@@ -62,6 +72,7 @@ __all__ = [
     "synthesize_cached",
     "synthesize_batch",
     "elaborate_cached",
+    "elaborate_to_hand_over",
     "clear_caches",
 ]
 
@@ -133,7 +144,7 @@ class _LRUCache:
         self._copy = copy
         self._counter = counter
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, tuple[Any, int]] = OrderedDict()
+        self._entries: OrderedDict[str, tuple[Any, int, bool]] = OrderedDict()
         self._weight = 0
         self.hits = 0
         self.misses = 0
@@ -141,33 +152,49 @@ class _LRUCache:
     def _weigh(self, value) -> int:
         return 1
 
+    def _find(self, key: str) -> tuple[Any, int, bool] | None:
+        """The entry under ``key``, now the most recent, or None; counts
+        the lookup.  Call with the lock held."""
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+        else:
+            self._entries.move_to_end(key)
+            self.hits += 1
+        return entry
+
+    def _count(self, entry) -> None:
+        perf.incr(f"{self._counter}.{'miss' if entry is None else 'hit'}")
+
     def get(self, key: str):
         """A private copy of the cached value, or None on a miss."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-            else:
-                self._entries.move_to_end(key)
-                self.hits += 1
-        if entry is None:
-            perf.incr(f"{self._counter}.miss")
-            return None
-        perf.incr(f"{self._counter}.hit")
-        return self._copy(entry[0])
+            entry = self._find(key)
+        self._count(entry)
+        return None if entry is None else self._copy(entry[0])
 
     def put(self, key: str, value) -> None:
         value = self._copy(value)
         weight = self._weigh(value)
         with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._weight -= old[1]
-            self._entries[key] = (value, weight)
-            self._weight += weight
-            while self._weight > self.capacity and len(self._entries) > 1:
-                _, (_, evicted) = self._entries.popitem(last=False)
-                self._weight -= evicted
+            self._store(key, value, weight)
+
+    def _store(self, key: str, value, weight: int, handed: bool = False) -> None:
+        """Store an entry, then evict the oldest others until the weight
+        fits.  ``handed`` marks a value stored without a copy, for one
+        caller to take (:class:`FrontendCache`).  Call with the lock
+        held."""
+        self._discard(key)
+        self._entries[key] = (value, weight, handed)
+        self._weight += weight
+        while self._weight > self.capacity and len(self._entries) > 1:
+            self._discard(next(iter(self._entries)))
+
+    def _discard(self, key: str) -> None:
+        """Remove ``key``'s entry, if any.  Call with the lock held."""
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._weight -= entry[1]
 
     def clear(self) -> None:
         with self._lock:
@@ -210,7 +237,13 @@ FRONTEND_CELLS = 40_000
 
 class FrontendCache(_LRUCache):
     """Elaborated netlists, bounded by their summed cell count, so the
-    memory it holds does not grow with the size of the designs served."""
+    memory it holds does not grow with the size of the designs served.
+
+    An entry stored by :meth:`put` is shared: it is copied in and out.
+    One stored by :meth:`hand_over` is a netlist its owner has finished
+    with: the next :meth:`get` takes it, as it is, and it leaves the
+    cache.  Both kinds weigh their cells and age alike.
+    """
 
     unit = "cells"
 
@@ -219,6 +252,55 @@ class FrontendCache(_LRUCache):
 
     def _weigh(self, netlist: Netlist) -> int:
         return len(netlist.cells)
+
+    def get(self, key: str, take: bool = True) -> Netlist | None:
+        """The netlist under ``key``, or None on a miss.
+
+        A hand-over entry is taken when ``take`` is set: it leaves the
+        cache, with its cells, and is returned as it is.  Otherwise, and
+        for a shared entry, the caller gets a private clone.  A take
+        counts as a hit.
+        """
+        netlist = None
+        with self._lock:
+            entry = self._find(key)
+            if entry is not None and entry[2]:
+                if take:
+                    self._discard(key)
+                    netlist = entry[0]
+                else:
+                    # Cloned under the lock: a take, which needs it too,
+                    # cannot start changing the netlist mid-copy.
+                    netlist = self._copy(entry[0])
+        self._count(entry)
+        if netlist is None and entry is not None:
+            netlist = self._copy(entry[0])  # shared: never changed
+        return netlist
+
+    def hand_over(self, key: str, netlist: Netlist) -> bool:
+        """Leave ``netlist`` for the next :meth:`get` of ``key`` to take.
+
+        The caller must have finished with ``netlist`` and hold its only
+        reference.  It is stored without a copy, made what a clone would
+        be (:meth:`Netlist.renew`), and its cached lowering is dropped,
+        which would otherwise live as long as it does.  When ``key`` has
+        an entry already, that entry stays and nothing is stored (returns
+        False).
+        """
+        drop_structure(netlist)
+        netlist.renew()
+        with self._lock:
+            if key in self._entries:
+                return False
+            self._store(key, netlist, len(netlist.cells), handed=True)
+        return True
+
+    def release(self, key: str) -> None:
+        """Drop the hand-over entry under ``key``, if one waits there."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[2]:
+                self._discard(key)
 
 
 _DEFAULT = SynthesisCache()
@@ -258,8 +340,9 @@ def elaborate_cached(
 ) -> Netlist:
     """Elaborate RTL, serving repeated (source, top, params) from the cache.
 
-    A parsed ``source`` is keyed on its text and elaborated without
-    parsing again on a miss.
+    A hit takes a hand-over entry as it is and clones a shared one; a
+    miss elaborates and stores a shared copy.  A parsed ``source`` is
+    keyed on its text and elaborated without parsing again on a miss.
     """
     text = source if isinstance(source, str) else source.text
     key = frontend_key(text, top, params) if cache_enabled() else None
@@ -271,6 +354,28 @@ def elaborate_cached(
     if key is not None:
         _FRONTEND.put(key, netlist)
     return netlist
+
+
+@contextmanager
+def elaborate_to_hand_over(source: SourceFile, top: str) -> Iterator[Netlist]:
+    """The elaborated netlist of ``source`` to read, then to hand over.
+
+    A frontend hit yields a clone and never takes a hand-over entry, so
+    a second in-flight session of the same RTL leaves the first one's
+    alone; a miss elaborates.  The block must only read the netlist.
+    Once the block has finished without raising, the netlist becomes a
+    hand-over entry (:meth:`FrontendCache.hand_over`) that the next
+    ``read_verilog`` of the RTL takes without a copy, unless the RTL has
+    an entry by then.  With the cache disabled nothing is stored.
+    """
+    key = frontend_key(source.text, top) if cache_enabled() else None
+    netlist = None if key is None else _FRONTEND.get(key, take=False)
+    if netlist is None:
+        with obs.span("synth.elaborate", cached=False):
+            netlist = elaborate(source, top)
+    yield netlist
+    if key is not None:
+        _FRONTEND.hand_over(key, netlist)
 
 
 def synthesize_cached(
@@ -342,6 +447,10 @@ def synthesize_batch(
             for index, result in zip(misses, ran):
                 store.put(keys[index], result)
                 found[index] = result
+        else:
+            # No read_verilog runs, so nothing takes the design analysis's
+            # hand-over; drop it rather than keep it for a later session.
+            _FRONTEND.release(frontend_key(verilog, top or design_name))
         for index, key in enumerate(keys):
             if found[index] is None:  # a duplicate of an earlier miss
                 found[index] = store.get(key)

@@ -571,6 +571,13 @@ def peek_structure(netlist) -> SoAStructure | None:
     return None
 
 
+def drop_structure(netlist) -> None:
+    """Forget ``netlist``'s cached lowering, which otherwise lives as long
+    as the netlist does (the frontend cache's hand-over entries)."""
+    with _STRUCT_LOCK:
+        _STRUCTURES.pop(netlist, None)
+
+
 def structure_cache_stats() -> dict:
     """Lowering cache activity, shaped for ``perf.snapshot()["caches"]``."""
     with _STRUCT_LOCK:

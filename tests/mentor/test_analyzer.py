@@ -3,12 +3,14 @@
 import pytest
 
 from repro import perf
+from repro.core import ChatLS
 from repro.designs.chipyard import FAMILIES, generate_family_variant
+from repro.designs.database import ExpertDatabase
 from repro.designs.generators import gen_imbalanced_pipeline
 from repro.designs.opencores import benchmark_names, get_benchmark
 from repro.hdl import elaborate, parser
 from repro.hdl.parser import parse_source
-from repro.mentor import analyze_design
+from repro.mentor import CircuitEncoder, analyze_design
 from repro.mentor.circuit_graph import build_circuit_graph
 from repro.synth import clear_caches
 from repro.synth.cache import frontend_cache
@@ -154,8 +156,22 @@ class TestSharedParse:
         assert perf.snapshot()["timers"]["hdl.parse"]["calls"] == 1
 
 
+@pytest.fixture(scope="module")
+def small_chatls():
+    """ChatLS over a two-design expert database."""
+    db = ExpertDatabase(CircuitEncoder(seed=0))
+    for family in ("rocket", "sha3"):
+        db.add_design(
+            generate_family_variant(family, 0),
+            strategies=["baseline_compile", "ultra_retime"],
+        )
+    return ChatLS(db)
+
+
 class TestRetention:
-    """A finished analysis keeps facts, not the design's netlist."""
+    """A finished analysis keeps facts, not the design's netlist; a finished
+    customization keeps no netlist at all (its synthesis took the one the
+    analysis handed over)."""
 
     def _analyze(self):
         bench = get_benchmark("dynamic_node")
@@ -164,6 +180,7 @@ class TestRetention:
         )
 
     def test_only_the_frontend_entry_stays_alive(self, monkeypatch):
+        """An analysis alone leaves its hand-over entry, unmapped."""
         monkeypatch.setenv("REPRO_SYNTH_CACHE", "1")
         clear_caches()
         before = live_netlists()
@@ -171,6 +188,8 @@ class TestRetention:
         (kept,) = netlists_since(before)
         stats = frontend_cache().stats()
         assert (stats["entries"], stats["cells"]) == (1, len(kept.cells))
+        assert (stats["cells"], stats["misses"]) == (analysis.num_cells, 1)
+        assert all(cell.lib_cell is None for cell in kept.cells.values())  # unmapped
         assert not hasattr(analysis, "netlist")
 
     def test_none_stays_alive_without_the_cache(self, monkeypatch):
@@ -180,3 +199,20 @@ class TestRetention:
         analysis = self._analyze()
         assert netlists_since(before) == []
         assert analysis.num_cells > 0
+
+    @pytest.mark.parametrize("mode", ["customize_and_evaluate", "customize_pass_at_k"])
+    def test_a_customization_keeps_no_netlist(self, small_chatls, mode, monkeypatch):
+        monkeypatch.setenv("REPRO_SYNTH_CACHE", "1")
+        design = generate_family_variant("gemmini", 5)
+        clear_caches()
+        before = live_netlists()
+        kwargs = {"k": 2} if mode == "customize_pass_at_k" else {}
+        result = getattr(small_chatls, mode)(
+            design.verilog, design.name, f"read_verilog {design.name}\ncompile",
+            "fix the negative slack and improve timing", top=design.top,
+            clock_period=1.2, **kwargs,
+        )
+        assert result.executable
+        assert netlists_since(before) == []
+        stats = frontend_cache().stats()
+        assert (stats["entries"], stats["hits"], stats["misses"]) == (0, 1, 1)

@@ -298,16 +298,20 @@ class TestServeObservability:
 
 class TestServeRetention:
     def test_finished_sessions_keep_no_netlist(self, chatls):
-        """Served results, analyses included, hold no netlist: after two
-        7-session bursts the live netlists are the frontend cache's."""
+        """Served results, analyses included, hold no netlist, and each
+        session's synthesis took the netlist its analysis handed over:
+        after two 7-session bursts no netlist is alive.  The thread
+        backend is pinned: the hand-over happens in this process's cache."""
         clear_caches()
         before = live_netlists()
         requests = burst_requests(8) + burst_requests(9)
-        engine = ServeEngine(chatls, policy=BatchPolicy(batch_max=8, batch_wait_ms=5))
+        engine = ServeEngine(
+            chatls, policy=BatchPolicy(batch_max=8, batch_wait_ms=5), backend="thread"
+        )
         results = engine.run(requests, arrival_delays=[0.0] * 7 + [0.05] * 7)
         assert len(results) == 14 and all(result.executable for result in results)
-        kept = netlists_since(before)
+        assert netlists_since(before) == []
         stats = frontend_cache().stats()
-        assert (len(kept), sum(len(netlist.cells) for netlist in kept)) == (
-            stats["entries"], stats["cells"]
+        assert (stats["entries"], stats["cells"], stats["hits"], stats["misses"]) == (
+            0, 0, 14, 14
         )

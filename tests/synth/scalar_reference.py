@@ -461,3 +461,101 @@ class ReferenceEngine:
 
     def trial_cps_batch(self, trials) -> list[float]:
         return [cps for cps, _ in self.trial_metrics_batch(trials)]
+
+
+# -- design analysis -----------------------------------------------------------
+
+_CHAIN_GATES = ("AND2", "OR2", "XOR2")
+
+
+def longest_chain(netlist) -> int:
+    """Longest single-fanout chain of identical AND2/OR2/XOR2 gates.
+
+    One pass in topological order: a chain gate extends the longest
+    chain of a same-gate driver whose output it alone reads.
+    """
+    chain: dict[str, int] = {}
+    for cell in netlist.topological_cells():
+        if cell.gate not in _CHAIN_GATES:
+            continue
+        length = 1
+        for net_in in cell.inputs:
+            driver = netlist.nets[net_in].driver
+            child = netlist.cells[driver] if driver is not None else None
+            if (
+                child is not None
+                and child.gate == cell.gate
+                and netlist.fanout(child.output) == 1
+            ):
+                length = max(length, 1 + chain[child.name])
+        chain[cell.name] = length
+    return max(chain.values(), default=0)
+
+
+def register_imbalance(report: TimingReport, constraints) -> float:
+    """Std/mean of the register endpoints' arrivals, in endpoint order."""
+    import numpy as np
+
+    period = constraints.effective_period
+    arrivals = [
+        period - slack
+        for key, slack in report.endpoint_slacks.items()
+        if key.startswith("reg:")
+    ]
+    if len(arrivals) < 2:
+        return 0.0
+    arrivals = np.asarray(arrivals)
+    mean = arrivals.mean()
+    return float(arrivals.std() / mean) if mean > 0 else 0.0
+
+
+def modules_on_path(report: TimingReport) -> list[str]:
+    """Instance prefixes of the critical path's nets, in path order."""
+    seen: list[str] = []
+    if report.critical_path is not None:
+        for point in report.critical_path.points:
+            if "/" in point.net:
+                prefix = point.net.rsplit("/", 1)[0]
+                if prefix not in seen:
+                    seen.append(prefix)
+    return seen
+
+
+def reference_analysis(design, netlist, library, wireload, constraints) -> dict:
+    """Every netlist-derived ``DesignAnalysis`` field of a mapped netlist.
+
+    That is every field but the circuit graph and the category mix,
+    which come from the RTL's module graph.
+    """
+    stats = netlist_stats(netlist)
+    report = reference_sta(netlist, library, wireload, constraints)
+    imbalance = register_imbalance(report, constraints)
+    chain = longest_chain(netlist)
+    hierarchy = sum(1 for c in netlist.cells.values() if c.attrs.get("hierarchy"))
+    adders = sum(1 for c in netlist.cells.values() if "adder" in c.attrs)
+    registers = stats["sequential"]
+    path = report.critical_path
+    rules = (
+        ("high_fanout", stats["max_fanout"] >= 24),
+        ("register_imbalance", imbalance >= 0.5 and registers > 0),
+        ("unbalanced_chains", chain >= 6),
+        ("hierarchy_boundaries", hierarchy >= 16),
+        ("wide_arithmetic", adders >= 2),
+        ("long_combinational", path is not None and path.depth >= 40),
+        ("timing_violated", report.wns < 0),
+    )
+    return {
+        "design_name": design,
+        "timing": report,
+        "area": total_area(netlist, library),
+        "num_cells": stats["cells"],
+        "num_registers": registers,
+        "max_fanout": stats["max_fanout"],
+        "high_fanout_nets": high_fanout_nets(netlist),
+        "critical_modules": modules_on_path(report),
+        "pathologies": [name for name, found in rules if found],
+        "register_stage_imbalance": imbalance,
+        "longest_chain": chain,
+        "hierarchy_buffers": hierarchy,
+        "tagged_adders": adders,
+    }

@@ -11,16 +11,23 @@ under every golden flow and on random netlists with the cases where
 pins and sinks differ: a cell that reads one net on two pins, a
 register whose data pin reads its clock net, a primary output that is
 also read inside the design, constants, and cells left unmapped.
+``analyze_design`` times the generic netlist unmapped; every field of
+its result is held to the oracle's walk over a mapped copy, on the
+OpenCores designs and on one variant of each Chipyard family.
 """
+
+from collections import Counter
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.designs import benchmark_names, generate_family_variant, get_benchmark
+from repro.designs import FAMILIES, benchmark_names, generate_family_variant, get_benchmark
 from repro.hdl import elaborate
 from repro.hdl.parser import parse_source
-from repro.mentor.analyzer import _high_fanout_nets, analyze_design
+from repro.mentor.analyzer import DesignAnalysis, _high_fanout_nets, analyze_design
+from repro.mentor.circuit_graph import build_circuit_graph
 from repro.synth import Constraints, TimingEngine, get_wireload, nangate45
 from repro.synth.dcshell import DCShell
 from repro.synth.reports import render_area_report, snapshot
@@ -31,6 +38,7 @@ from .scalar_reference import (
     dynamic_power,
     high_fanout_nets,
     netlist_stats,
+    reference_analysis,
     reference_area_report,
     reference_qor,
     reference_sta,
@@ -192,30 +200,55 @@ class TestGoldenFlows:
 
 
 class TestAnalyzeDesign:
+    """Every analysis field, bit for bit, against a walk over a mapped copy.
+
+    The analysis times the generic netlist unmapped, so this also holds
+    the weakest-cell binding of an unmapped gate to ``map_to_library``'s.
+    """
+
     @pytest.mark.parametrize("design", benchmark_names())
     def test_fields_match_oracle(self, design):
         bench = get_benchmark(design)
         analysis = analyze_design(
             bench.verilog, design, top=bench.top, clock_period=bench.clock_period
         )
-        _assert_analysis_matches(analysis, bench.verilog, bench.top)
+        _assert_analysis_matches(
+            analysis, bench.verilog, bench.top, bench.clock_period
+        )
 
     def test_chipyard_variant_matches_oracle(self):
-        variant = generate_family_variant("gemmini", 1)
-        analysis = analyze_design(variant.verilog, variant.name, top=variant.top)
-        _assert_analysis_matches(analysis, variant.verilog, variant.top)
+        """One variant of each Chipyard family."""
+        for family in sorted(FAMILIES):
+            variant = generate_family_variant(family, 1)
+            analysis = analyze_design(
+                variant.verilog, variant.name, top=variant.top, clock_period=1.2
+            )
+            _assert_analysis_matches(analysis, variant.verilog, variant.top, 1.2)
 
 
-def _assert_analysis_matches(analysis, verilog, top):
+def _assert_analysis_matches(analysis, verilog, top, clock_period):
     """The analysis keeps no netlist: the oracle maps its own copy."""
-    netlist = elaborate(parse_source(verilog), top)
+    source = parse_source(verilog)
+    netlist = elaborate(source, top)
     map_to_library(netlist, LIBRARY)
-    stats = netlist_stats(netlist)
-    assert analysis.num_cells == stats["cells"]
-    assert analysis.num_registers == stats["sequential"]
-    assert analysis.max_fanout == stats["max_fanout"]
-    assert analysis.high_fanout_nets == high_fanout_nets(netlist)
-    assert analysis.area == total_area(netlist, LIBRARY)
+    expected = reference_analysis(
+        analysis.design_name, netlist, LIBRARY, WIRELOAD,
+        Constraints(clock_period=clock_period),
+    )
+    circuit = build_circuit_graph(source, analysis.design_name, top=top)
+    expected["category_mix"] = dict(
+        Counter(profile.category for profile in circuit.profiles.values())
+    )
+    assert set(expected) == {f.name for f in fields(DesignAnalysis)} - {"circuit"}
+    for name, value in expected.items():
+        assert getattr(analysis, name) == value, name
+    # Equal dicts may differ in order; the endpoint order is part of the
+    # contract (the imbalance folds the arrivals in it).
+    assert list(analysis.timing.endpoint_slacks.items()) == list(
+        expected["timing"].endpoint_slacks.items()
+    )
+    assert list(analysis.category_mix.items()) == list(expected["category_mix"].items())
+    assert analysis.circuit.profiles == circuit.profiles
     assert all(
         type(value) is int
         for value in (analysis.num_cells, analysis.num_registers, analysis.max_fanout)
