@@ -63,7 +63,6 @@ def test_process_backend_full_corpus_table3(bench_results, small_database, monke
 
     def run(backend: str, jobs: int):
         monkeypatch.setenv("REPRO_PARALLEL_BACKEND", backend)
-        monkeypatch.setenv("REPRO_SYNTH_CACHE", "1")
         clear_caches()
         start = time.perf_counter()
         table = run_table3_customization(

@@ -96,7 +96,6 @@ def _reset_caches() -> None:
 
 
 def test_serve_throughput_vs_sequential(bench_results, small_database, monkeypatch):
-    monkeypatch.setenv("REPRO_SYNTH_CACHE", "1")
     cpus = os.cpu_count() or 1
     workers = max(2, min(8, cpus))
     chatls = ChatLS(small_database, llm=chatls_core())

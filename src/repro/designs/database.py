@@ -19,8 +19,7 @@ from .. import obs
 from ..hdl.parser import parse_source
 from ..mentor.circuit_graph import build_circuit_graph
 from ..mentor.embeddings import CircuitEncoder
-from ..synth.cache import elaborate_cached
-from ..synth.dcshell import DCShell
+from ..synth.cache import synthesize_batch, synthesize_cached
 from ..synth.reports import QoRSnapshot
 from ..vectorstore import FlatIndex
 from .chipyard import SoCDesign, generate_corpus
@@ -170,22 +169,25 @@ class ExpertDatabase:
         achievable delay and the period is tightened by ``tighten`` so
         strategy choice actually matters for the recorded QoR.
 
-        The RTL is parsed once: the circuit graph and the frontend-cache
-        entry that every strategy's ``read_verilog`` hits both come from
-        that parse.
+        The RTL is parsed once: the circuit graph, the probe and the
+        strategies all read that parse.  The probe runs through
+        :func:`synthesize_cached` and the strategies through one
+        :func:`synthesize_batch`, so the strategies' shared
+        ``read_verilog`` … ``create_clock`` prefix runs once, and the
+        design is elaborated at most once (the probe's ``read_verilog``
+        stores the netlist that the batch's then copies).
         """
         strategies = strategies or list(STRATEGIES)
         with obs.span("hdl.parse"):
             source = parse_source(design.verilog)
         circuit = build_circuit_graph(source, design.name, top=design.top)
-        elaborate_cached(source, design.top or design.name)
         embedding = self.encoder.embed_design(circuit)
         module_embeddings = self.encoder.embed_modules(circuit)
 
-        probe_shell = DCShell()
-        probe_shell.add_design(design.name, design.verilog, top=design.top)
-        probe = probe_shell.run_script(
-            STRATEGIES["baseline_compile"].script(design.name, period=10.0)
+        probe = synthesize_cached(
+            None, design.name, source,
+            STRATEGIES["baseline_compile"].script(design.name, period=10.0),
+            top=design.top,
         )
         if not probe.success:
             raise RuntimeError(f"probe synthesis failed: {probe.error}")
@@ -198,12 +200,12 @@ class ExpertDatabase:
             category=design.category,
             clock_period=period,
         )
-        for strategy_name in strategies:
-            shell = DCShell()
-            shell.add_design(design.name, design.verilog, top=design.top)
-            result = shell.run_script(
-                STRATEGIES[strategy_name].script(design.name, period)
-            )
+        results = synthesize_batch(
+            None, design.name, source,
+            [STRATEGIES[name].script(design.name, period) for name in strategies],
+            top=design.top,
+        )
+        for strategy_name, result in zip(strategies, results):
             if result.success and result.qor is not None:
                 entry.qor[strategy_name] = result.qor
             else:

@@ -12,19 +12,24 @@ script text); the digest (:meth:`TechLibrary.digest`) covers every cell
 value, so two same-named libraries with different cells never share a
 result.  Values are deep copies of :class:`ScriptResult`, so cached
 transcripts/QoR can never be mutated by one caller into another.  The
-frontend cache likewise keys elaborated netlists on (RTL, top, params).
-Its entries are *shared* or *hand-overs*.  A shared entry
-(:func:`elaborate_cached` on a miss, which is how
-``ExpertDatabase.add_design`` fills it) is copied in and out.  A
+frontend cache likewise keys elaborated netlists on (RTL, top).  Both
+key on the RTL text, whether a caller passes it or its parsed
+:class:`~repro.hdl.ast_nodes.SourceFile`.  Frontend entries are *shared*
+or *hand-overs*.  A shared entry (:func:`elaborate_cached` on a miss,
+which is how a ``read_verilog`` miss fills it) is copied in and out.  A
 hand-over is the netlist a design analysis elaborated and only read
 (:func:`elaborate_to_hand_over`): the next ``read_verilog`` of that RTL,
 normally the same session's synthesis, takes it as it is, without a copy,
 and it leaves the cache.  Nothing of that RTL stays cached after the
 take, so RTL served again in a later session elaborates again.
 
-:func:`synthesize_batch` serves the scripts of one design together: it
+:func:`synthesize_batch` is how ``src/`` runs scripts on a design: it
 looks each up in input order and runs the misses as one prefix tree
-(:meth:`DCShell.run_scripts`), so a prefix the drafts share runs once.
+(:meth:`DCShell.run_scripts`) in one fresh shell, so a prefix the
+scripts share runs once.  Pass@k's drafts and the expert database's
+strategies go through it, and :func:`synthesize_cached` is its
+one-script case.  Every result equals running its script alone in a
+fresh shell (``tests/solo.py`` keeps that run as the oracle).
 
 Both caches are process-global, LRU-bounded, thread-safe (the parallel
 evaluation executor hits them from worker threads) and in memory only:
@@ -34,16 +39,13 @@ and with it the code, that computed it.  The synthesis cache keeps up to
 :data:`FRONTEND_CELLS` cells in all, hand-overs included, so the memory
 it holds is set by a cell budget, not by how large the designs it has
 seen are; its newest netlist is kept even when that one alone is
-larger.  Set ``REPRO_SYNTH_CACHE=0`` to disable both without touching
-call sites; a batch then runs every script alone in a fresh shell, and
-an analysis and its synthesis each elaborate.
+larger.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
-import os
 import threading
 from collections import OrderedDict
 from collections.abc import Iterator
@@ -66,7 +68,6 @@ __all__ = [
     "FRONTEND_CELLS",
     "default_cache",
     "frontend_cache",
-    "cache_enabled",
     "synthesis_key",
     "frontend_key",
     "synthesize_cached",
@@ -75,21 +76,6 @@ __all__ = [
     "elaborate_to_hand_over",
     "clear_caches",
 ]
-
-
-def cache_enabled() -> bool:
-    """Whether ``REPRO_SYNTH_CACHE`` is unset or on (``1``/``true``/``yes``/``on``).
-
-    ``0``/``false``/``no``/``off`` (any case) turn the caches off; any
-    other value raises ``ValueError`` naming the variable.
-    """
-    raw = os.environ.get("REPRO_SYNTH_CACHE", "1")
-    value = raw.strip().lower()
-    if value in ("", "1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"REPRO_SYNTH_CACHE must be 1/true/yes/on or 0/false/no/off, got {raw!r}")
 
 
 def synthesis_key(
@@ -112,15 +98,12 @@ def synthesis_key(
     return h.hexdigest()
 
 
-def frontend_key(source: str, top: str | None, params: dict | None = None) -> str:
-    """Content address of one elaboration: RTL source + top + parameters."""
+def frontend_key(source: str, top: str | None) -> str:
+    """Content address of one elaboration: RTL source + top."""
     digest = hashlib.sha256()
     digest.update(source.encode())
     digest.update(b"\x00")
     digest.update((top or "").encode())
-    if params:
-        digest.update(b"\x00")
-        digest.update(repr(sorted(params.items())).encode())
     return digest.hexdigest()
 
 
@@ -335,24 +318,21 @@ perf.register_stats_provider("synthesis", _DEFAULT.stats)
 perf.register_stats_provider("frontend", _FRONTEND.stats)
 
 
-def elaborate_cached(
-    source: SourceFile | str, top: str | None = None, params: dict | None = None
-) -> Netlist:
-    """Elaborate RTL, serving repeated (source, top, params) from the cache.
+def elaborate_cached(source: SourceFile | str, top: str | None = None) -> Netlist:
+    """Elaborate RTL, serving repeated (source, top) from the cache.
 
     A hit takes a hand-over entry as it is and clones a shared one; a
     miss elaborates and stores a shared copy.  A parsed ``source`` is
     keyed on its text and elaborated without parsing again on a miss.
     """
     text = source if isinstance(source, str) else source.text
-    key = frontend_key(text, top, params) if cache_enabled() else None
-    hit = None if key is None else _FRONTEND.get(key)
+    key = frontend_key(text, top)
+    hit = _FRONTEND.get(key)
     if hit is not None:
         return hit
     with obs.span("synth.elaborate", cached=False):
-        netlist = elaborate(source, top, params)
-    if key is not None:
-        _FRONTEND.put(key, netlist)
+        netlist = elaborate(source, top)
+    _FRONTEND.put(key, netlist)
     return netlist
 
 
@@ -366,22 +346,21 @@ def elaborate_to_hand_over(source: SourceFile, top: str) -> Iterator[Netlist]:
     Once the block has finished without raising, the netlist becomes a
     hand-over entry (:meth:`FrontendCache.hand_over`) that the next
     ``read_verilog`` of the RTL takes without a copy, unless the RTL has
-    an entry by then.  With the cache disabled nothing is stored.
+    an entry by then.
     """
-    key = frontend_key(source.text, top) if cache_enabled() else None
-    netlist = None if key is None else _FRONTEND.get(key, take=False)
+    key = frontend_key(source.text, top)
+    netlist = _FRONTEND.get(key, take=False)
     if netlist is None:
         with obs.span("synth.elaborate", cached=False):
             netlist = elaborate(source, top)
     yield netlist
-    if key is not None:
-        _FRONTEND.hand_over(key, netlist)
+    _FRONTEND.hand_over(key, netlist)
 
 
 def synthesize_cached(
     library: TechLibrary | None,
     design_name: str,
-    verilog: str,
+    verilog: SourceFile | str,
     script: str,
     top: str | None = None,
     cache: SynthesisCache | None = None,
@@ -400,34 +379,29 @@ def synthesize_cached(
 def synthesize_batch(
     library: TechLibrary | None,
     design_name: str,
-    verilog: str,
+    verilog: SourceFile | str,
     scripts: list[str],
     top: str | None = None,
     cache: SynthesisCache | None = None,
 ) -> list[ScriptResult]:
     """:func:`synthesize_cached` for each of ``scripts``, sharing their prefixes.
 
-    Scripts are looked up in input order; an in-batch duplicate of a miss
-    counts as a hit, as it would one call at a time.  The misses run in
-    one fresh shell as a prefix tree (:meth:`DCShell.run_scripts`), and
-    each result is stored under its own key.  With the cache disabled,
-    every script runs alone in a fresh shell.
+    ``verilog`` is the RTL text or its parsed :class:`SourceFile`: keys
+    hash the text either way, and a parsed source is elaborated without
+    parsing again.  Scripts are looked up in input order; an in-batch
+    duplicate of a miss counts as a hit, as it would one call at a time.
+    The misses run in one fresh shell as a prefix tree
+    (:meth:`DCShell.run_scripts`), and each result is stored under its
+    own key.  Each result equals its script run alone in a fresh shell.
     """
     library = library or nangate45()
+    text = verilog if isinstance(verilog, str) else verilog.text
     # `cache or _DEFAULT` would discard an *empty* cache (len() == 0 is falsy).
     store = _DEFAULT if cache is None else cache
     with obs.span("synth.synthesize", design=design_name, scripts=len(scripts)) as sp:
-        if not cache_enabled():
-            results = [
-                _fresh_shell(library, design_name, verilog, top).run_script(script)
-                for script in scripts
-            ]
-            sp.set_attributes(cached=0, forks=0)
-            _warn_failures(design_name, results)
-            return results
         digest = library.digest()
         keys = [
-            synthesis_key(digest, design_name, verilog, top, script)
+            synthesis_key(digest, design_name, text, top, script)
             for script in scripts
         ]
         found: list[ScriptResult | None] = [None] * len(scripts)
@@ -450,7 +424,7 @@ def synthesize_batch(
         else:
             # No read_verilog runs, so nothing takes the design analysis's
             # hand-over; drop it rather than keep it for a later session.
-            _FRONTEND.release(frontend_key(verilog, top or design_name))
+            _FRONTEND.release(frontend_key(text, top or design_name))
         for index, key in enumerate(keys):
             if found[index] is None:  # a duplicate of an earlier miss
                 found[index] = store.get(key)
@@ -461,7 +435,7 @@ def synthesize_batch(
 
 
 def _fresh_shell(
-    library: TechLibrary, design_name: str, verilog: str, top: str | None
+    library: TechLibrary, design_name: str, verilog: SourceFile | str, top: str | None
 ) -> DCShell:
     shell = DCShell(library=library)
     shell.add_design(design_name, verilog, top=top)

@@ -29,7 +29,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .. import obs, perf
-from ..hdl.elaborator import ElaborationError, elaborate
+from ..hdl.ast_nodes import SourceFile
+from ..hdl.elaborator import ElaborationError
 from ..hdl.netlist import Netlist, collector_paused
 from ..hdl.parser import ParseError
 from .explore import explore_sizing
@@ -96,7 +97,7 @@ class DCShell(TclInterpreter):
         self.library = library or nangate45()
         self.wireload: WireLoadModel = get_wireload("5K_hvratio_1_1")
         self.constraints = Constraints()
-        self.design_sources: dict[str, str] = {}
+        self.design_sources: dict[str, SourceFile | str] = {}
         self.design_tops: dict[str, str] = {}
         self.netlist: Netlist | None = None
         self.design_name: str | None = None
@@ -108,8 +109,12 @@ class DCShell(TclInterpreter):
 
     # -- design registry ------------------------------------------------------------
 
-    def add_design(self, name: str, verilog: str, top: str | None = None) -> None:
-        """Register RTL so scripts can ``read_verilog <name>``."""
+    def add_design(self, name: str, verilog: SourceFile | str, top: str | None = None) -> None:
+        """Register RTL so scripts can ``read_verilog <name>``.
+
+        ``verilog`` is the RTL text or its parsed :class:`SourceFile`,
+        which ``read_verilog`` elaborates without parsing again.
+        """
         self.design_sources[name] = verilog
         self.design_tops[name] = top or name
 

@@ -179,9 +179,8 @@ class TestRetention:
             bench.verilog, bench.name, top=bench.top, clock_period=bench.clock_period
         )
 
-    def test_only_the_frontend_entry_stays_alive(self, monkeypatch):
+    def test_only_the_frontend_entry_stays_alive(self):
         """An analysis alone leaves its hand-over entry, unmapped."""
-        monkeypatch.setenv("REPRO_SYNTH_CACHE", "1")
         clear_caches()
         before = live_netlists()
         analysis = self._analyze()
@@ -192,17 +191,8 @@ class TestRetention:
         assert all(cell.lib_cell is None for cell in kept.cells.values())  # unmapped
         assert not hasattr(analysis, "netlist")
 
-    def test_none_stays_alive_without_the_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYNTH_CACHE", "0")
-        clear_caches()
-        before = live_netlists()
-        analysis = self._analyze()
-        assert netlists_since(before) == []
-        assert analysis.num_cells > 0
-
     @pytest.mark.parametrize("mode", ["customize_and_evaluate", "customize_pass_at_k"])
-    def test_a_customization_keeps_no_netlist(self, small_chatls, mode, monkeypatch):
-        monkeypatch.setenv("REPRO_SYNTH_CACHE", "1")
+    def test_a_customization_keeps_no_netlist(self, small_chatls, mode):
         design = generate_family_variant("gemmini", 5)
         clear_caches()
         before = live_netlists()

@@ -225,8 +225,7 @@ class TestFixedDefaults:
         # environment, so no setting escapes the cache key.
         assert "os.environ" not in inspect.getsource(explore_module)
 
-    def test_bare_explore_cache_hit_matches_fresh_run(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SYNTH_CACHE", raising=False)
+    def test_bare_explore_cache_hit_matches_fresh_run(self):
         bench = get_benchmark("riscv32i")
 
         def synthesize(explore_command, cache):

@@ -1,12 +1,10 @@
-"""Frontend (elaborated netlist) cache: in-memory LRU and its gate.
+"""Frontend (elaborated netlist) cache: in-memory LRU and hand-overs.
 
-``elaborate_cached`` keys on hash(RTL source, top, params) and hands out
-private clones of a pristine shared netlist, so repeated compiles of the
-same design skip parsing/elaboration entirely while callers stay free to
+``elaborate_cached`` keys on hash(RTL source, top) and hands out private
+clones of a pristine shared netlist, so repeated compiles of the same
+design skip parsing/elaboration entirely while callers stay free to
 mutate their copy.  A design analysis leaves the netlist it only read as
 a hand-over entry, which the next ``read_verilog`` takes without a copy.
-``REPRO_SYNTH_CACHE=0`` switches it off together with the synthesis
-cache.
 """
 
 import pickle
@@ -31,8 +29,8 @@ from repro.synth.cache import (
     frontend_key,
     synthesize_cached,
 )
-from repro.synth.dcshell import DCShell
 from tests.retention import live_netlists, netlists_since
+from tests.solo import run_solo
 
 COUNTER = """
 module counter #(parameter WIDTH = 4) (
@@ -55,10 +53,7 @@ endmodule
 
 
 @pytest.fixture(autouse=True)
-def _clean_caches(monkeypatch):
-    # Pin the gate on so the suite is independent of the ambient
-    # environment.
-    monkeypatch.setenv("REPRO_SYNTH_CACHE", "1")
+def _clean_caches():
     clear_caches()
     perf.reset()
     yield
@@ -66,17 +61,11 @@ def _clean_caches(monkeypatch):
 
 
 class TestKey:
-    def test_key_depends_on_source_top_params(self):
+    def test_key_depends_on_source_and_top(self):
         base = frontend_key(COUNTER, "counter")
         assert frontend_key(COUNTER, "counter") == base
         assert frontend_key(ADDER, "adder") != base
         assert frontend_key(COUNTER, None) != base
-        assert frontend_key(COUNTER, "counter", {"WIDTH": 8}) != base
-
-    def test_param_order_is_canonical(self):
-        a = frontend_key(COUNTER, "counter", {"A": 1, "B": 2})
-        b = frontend_key(COUNTER, "counter", {"B": 2, "A": 1})
-        assert a == b
 
 
 class TestMemoryLayer:
@@ -109,12 +98,6 @@ class TestMemoryLayer:
         fresh_net = warm.add_net()
         assert fresh_net.name not in elaborate(ADDER, "adder").nets
         warm.validate()
-
-    def test_params_are_part_of_the_key(self):
-        four = elaborate_cached(COUNTER, "counter", params={"WIDTH": 4})
-        eight = elaborate_cached(COUNTER, "counter", params={"WIDTH": 8})
-        assert perf.counter("netcache.miss") == 2
-        assert len(eight.nets) > len(four.nets)
 
     def test_lru_eviction_bounds_entries(self):
         """The bound is in cells: a budget of two adders keeps two of them."""
@@ -198,14 +181,6 @@ class TestCellBudget:
         assert (cache.stats()["entries"], cache.stats()["cells"]) == (0, 0)
 
 
-class TestEnvGates:
-    def test_synth_cache_gate_also_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYNTH_CACHE", "0")
-        elaborate_cached(ADDER, "adder")
-        elaborate_cached(ADDER, "adder")
-        assert len(frontend_cache()) == 0
-
-
 def _race(targets) -> None:
     """Run each target in its own thread with a short switch interval."""
     interval = sys.getswitchinterval()
@@ -245,9 +220,7 @@ SCRIPT = "\n".join([
 
 def _synthesize() -> tuple:
     """``SCRIPT`` in a fresh shell: its result and its ``write`` output."""
-    shell = DCShell()
-    shell.add_design(ROCKET.name, ROCKET.verilog, top=ROCKET.top)
-    result = shell.run_script(SCRIPT)
+    result, shell = run_solo(ROCKET.name, ROCKET.verilog, SCRIPT, top=ROCKET.top)
     assert result.success, result.error
     return result, shell.last_written
 

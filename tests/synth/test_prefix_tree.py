@@ -2,9 +2,9 @@
 
 :meth:`DCShell.run_scripts` runs each distinct prefix of a batch once and
 forks the shell where scripts diverge; :func:`synthesize_batch` runs a
-design's cache misses that way.  Every result must equal a fresh
-``DCShell().run_script`` of its script — success, error, transcript, QoR
-and the final netlist, order-sensitive state included.
+design's cache misses that way.  Every result must equal its script run
+alone in a fresh shell (``tests/solo.py``) — success, error, transcript,
+QoR and the final netlist, order-sensitive state included.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.hdl.netlist import Netlist
 from repro.llm.baselines import claude35, gpt4o
 from repro.synth import DCShell, SynthesisCache, clear_caches, synthesize_batch
 from repro.synth.cache import synthesize_cached
+from tests.solo import run_solo
 
 from .cleanup_reference import netlist_state
 from .test_dcshell import PIPE_SRC
@@ -146,9 +147,7 @@ def test_table3_drafts_batch_equals_solo(drafts, final_netlists, index):
     solo: dict[str, tuple] = {}
     for script, result in zip(scripts, batch):
         if script not in solo:
-            shell = DCShell()
-            shell.add_design(design.name, design.verilog, top=design.top)
-            run = shell.run_script(script)
+            run, shell = run_solo(design.name, design.verilog, script, top=design.top)
             state = netlist_state(shell.netlist) if shell.netlist else None
             solo[script] = (_outcome(run), state)
         outcome, state = solo[script]
@@ -263,16 +262,6 @@ def test_in_batch_duplicate_counts_one_miss_one_hit():
     assert (stats["misses"], stats["hits"], stats["entries"]) == (1, 1, 1)
     assert _outcome(first) == _outcome(second)
     assert first is not second
-
-
-def test_uncached_batch_runs_every_script_alone(monkeypatch):
-    monkeypatch.setenv("REPRO_SYNTH_CACHE", "0")
-    scripts = [PREFIX + "\nreport_qor", PREFIX + "\nbalance_buffer\nreport_qor"]
-    forks = perf.counters().get("synth.fork", 0)
-    batch = synthesize_batch(None, "pipe", PIPE_SRC, scripts)
-    assert perf.counters().get("synth.fork", 0) == forks
-    for script, result in zip(scripts, batch):
-        assert _outcome(result) == _outcome(_pipe_shell().run_script(script))
 
 
 def test_finished_branch_is_freed_before_the_next_starts(monkeypatch):

@@ -5,17 +5,22 @@ import threading
 
 import pytest
 
+from repro import perf
 from repro.designs import get_benchmark
 from repro.eval.harness import baseline_script
+from repro.hdl.parser import parse_source
 from repro.synth import (
     ScriptResult,
     SynthesisCache,
+    clear_caches,
     default_cache,
+    frontend_cache,
     TechLibrary,
     nangate45,
+    synthesize_batch,
     synthesize_cached,
 )
-from repro.synth.cache import cache_enabled, elaborate_cached, synthesis_key
+from repro.synth.cache import synthesis_key
 
 
 @pytest.fixture
@@ -118,37 +123,6 @@ class TestSynthesisCache:
         assert len(cache) <= 4
 
 
-class TestCacheGate:
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SYNTH_CACHE", raising=False)
-        assert cache_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "no", "off", "OFF"])
-    def test_disabled_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_SYNTH_CACHE", value)
-        assert not cache_enabled()
-
-    def test_other_values_enable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYNTH_CACHE", "1")
-        assert cache_enabled()
-
-    @pytest.mark.parametrize("value", ["", "true", "YES", " on "])
-    def test_enabled_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_SYNTH_CACHE", value)
-        assert cache_enabled()
-
-    @pytest.mark.parametrize("value", ["/some/dir", "2"])
-    def test_other_values_raise(self, monkeypatch, value):
-        """A directory no longer selects an on-disk layer: it is an error."""
-        monkeypatch.setenv("REPRO_SYNTH_CACHE", value)
-        with pytest.raises(ValueError, match="REPRO_SYNTH_CACHE"):
-            cache_enabled()
-        with pytest.raises(ValueError, match="REPRO_SYNTH_CACHE"):
-            synthesize_cached(None, "d", "module d; endmodule", "report_qor")
-        with pytest.raises(ValueError, match="REPRO_SYNTH_CACHE"):
-            elaborate_cached("module d; endmodule", "d")
-
-
 class TestSynthesizeCached:
     def test_second_run_is_a_hit_with_equal_qor(self):
         bench = get_benchmark("dynamic_node")
@@ -182,15 +156,33 @@ class TestSynthesizeCached:
         assert cache.stats()["hits"] == 0
         assert len(cache) == 2
 
-    def test_disabled_cache_reruns(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYNTH_CACHE", "0")
+    def test_parsed_source_keys_on_its_text(self):
+        """A parsed source and its text share both keys: the text is served
+        the parsed run's result, and a synthesis miss on the text hits the
+        netlist that the parsed source elaborated into, unparsed."""
         bench = get_benchmark("dynamic_node")
         script = baseline_script(bench)
+        source = parse_source(bench.verilog)
         cache = SynthesisCache()
-        synthesize_cached(
+        clear_caches()
+        perf.reset()
+        (parsed,) = synthesize_batch(
+            None, bench.name, source, [script], top=bench.top, cache=cache
+        )
+        served = synthesize_cached(
             None, bench.name, bench.verilog, script, top=bench.top, cache=cache
         )
-        assert len(cache) == 0
+        rerun = synthesize_cached(
+            None, bench.name, bench.verilog, script, top=bench.top,
+            cache=SynthesisCache(),
+        )
+        assert (cache.stats()["hits"], cache.stats()["misses"]) == (1, 1)
+        frontend = frontend_cache().stats()
+        assert (frontend["hits"], frontend["misses"]) == (1, 1)
+        assert perf.snapshot()["timers"].get("hdl.parse", {}).get("calls", 0) == 0
+        assert parsed.success
+        for other in (served, rerun):
+            assert (other.transcript, other.qor) == (parsed.transcript, parsed.qor)
 
     def test_same_named_library_with_other_cells_misses(self):
         """A library with 3x intrinsic delays under the same name must not
