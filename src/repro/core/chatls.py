@@ -401,13 +401,6 @@ class ChatLS:
                 _record_run(state, run)
             best = pass_at_k_winner([state.result() for state in states])
             root.set_attributes(winner_seed=best.seed, executable=best.executable)
-            obs.info(
-                "chatls.pass_at_k.done",
-                design=design_name,
-                k=k,
-                winner_seed=best.seed,
-                executable=best.executable,
-            )
             return best
 
 

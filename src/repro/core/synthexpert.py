@@ -61,11 +61,6 @@ class RefinementResult:
     script: str
     trace: CoTTrace
 
-    @property
-    def executable_intent(self) -> bool:
-        """True when every surviving command is manual-documented."""
-        return all(step.action != "failed" for step in self.trace.steps)
-
 
 @dataclass
 class StepPlan:
@@ -206,12 +201,8 @@ class SynthExpert:
                 repaired = self._sanitize_options(line)
                 if repaired != line:
                     step.action = "repaired"
-                    obs.info(
-                        "expert.step.repaired",
-                        index=step.index,
-                        reason="undocumented options dropped",
-                        before=line,
-                        after=repaired,
+                    sp.set_attributes(
+                        reason="undocumented options dropped", before=line, after=repaired
                     )
                 step.revised = repaired
                 sp.set_attributes(action=step.action, repaired=step.action == "repaired")
@@ -221,23 +212,17 @@ class SynthExpert:
             if replacement is not None:
                 step.action = "repaired"
                 step.revised = replacement
-                sp.set_attributes(action="repaired", repaired=True)
-                obs.info(
-                    "expert.step.repaired",
-                    index=step.index,
+                sp.set_attributes(
+                    action="repaired", repaired=True,
                     reason="hallucinated command replaced from intent",
-                    before=line,
-                    after=replacement,
+                    before=line, after=replacement,
                 )
                 return replacement
             step.action = "dropped"
             step.revised = ""
-            sp.set_attributes(action="dropped", repaired=False)
-            obs.info(
-                "expert.step.dropped",
-                index=step.index,
-                reason="command not in manual, no intent match",
-                before=line,
+            sp.set_attributes(
+                action="dropped", repaired=False,
+                reason="command not in manual, no intent match", before=line,
             )
             return ""
 

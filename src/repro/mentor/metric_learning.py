@@ -145,10 +145,6 @@ class TrainStats:
     epochs: int
     losses: list[float]
 
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1] if self.losses else 0.0
-
 
 def _normalization_grad(
     grad_norm: np.ndarray, normalized: np.ndarray, norms: np.ndarray

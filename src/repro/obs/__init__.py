@@ -1,14 +1,13 @@
 """``repro.obs``: end-to-end pipeline observability.
 
-Five layers over the same span/event/metric model:
+Four layers over the same span/metric model:
 
-* :mod:`repro.obs.tracer` — :func:`span`, the one way code times a stage:
-  every span adds its duration to the :mod:`repro.perf` timer of its name,
-  and with ``REPRO_TRACE`` set it is also a node of a hierarchical trace,
+* :mod:`repro.obs.tracer` — :func:`span`, the one way code times and
+  records a stage: every span adds its duration to the :mod:`repro.perf`
+  timer of its name, and with ``REPRO_TRACE`` set it is also a node of a
+  hierarchical trace, with the stage's facts as attributes,
   contextvars-nested across ``parallel_map`` worker threads, exported as
   JSONL or Chrome trace-event JSON;
-* :mod:`repro.obs.logs` — structured JSON-lines logging (``REPRO_LOG``)
-  with trace/span correlation ids;
 * :mod:`repro.obs.metrics` — the perf registry's counters and stage
   histograms, labelled histograms and collect-time gauges (the process
   gauges of :mod:`repro.obs.sampler` among them), exposed in Prometheus
@@ -28,25 +27,12 @@ from . import sampler  # noqa: F401  (registers the process gauges)
 from .ledger import ledger_enabled, record_run
 from .metrics import ensure_server as ensure_metrics_server
 from .metrics import metrics_enabled
-from .logs import (
-    LEVELS,
-    StructuredLogger,
-    configure_logging,
-    debug,
-    error,
-    get_logger,
-    info,
-    log,
-    logging_enabled,
-    warning,
-)
 from .tracer import (
     NOOP_SPAN,
     Span,
     Tracer,
     configure,
     current_span,
-    event,
     flush,
     get_tracer,
     span,
@@ -54,28 +40,17 @@ from .tracer import (
 )
 
 __all__ = [
-    "LEVELS",
     "NOOP_SPAN",
     "Span",
-    "StructuredLogger",
     "Tracer",
     "configure",
-    "configure_logging",
     "current_span",
-    "debug",
     "ensure_metrics_server",
-    "error",
-    "event",
     "flush",
     "ledger_enabled",
     "metrics_enabled",
     "record_run",
-    "get_logger",
     "get_tracer",
-    "info",
-    "log",
-    "logging_enabled",
     "span",
     "tracing_enabled",
-    "warning",
 ]

@@ -1,9 +1,10 @@
 """Chrome trace-event export (Perfetto / ``chrome://tracing``).
 
-Converts the tracer's event records into the Trace Event Format's
-"complete" (``ph: "X"``) and "instant" (``ph: "i"``) events.  Timestamps
-are microseconds from the tracer epoch, one timeline row per thread, so
-nested spans render as a flame graph per worker.
+Converts the tracer's span records into the Trace Event Format's
+"complete" (``ph: "X"``) events, plus one ``thread_name`` metadata event
+per thread.  Timestamps are microseconds from the tracer epoch, one
+timeline row per thread, so nested spans render as a flame graph per
+worker.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ _CATEGORY = "repro"
 
 
 def to_chrome(events: Iterable[dict], meta: dict | None = None) -> dict[str, Any]:
-    """Build a Chrome trace-event document from tracer event records."""
+    """Build a Chrome trace-event document from tracer span records."""
     pid = (meta or {}).get("pid", 1)
     trace_events: list[dict[str, Any]] = []
     thread_names: dict[int, str] = {}
     for record in events:
-        kind = record.get("type")
-        if kind == "span":
+        if record.get("type") == "span":
             tid = record.get("tid", 0)
             thread_names.setdefault(tid, record.get("tname", f"thread-{tid}"))
             args = dict(record.get("attrs") or {})
@@ -41,19 +41,6 @@ def to_chrome(events: Iterable[dict], meta: dict | None = None) -> dict[str, Any
                     "pid": pid,
                     "tid": tid,
                     "args": args,
-                }
-            )
-        elif kind == "event":
-            trace_events.append(
-                {
-                    "name": record["name"],
-                    "cat": _CATEGORY,
-                    "ph": "i",
-                    "s": "t",
-                    "ts": round(record["ts"] * 1e6, 3),
-                    "pid": pid,
-                    "tid": 0,
-                    "args": dict(record.get("attrs") or {}),
                 }
             )
     for tid, tname in thread_names.items():

@@ -63,14 +63,6 @@ _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_OK = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*$")
 
 
-def sanitize_name(name: str) -> str:
-    """Map an arbitrary dotted metric name to exposition-legal form."""
-    cleaned = re.sub(r"[^a-zA-Z0-9_:]", "_", name)
-    if not cleaned or not _NAME_OK.match(cleaned):
-        cleaned = f"_{cleaned}"
-    return cleaned
-
-
 class Sample:
     """One exposition line: ``name{labels} value``."""
 

@@ -52,14 +52,12 @@ __all__ = [
 ]
 
 
-def load_events(path: str, strict: bool = False) -> list[dict]:
-    """Parse a JSONL trace file into event records.
+def load_events(path: str) -> list[dict]:
+    """Parse a JSONL trace file into its records.
 
     Truncated or otherwise malformed lines — the tail a killed worker
     left mid-write — are skipped with one warning per file and a total
-    count, so a partial trace still yields a report.  ``strict=True``
-    restores the raising behaviour for callers validating a trace they
-    just wrote.
+    count, so a partial trace still yields a report.
     """
     events = []
     skipped = 0
@@ -72,17 +70,11 @@ def load_events(path: str, strict: bool = False) -> list[dict]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                if strict:
-                    raise ValueError(
-                        f"{path}:{lineno}: invalid JSON ({exc})"
-                    ) from exc
                 skipped += 1
                 if first_bad is None:
                     first_bad = f"{path}:{lineno}: {exc}"
                 continue
             if not isinstance(record, dict):
-                if strict:
-                    raise ValueError(f"{path}:{lineno}: not a JSON object")
                 skipped += 1
                 if first_bad is None:
                     first_bad = f"{path}:{lineno}: not a JSON object"

@@ -11,20 +11,23 @@ With tracing on, spans also carry a trace id (shared by every span of one
 root operation), a span id, a parent span id and free-form key-value
 attributes, and nest through :mod:`contextvars` so spans opened inside
 ``parallel_map`` worker threads attach to the harness span that spawned
-them.  On close, each traced span also records the :mod:`repro.perf`
-counter deltas observed while it was open (cache hits/misses,
-``sta.incremental`` vs ``sta.full`` ...), which is how wall-clock gets
-attributed to cache behaviour per stage.
+them.  A span's attributes are the one record its stage leaves: what a
+stage decided (a CoT step's edit and its reason, a batch's failed
+scripts) goes on the span that wraps it.  On close, each traced span
+also records the :mod:`repro.perf` counter deltas observed while it was
+open (cache hits/misses, ``sta.incremental`` vs ``sta.full`` ...), which
+is how wall-clock gets attributed to cache behaviour per stage.
 
 Tracing is **off by default** and configured through the environment:
 
-* ``REPRO_TRACE=<path>`` — enable tracing; ``*.jsonl`` paths get a JSONL
-  event log (one JSON object per line), ``*.json`` paths get Chrome
-  trace-event format loadable in Perfetto / ``chrome://tracing``.
+* ``REPRO_TRACE=<path>`` — enable tracing; the format follows the path
+  suffix: ``*.json`` paths get Chrome trace-event format loadable in
+  Perfetto / ``chrome://tracing``, any other path a JSONL trace (one JSON
+  object per line: a meta header, the spans, the closing snapshot).
 
 When disabled, :func:`span` returns a small falsy span that only times its
-block into the perf registry: no ids, no contextvar, no events, no file
-I/O.  Programmatic configuration (tests, embedding) goes through
+block into the perf registry: no ids, no contextvar, no records, no
+file I/O.  Programmatic configuration (tests, embedding) goes through
 :func:`configure`.
 
 Span naming convention (see DESIGN.md):
@@ -59,7 +62,6 @@ __all__ = [
     "Tracer",
     "NOOP_SPAN",
     "span",
-    "event",
     "current_span",
     "get_tracer",
     "configure",
@@ -94,9 +96,6 @@ class _NoopSpan:
 
     def set_attributes(self, **attrs: Any) -> "_NoopSpan":
         return self
-
-    def add_event(self, name: str, **attrs: Any) -> None:
-        return None
 
     def __enter__(self) -> "_NoopSpan":
         return self
@@ -159,7 +158,7 @@ class Span:
         self.thread_id = 0
         self.thread_name = ""
         self._token = None
-        self._counters_before: dict[str, int] | None = None
+        self._counters_before: dict[str, int] = {}
 
     # -- attributes ---------------------------------------------------------
 
@@ -170,19 +169,6 @@ class Span:
     def set_attributes(self, **attrs: Any) -> "Span":
         self.attrs.update(attrs)
         return self
-
-    def add_event(self, name: str, **attrs: Any) -> None:
-        """Attach a point-in-time event to this span."""
-        self._tracer._record_event(
-            {
-                "type": "event",
-                "name": name,
-                "trace": self.trace_id,
-                "span": self.span_id,
-                "ts": round(time.perf_counter() - self._tracer.epoch, 9),
-                "attrs": attrs,
-            }
-        )
 
     # -- context manager protocol -------------------------------------------
 
@@ -197,8 +183,7 @@ class Span:
         self.thread_id = thread.ident or 0
         self.thread_name = thread.name
         self._token = _CURRENT.set(self)
-        if self._tracer.record_perf:
-            self._counters_before = perf.registry.counters()
+        self._counters_before = perf.registry.counters()
         self.start = time.perf_counter()
         return self
 
@@ -208,36 +193,31 @@ class Span:
         _CURRENT.reset(self._token)
         if exc_type is not None:
             self.attrs["error"] = f"{exc_type.__name__}: {exc}"
-        if self._counters_before is not None:
-            after = perf.registry.counters()
-            delta = {
-                key: value - self._counters_before.get(key, 0)
-                for key, value in after.items()
-                if value != self._counters_before.get(key, 0)
-            }
-            if delta:
-                self.attrs["perf"] = delta
+        before = self._counters_before
+        delta = {
+            key: value - before.get(key, 0)
+            for key, value in perf.registry.counters().items()
+            if value != before.get(key, 0)
+        }
+        if delta:
+            self.attrs["perf"] = delta
         self._tracer._record_span(self)
         return False
 
 
 class Tracer:
-    """Collects span/event records and exports them on flush.
+    """Collects span records and exports them on flush.
 
     ``path`` selects both the destination and the format: ``*.json``
     writes Chrome trace-event JSON (one array, rewritten per flush),
-    anything else writes JSONL (one event object per line).  A ``None``
+    anything else writes JSONL (one record per line).  A ``None``
     path disables the tracer entirely.
     """
 
-    def __init__(self, path: str | None = None, fmt: str | None = None,
-                 record_perf: bool = True) -> None:
+    def __init__(self, path: str | None = None) -> None:
         self.path = path
         self.enabled = path is not None
-        if fmt is None:
-            fmt = "chrome" if path is not None and path.endswith(".json") else "jsonl"
-        self.format = fmt
-        self.record_perf = record_perf and self.enabled
+        self.format = "chrome" if path is not None and path.endswith(".json") else "jsonl"
         self.epoch = time.perf_counter()
         self._lock = threading.Lock()
         self._events: list[dict] = []
@@ -348,12 +328,11 @@ def get_tracer() -> Tracer:
     return tracer
 
 
-def configure(path: str | None = None, fmt: str | None = None,
-              record_perf: bool = True) -> Tracer:
+def configure(path: str | None = None) -> Tracer:
     """Install a fresh tracer (``path=None`` disables tracing)."""
     global _TRACER
     with _LOCK:
-        _TRACER = Tracer(path, fmt=fmt, record_perf=record_perf)
+        _TRACER = Tracer(path)
         return _TRACER
 
 
@@ -376,13 +355,6 @@ def span(name: str, **attrs: Any):
     if not tracer.enabled:
         return _TimedSpan(name)
     return tracer.start_span(name, attrs)
-
-
-def event(name: str, **attrs: Any) -> None:
-    """Record a point event on the current span (no-op when disabled)."""
-    current = _CURRENT.get()
-    if current is not None:
-        current.add_event(name, **attrs)
 
 
 def current_span() -> "Span | _NoopSpan":

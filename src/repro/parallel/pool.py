@@ -5,9 +5,9 @@ inherited locks) and stay resident across ``parallel_map`` calls, so the
 per-spawn warm-up — importing the synthesis/eval stack, building the
 technology library — is paid once per pool, not once per task.  Pools are
 keyed by worker count **and** a fingerprint of the ``REPRO_*``
-environment: changing a gate (the cache switch, trace paths) between
-calls retires the stale pool and warms a fresh one, because workers bind
-those gates at spawn.
+environment: changing a gate (the trace path) between calls retires the
+stale pool and warms a fresh one, because workers bind those gates at
+spawn.
 
 A map pickles its function and every item once, up front, and raises
 :class:`TaskSerializationError` before dispatching anything if one of
@@ -46,7 +46,7 @@ from collections import deque
 from multiprocessing import get_context
 from multiprocessing.connection import wait as connection_wait
 
-from .. import obs, perf
+from .. import perf
 from .worker import worker_main
 
 __all__ = [
@@ -77,13 +77,12 @@ class WorkerDiedError(RuntimeError):
 
 
 class _Worker:
-    __slots__ = ("process", "conn", "id", "info")
+    __slots__ = ("process", "conn", "id")
 
     def __init__(self, process, conn, worker_id: int) -> None:
         self.process = process
         self.conn = conn
         self.id = worker_id
-        self.info: dict = {}
 
 
 def _dumps(obj, what: str, label: str) -> bytes:
@@ -149,15 +148,9 @@ class ProcessPool:
                 detail = msg[2] if len(msg) > 2 else msg
                 self.shutdown(force=True)
                 raise RuntimeError(f"pool worker failed to warm up:\n{detail}")
-            worker.info = msg[2]
         self.spawn_s = time.perf_counter() - started
         perf.incr("parallel.workers_spawned", size)
         perf.add_time("parallel.pool_spawn", self.spawn_s)
-        obs.info(
-            "parallel.pool_ready", workers=size,
-            spawn_s=round(self.spawn_s, 3),
-            warm_s=[w.info.get("warm_s") for w in self.workers],
-        )
 
     # -- liveness -------------------------------------------------------------
 

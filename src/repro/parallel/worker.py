@@ -51,24 +51,19 @@ from .. import obs, perf
 __all__ = ["worker_main", "warm_worker"]
 
 
-def warm_worker() -> dict:
-    """Pre-load libraries; returns what was warmed.
+def warm_worker() -> None:
+    """Pre-load libraries.
 
     Imports pull in the parser/elaborator, techmap, timing/power engines,
     the SoA kernels, ChatLS/RAG/GNN layers and the eval harness; building
     the library once compiles its cell tables.  The frontend/synthesis
     caches register their stats providers here.
     """
-    start = time.perf_counter()
     from ..synth import cache  # noqa: F401  (providers register)
     from ..synth.library import nangate45
     import repro.eval.harness  # noqa: F401  (pulls chatls/rag/gnn/mentor)
 
-    library = nangate45()
-    return {
-        "warm_s": round(time.perf_counter() - start, 6),
-        "library": library.name,
-    }
+    nangate45()
 
 
 def _serve_task(conn: Connection, worker_id: int, msg: tuple, fn_bytes, fn):
@@ -105,11 +100,11 @@ def worker_main(conn: Connection, worker_id: int, trace_path: str | None) -> Non
     if trace_path:
         obs.configure(trace_path)
     try:
-        info = warm_worker()
+        warm_worker()
     except Exception:
         conn.send(("spawn_error", worker_id, traceback.format_exc()))
         return
-    conn.send(("ready", worker_id, info))
+    conn.send(("ready", worker_id))
     fn_bytes = fn = None
     try:
         while True:

@@ -417,7 +417,6 @@ def synthesize_batch(
             ran, forks = _fresh_shell(library, design_name, verilog, top).run_scripts(
                 [scripts[index] for index in misses]
             )
-            _warn_failures(design_name, ran)
             for index, result in zip(misses, ran):
                 store.put(keys[index], result)
                 found[index] = result
@@ -430,7 +429,10 @@ def synthesize_batch(
                 found[index] = store.get(key)
                 if found[index] is None:  # evicted meanwhile
                     found[index] = copy.deepcopy(found[first_miss[key]])
-        sp.set_attributes(cached=len(scripts) - len(misses), forks=forks)
+        sp.set_attributes(
+            cached=len(scripts) - len(misses), forks=forks,
+            failed=sum(not result.success for result in found),
+        )
         return found  # type: ignore[return-value]
 
 
@@ -440,9 +442,3 @@ def _fresh_shell(
     shell = DCShell(library=library)
     shell.add_design(design_name, verilog, top=top)
     return shell
-
-
-def _warn_failures(design_name: str, results: list[ScriptResult]) -> None:
-    for result in results:
-        if not result.success:
-            obs.warning("synth.script_failed", design=design_name, error=result.error)

@@ -31,10 +31,6 @@ class QoRSnapshot:
     leakage_nw: float
     dynamic_uw: float
 
-    @property
-    def timing_met(self) -> bool:
-        return self.num_violations == 0
-
     def row(self) -> dict:
         """Table III/IV style row."""
         return {

@@ -63,7 +63,6 @@ __all__ = [
     "get_structure",
     "peek_structure",
     "structure_cache_stats",
-    "clear_structure_cache",
     "vector_power",
 ]
 
@@ -590,15 +589,6 @@ def structure_cache_stats() -> dict:
         "misses": misses,
         "patches": patches,
     }
-
-
-def clear_structure_cache() -> None:
-    global _STRUCT_HITS, _STRUCT_MISSES, _STRUCT_PATCHES
-    with _STRUCT_LOCK:
-        _STRUCTURES.clear()
-        _STRUCT_HITS = 0
-        _STRUCT_MISSES = 0
-        _STRUCT_PATCHES = 0
 
 
 perf.register_stats_provider("vector_sta", structure_cache_stats)

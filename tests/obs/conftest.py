@@ -1,5 +1,5 @@
-"""Observability tests configure the global tracer/logger; always restore
-the disabled defaults so no state leaks into other tests."""
+"""Observability tests configure the global tracer; always restore the
+disabled default so no state leaks into other tests."""
 
 import pytest
 
@@ -10,4 +10,3 @@ from repro import obs
 def _reset_observability():
     yield
     obs.configure(None)
-    obs.configure_logging(None)

@@ -3,7 +3,8 @@
 every SynthExpert step span and every SynthRAG retrieval span — including
 those emitted from ``parallel_map`` worker threads — must be a descendant
 of the ``chatls.customize`` root span.  Untraced, the same run still times
-every layer into the perf registry.
+every layer into the perf registry.  A stage's span is its record: a CoT
+step's edit and a synthesis batch's failures are span attributes.
 """
 
 import json
@@ -11,13 +12,16 @@ import json
 import pytest
 
 from repro import obs, perf
-from repro.core import ChatLS
+from repro.core import ChatLS, SynthExpert
 from repro.designs import get_benchmark
 from repro.designs.chipyard import generate_family_variant
 from repro.designs.database import ExpertDatabase
 from repro.eval.harness import TIMING_REQUIREMENT, baseline_script
-from repro.mentor import CircuitEncoder
+from repro.llm import chatls_core
+from repro.mentor import CircuitEncoder, build_circuit_graph
 from repro.parallel import sync_worker_perf
+from repro.rag import SynthRAG
+from repro.synth import SynthesisCache, synthesize_batch
 from repro.synth.cache import clear_caches
 
 
@@ -158,3 +162,57 @@ class TestUntracedCustomization:
         for stage in ("chatls.customize", "rag.manual", "expert.step", "synth.sta",
                       "gnn.embed", "llm.complete"):
             assert timers.get(stage, {}).get("calls", 0) > 0, f"no {stage} timer"
+
+
+def _spans_named(tracer, name):
+    tracer.flush()
+    with open(tracer.path) as fh:
+        events = [json.loads(line) for line in fh if line.strip()]
+    return [e for e in events if e.get("type") == "span" and e["name"] == name]
+
+
+class TestStageRecords:
+    def test_expert_step_spans_record_each_edit(self, db, tmp_path):
+        design = generate_family_variant("rocket", 2)
+        circuit = build_circuit_graph(design.verilog, design.name, top=design.top)
+        rag = SynthRAG.build(db, circuit=circuit, llm=chatls_core())
+        tracer = obs.configure(str(tmp_path / "trace.jsonl"))
+        script = "\n".join([
+            "create_clock -period 1.0 clk",
+            "retime_design -effort high",  # hallucinated: repaired from intent
+            "compile_ultra -auto_retime",  # undocumented option: sanitized
+            "write_sdf out.sdf",  # unknown, no intent match: dropped
+            "report_qor",
+        ])
+        SynthExpert(chatls_core(), rag).refine(script)
+        steps = {s["attrs"]["command"]: s["attrs"] for s in _spans_named(tracer, "expert.step")}
+        assert set(steps) == {"retime_design", "compile_ultra", "write_sdf", "report_qor"}
+        edits = {
+            (attrs["before"], attrs.get("after"))
+            for attrs in steps.values() if attrs["action"] == "repaired"
+        }
+        assert edits == {
+            ("retime_design -effort high", "optimize_registers"),
+            ("compile_ultra -auto_retime", "compile_ultra"),
+        }
+        dropped = steps["write_sdf"]
+        assert dropped["action"] == "dropped"
+        assert dropped["before"] == "write_sdf out.sdf"
+        assert "after" not in dropped
+        for attrs in steps.values():
+            assert ("reason" in attrs) == (attrs["action"] != "kept")
+        assert "before" not in steps["report_qor"]
+
+    def test_synthesize_span_counts_failed_scripts(self, tmp_path):
+        bench = get_benchmark("dynamic_node")
+        good = baseline_script(bench)
+        scripts = [good, good + "\nno_such_command"]
+        cache = SynthesisCache()
+        tracer = obs.configure(str(tmp_path / "trace.jsonl"))
+        ran = synthesize_batch(None, bench.name, bench.verilog, scripts, top=bench.top, cache=cache)
+        served = synthesize_batch(None, bench.name, bench.verilog, scripts, top=bench.top, cache=cache)
+        assert [r.success for r in ran] == [r.success for r in served] == [True, False]
+        assert "no_such_command" in ran[1].error
+        first, second = (s["attrs"] for s in _spans_named(tracer, "synth.synthesize"))
+        assert (first["cached"], first["failed"]) == (0, 1)
+        assert (second["cached"], second["failed"]) == (2, 1)

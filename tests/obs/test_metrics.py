@@ -15,7 +15,6 @@ from repro.obs.metrics import (
     collect_perf,
     parse_exposition,
     render,
-    sanitize_name,
 )
 from repro.parallel import parallel_map
 
@@ -50,10 +49,6 @@ class TestCounter:
             reg.histogram("bad-name")
         with pytest.raises(ValueError, match="invalid label name"):
             reg.histogram("ok").observe(1.0, **{"bad-label": "v"})
-
-    def test_sanitize_name(self):
-        assert sanitize_name("synthcache.hit") == "synthcache_hit"
-        assert sanitize_name("9lives") == "_9lives"
 
 
 class TestGauge:

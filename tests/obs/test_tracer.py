@@ -90,17 +90,6 @@ class TestSpanNesting:
         assert len(spans_of(read_events(tracer.path))) == 1
         assert perf.snapshot()["timers"]["obs.test.traced"]["calls"] == before + 1
 
-    def test_point_events_attach_to_span(self, tmp_path):
-        tracer = obs.configure(str(tmp_path / "t.jsonl"))
-        with obs.span("op") as sp:
-            obs.event("milestone", step=4)
-        tracer.flush()
-        events = read_events(tracer.path)
-        (point,) = [e for e in events if e.get("type") == "event"]
-        assert point["name"] == "milestone"
-        assert point["span"] == sp.span_id
-        assert point["attrs"] == {"step": 4}
-
     def test_current_span(self, tmp_path):
         obs.configure(str(tmp_path / "t.jsonl"))
         assert obs.current_span() is NOOP_SPAN
@@ -169,7 +158,7 @@ class TestDisabledMode:
         monkeypatch.chdir(tmp_path)
         tracer = obs.configure(None)
         with obs.span("op"):
-            obs.event("point")
+            pass
         tracer.flush()
         tracer.shutdown()
         assert tracer.events() == []
